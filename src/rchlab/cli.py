@@ -22,6 +22,7 @@ import numpy as np
 from . import experiments
 from .coefficients import derive_coefficients
 from .eulerian import SolverConfig, h1_integral, solve
+from .experiments import DEFAULT_LENGTH
 from .initial_data import (build_family, build_psi, builtin_profile,
                            certification_tables)
 from .lagrangian import initial_state, lagrangian_solve, pullback_to_eulerian
@@ -31,7 +32,6 @@ from .spectral import (Field, PeriodicGrid, field_from_binary, field_from_csv,
                        field_to_binary, field_to_csv)
 
 BUILTIN_NAMES = ("zero", "smoke", "psi")
-DEFAULT_LENGTH = 64.0 * math.pi
 DEFAULT_POINTS = 2**12
 
 

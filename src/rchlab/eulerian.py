@@ -4,10 +4,18 @@ The equation integrated is ``u_t + u u_x = G(u)`` with
 
     G(u) = -d_x (1 - d_xx)^{-1} [ (1/2) u_x^2 + c1 u^2 + c2 u^3 + c3 u^4 ],
 
-the coefficients coming from :mod:`rchlab.coefficients`.  Time stepping is
-classical RK4 with a fixed step, an advective CFL guard, and a blow-up
-threshold; a Picard iterator for the frozen-coefficient linearization is
-provided for contraction experiments.
+the coefficients coming from :mod:`rchlab.coefficients`.  One kernel,
+:func:`_nonlinear_spec`, serves the solver, :func:`full_rhs`, :func:`rhs_g`
+and the Picard iterator: it samples u and u_x once on a padded lattice, forms
+the quartic flux and u u_x pointwise and projects each back once.  The lattice
+has 2N points under the 2/3-rule mask (a quartic of modes up to N/3 aliases
+only onto modes at or above 2N/3) and 3N without it (more than the 5N/2 an
+unmasked quartic needs).  Exact products followed by one projection keep the
+semi-discrete mass and H1 identities for every rotation.
+
+Time stepping is classical RK4 with a fixed step, an advective CFL guard, and
+a blow-up threshold; a Picard iterator for the frozen-coefficient
+linearization is provided for contraction experiments.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from scipy.fft import irfft, rfft
 
 from .coefficients import ModelParams
 from .errors import BlowUpError, CFLError, InvalidParameterError
-from .spectral import Field, PeriodicGrid, conv_spec
+from .spectral import (Field, PeriodicGrid, conv_spec, dealias_spec, pad_values,
+                       project_values)
 
 CFL_FRACTION = 0.5
 BLOWUP_THRESHOLD = 1e8
@@ -68,48 +77,57 @@ class Trajectory:
         return i
 
 
-def _rhs_g_spec(spec_u: np.ndarray, grid: PeriodicGrid, params: ModelParams,
-                dealias: bool) -> np.ndarray:
+def _nonlinear_spec(spec_u: np.ndarray, grid: PeriodicGrid, params: ModelParams,
+                    dealias: bool, advect: bool = True) -> np.ndarray:
+    """Spectrum of G(u) - u u_x, or of G(u) alone when ``advect`` is false.
+
+    ``spec_u`` is the one-sided spectrum of u on ``grid``; with ``dealias``
+    it and the result are cut by the 2/3 rule.
+    """
     k = grid.k
+    m = (2 if dealias else 3) * grid.n_points
     if dealias:
-        spec_u = np.where(k > grid.dealias_cap, 0.0, spec_u)
+        spec_u = dealias_spec(spec_u, grid)
     spec_ux = 1j * k * spec_u
     spec_ux[-1] = 0.0
-    q = 0.5 * conv_spec(spec_ux, spec_ux, grid, dealias)
-    spec_u2 = conv_spec(spec_u, spec_u, grid, dealias)
-    q += params.c1 * spec_u2
-    if params.c2 != 0.0:
-        q += params.c2 * conv_spec(spec_u2, spec_u, grid, dealias)
-    if params.c3 != 0.0:
-        q += params.c3 * conv_spec(spec_u2, spec_u2, grid, dealias)
-    out = -1j * k / (1.0 + k**2) * q
+    u = pad_values(spec_u, grid, m)
+    ux = pad_values(spec_ux, grid, m)
+    # in place, so that at most three M-point arrays are alive at once
+    q = u * params.c3  # q = u^2 (c1 + u (c2 + c3 u)) + (1/2) u_x^2
+    q += params.c2
+    q *= u
+    q += params.c1
+    q *= u
+    q *= u
+    if advect:
+        u *= ux  # u u_x
+    ux *= ux
+    ux *= 0.5
+    q += ux
+    del ux
+    if advect:
+        adv = project_values(u, grid)
+    del u
+    out = project_values(q, grid)
+    out *= -1j * k / (1.0 + k**2)
     out[-1] = 0.0
-    return out
-
-
-def _full_rhs_spec(spec_u: np.ndarray, grid: PeriodicGrid, params: ModelParams,
-                   dealias: bool) -> np.ndarray:
-    k = grid.k
+    if advect:
+        out -= adv
     if dealias:
-        spec_u = np.where(k > grid.dealias_cap, 0.0, spec_u)
-    spec_ux = 1j * k * spec_u
-    spec_ux[-1] = 0.0
-    advect = conv_spec(spec_u, spec_ux, grid, dealias)
-    return _rhs_g_spec(spec_u, grid, params, dealias) - advect
+        out = dealias_spec(out, grid)
+    return out
 
 
 def rhs_g(u: Field, params: ModelParams, dealias: bool = True) -> Field:
     """Nonlocal flux G(u); the advective term is not included."""
-    spec = rfft(u.values)
-    return Field(u.grid, irfft(_rhs_g_spec(spec, u.grid, params, dealias),
-                               u.grid.n_points))
+    spec = _nonlinear_spec(rfft(u.values), u.grid, params, dealias, advect=False)
+    return Field(u.grid, irfft(spec, u.grid.n_points))
 
 
 def full_rhs(u: Field, params: ModelParams, dealias: bool = True) -> Field:
     """Complete right-hand side -u u_x + G(u) of the evolution."""
-    spec = rfft(u.values)
-    return Field(u.grid, irfft(_full_rhs_spec(spec, u.grid, params, dealias),
-                               u.grid.n_points))
+    spec = _nonlinear_spec(rfft(u.values), u.grid, params, dealias)
+    return Field(u.grid, irfft(spec, u.grid.n_points))
 
 
 def kappa_horizon(u0_norm: float, kappa: float = KAPPA_DEFAULT) -> float:
@@ -174,6 +192,10 @@ def solve(u0: Field, params: ModelParams, cfg: SolverConfig) -> Trajectory:
     grid = u0.grid
     times = _step_times(cfg.dt, cfg.t_end)
     u = u0.values.copy()
+    # the state steps in spectral form; the lattice values feed only the
+    # guards and snapshots, since a round trip per step adds more rounding
+    # than the RK4 error of a small step
+    s = rfft(u)
     snaps = [u.copy()]
     snap_times = [0.0]
     for i in range(len(times) - 1):
@@ -185,13 +207,12 @@ def solve(u0: Field, params: ModelParams, cfg: SolverConfig) -> Trajectory:
                 f"CFL guard failed at t={t:.6g}: dt*max|u|={dt * step_max:.3e} "
                 f"> {CFL_FRACTION} * spacing={CFL_FRACTION * grid.spacing:.3e}",
                 time=t)
-        s = rfft(u)
-        k1 = _full_rhs_spec(s, grid, params, cfg.dealias)
-        k2 = _full_rhs_spec(s + 0.5 * dt * k1, grid, params, cfg.dealias)
-        k3 = _full_rhs_spec(s + 0.5 * dt * k2, grid, params, cfg.dealias)
-        k4 = _full_rhs_spec(s + dt * k3, grid, params, cfg.dealias)
-        u = irfft(s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-                  grid.n_points)
+        k1 = _nonlinear_spec(s, grid, params, cfg.dealias)
+        k2 = _nonlinear_spec(s + 0.5 * dt * k1, grid, params, cfg.dealias)
+        k3 = _nonlinear_spec(s + 0.5 * dt * k2, grid, params, cfg.dealias)
+        k4 = _nonlinear_spec(s + dt * k3, grid, params, cfg.dealias)
+        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = irfft(s, grid.n_points)
         _check_state(u, t_last_good=t)
         step_idx = i + 1
         if step_idx % cfg.snapshot_every == 0 or step_idx == len(times) - 1:
@@ -242,36 +263,49 @@ def picard_iterate(u0: Field, params: ModelParams, cfg: SolverConfig,
     times = _step_times(cfg.dt, cfg.t_end)
     iterates: list[Trajectory] = []
     prev: _TimeInterpolant | None = None  # None encodes the zero iterate
+
+    def frozen_terms(tau):
+        # (masked spectrum of u^m(tau), spectrum of G(u^m(tau)))
+        if prev is None:
+            return None
+        sf = rfft(prev(tau))
+        if cfg.dealias:
+            sf = dealias_spec(sf, grid)
+        return sf, _nonlinear_spec(sf, grid, params, cfg.dealias, advect=False)
+
+    def rhs(terms, vals):
+        if terms is None:
+            return np.zeros_like(vals)
+        sf, g = terms
+        sv = rfft(vals)
+        if cfg.dealias:
+            sv = dealias_spec(sv, grid)
+        svx = 1j * grid.k * sv
+        svx[-1] = 0.0
+        advect = conv_spec(sf, svx, grid)
+        if cfg.dealias:
+            advect = dealias_spec(advect, grid)
+        return irfft(g - advect, grid.n_points)
+
     for _ in range(m_iters):
         u = u0.values.copy()
         snaps = [u.copy()]
+        # G(u^m) depends on tau alone: k2 and k3 share t + dt/2, and one
+        # step's t_next is the next step's t
+        at_t = frozen_terms(times[0])
         for i in range(len(times) - 1):
             t, t_next = times[i], times[i + 1]
             dt = t_next - t
-
-            def rhs(tau, vals):
-                if prev is None:
-                    return np.zeros_like(vals)
-                frozen = prev(tau)
-                sf = rfft(frozen)
-                sv = rfft(vals)
-                k = grid.k
-                if cfg.dealias:
-                    sf = np.where(k > grid.dealias_cap, 0.0, sf)
-                    sv = np.where(k > grid.dealias_cap, 0.0, sv)
-                svx = 1j * k * sv
-                svx[-1] = 0.0
-                advect = conv_spec(sf, svx, grid, cfg.dealias)
-                out = _rhs_g_spec(sf, grid, params, cfg.dealias) - advect
-                return irfft(out, grid.n_points)
-
-            k1 = rhs(t, u)
-            k2 = rhs(t + 0.5 * dt, u + 0.5 * dt * k1)
-            k3 = rhs(t + 0.5 * dt, u + 0.5 * dt * k2)
-            k4 = rhs(t_next, u + dt * k3)
+            at_mid = frozen_terms(t + 0.5 * dt)
+            at_next = frozen_terms(t_next)
+            k1 = rhs(at_t, u)
+            k2 = rhs(at_mid, u + 0.5 * dt * k1)
+            k3 = rhs(at_mid, u + 0.5 * dt * k2)
+            k4 = rhs(at_next, u + dt * k3)
             u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             _check_state(u, t_last_good=t)
             snaps.append(u.copy())
+            at_t = at_next
         traj = Trajectory(grid=grid, params=params, times=times.copy(),
                           states=np.asarray(snaps))
         iterates.append(traj)

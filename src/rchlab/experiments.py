@@ -22,7 +22,7 @@ from .coefficients import derive_coefficients
 from .errors import InvalidParameterError
 from .eulerian import (SolverConfig, Trajectory, full_rhs, kappa_horizon,
                        picard_iterate, solve)
-from .initial_data import build_family, build_psi, builtin_profile
+from .initial_data import _top_half, build_family, build_psi, builtin_profile
 from .littlewood_paley import (BesovIndex, DyadicFilterBank, besov_norm,
                                build_filter_bank, lp_norm)
 from .spectral import Field, PeriodicGrid, ddx
@@ -144,11 +144,6 @@ def fit_line(x, y) -> Fit:
     dof = len(x) - 2
     stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx)) if dof > 0 else 0.0
     return Fit(slope=slope, stderr=stderr, window=[float(v) for v in x])
-
-
-def _top_half(seq):
-    seq = list(seq)
-    return seq[len(seq) // 2:]
 
 
 def _time_stepping(t_end: float, steps: int, samples: int,

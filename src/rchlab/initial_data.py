@@ -132,8 +132,10 @@ class CertTable:
                 for n, v in zip(self.ns, self.values)]
 
 
-def _top_half(values: np.ndarray) -> np.ndarray:
-    return values[len(values) // 2:]
+def _top_half(seq):
+    """Upper half of a list, range or array: the window of every empirical
+    floor and fitted slope."""
+    return seq[len(seq) // 2:]
 
 
 def check_psii(bump: BumpProfile, a: float, n_range) -> CertTable:

@@ -175,10 +175,12 @@ def high_tail_fraction(bank: DyadicFilterBank, f: Field) -> float:
 def besov_norm(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> float:
     """Besov norm: l^r over j of the weighted block norms."""
     a = block_norms(bank, f, idx)
-    tail = high_tail_fraction(bank, f)
-    if tail > 1e-12:
-        log.debug("besov_norm: %.3e of the L2 mass sits beyond the top "
-                  "annulus and is carried by block j_max=%d", tail, bank.j_max)
+    if log.isEnabledFor(logging.DEBUG):  # the tail costs a second transform
+        tail = high_tail_fraction(bank, f)
+        if tail > 1e-12:
+            log.debug("besov_norm: %.3e of the L2 mass sits beyond the top "
+                      "annulus and is carried by block j_max=%d", tail,
+                      bank.j_max)
     if idx.r == math.inf:
         return float(np.max(a))
     return float(np.sum(a ** idx.r) ** (1.0 / idx.r))

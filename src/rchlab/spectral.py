@@ -1,15 +1,20 @@
 """Periodic pseudospectral toolbox on a uniform torus lattice.
 
 All fields live on ``x_j = -L/2 + j*h`` with ``h = L/N`` and are transformed
-with real FFTs; lattice wavenumbers are ``k_m = 2*pi*m/L``.  Products are
-computed as exact spectral convolutions on a zero-padded grid, so no aliased
-energy ever enters retained modes; the 2/3-rule mask is applied on request to
-keep spectral budgets closed under repeated products.
+with real FFTs; lattice wavenumbers are ``k_m = 2*pi*m/L``.  Nonlinear terms
+are evaluated on a zero-padded lattice of M > N points: :func:`pad_values`
+samples a spectrum there, any polynomial of the samples is formed pointwise,
+and :func:`project_values` keeps the first N modes, folding the paired mode
+N/2 onto the unpaired Nyquist mode.  No alias of a product of degree p enters
+the kept modes when M exceeds (p + 1) N / 2, so M = 2N makes one product
+(:func:`conv_spec`) exact.  The 2/3-rule mask (:func:`dealias_spec`) is a
+separate step that callers apply to inputs and results.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -133,10 +138,13 @@ def grad_p_conv(f: Field) -> Field:
     return Field(f.grid, _gradp_vals(f.values, f.grid))
 
 
+def dealias_spec(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Copy of a one-sided spectrum with the modes above the 2/3-rule cap zeroed."""
+    return np.where(grid.k > grid.dealias_cap, 0.0, spec)
+
+
 def _dealias_vals(vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    spec = rfft(vals)
-    spec[grid.k > grid.dealias_cap] = 0.0
-    return irfft(spec, grid.n_points)
+    return irfft(dealias_spec(rfft(vals), grid), grid.n_points)
 
 
 def dealias(f: Field) -> Field:
@@ -144,40 +152,51 @@ def dealias(f: Field) -> Field:
     return Field(f.grid, _dealias_vals(f.values, f.grid))
 
 
-def _pad_half_spec(spec: np.ndarray, n: int) -> np.ndarray:
-    half = n // 2
-    padded = np.zeros(n + 1, dtype=np.complex128)
+def pad_values(spec: np.ndarray, grid: PeriodicGrid, m: int) -> np.ndarray:
+    """Samples on the ``m``-point lattice (m > N) of the field whose one-sided
+    spectrum on ``grid`` is ``spec``; the unpaired Nyquist mode is split
+    evenly between the paired modes +-N/2."""
+    half = grid.n_points // 2
+    padded = np.zeros(m // 2 + 1, dtype=np.complex128)
     padded[:half] = spec[:half]
-    padded[half] = 0.5 * spec[half]  # unpaired Nyquist splits into a paired mode
-    return padded
+    padded[half] = 0.5 * spec[half]
+    vals = irfft(padded, m)
+    vals *= m / grid.n_points
+    return vals
 
 
-def conv_spec(sa: np.ndarray, sb: np.ndarray, grid: PeriodicGrid,
-              do_dealias: bool = False) -> np.ndarray:
-    """Spectrum of the pointwise product, via an exact doubled-grid convolution.
-
-    Inputs and output are one-sided (rfft) spectra on ``grid``; with
-    ``do_dealias`` both inputs and the output are truncated by the 2/3 rule.
-    """
+def project_values(vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """One-sided spectrum on ``grid`` of samples on a finer lattice: the
+    Galerkin projection onto the first N modes, with the paired mode N/2
+    folded onto the unpaired Nyquist mode."""
     n = grid.n_points
     half = n // 2
-    if do_dealias:
-        mask = grid.k > grid.dealias_cap
-        sa = np.where(mask, 0.0, sa)
-        sb = np.where(mask, 0.0, sb)
-    m = 2 * n
-    big = rfft(irfft(_pad_half_spec(sa, n), m) * irfft(_pad_half_spec(sb, n), m)
-               * (m / n) ** 2)
-    spec = big[:half + 1] * (n / m)
-    spec[half] = 2.0 * spec[half].real  # fold the paired big-grid mode N/2
-    if do_dealias:
-        spec[grid.k > grid.dealias_cap] = 0.0
+    # multiplying copies the slice, so the M-point spectrum is freed here
+    spec = rfft(vals)[:half + 1] * (n / vals.size)
+    spec[half] = 2.0 * spec[half].real
     return spec
+
+
+def conv_spec(sa: np.ndarray, sb: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Spectrum of the pointwise product, via an exact doubled-grid convolution.
+
+    Inputs and output are one-sided (rfft) spectra on ``grid``; the output is
+    the exact product projected onto the lattice modes, with no mask.
+    """
+    m = 2 * grid.n_points
+    prod = pad_values(sa, grid, m)
+    prod *= pad_values(sb, grid, m)
+    return project_values(prod, grid)
 
 
 def _product_vals(a: np.ndarray, b: np.ndarray, grid: PeriodicGrid,
                   do_dealias: bool) -> np.ndarray:
-    spec = conv_spec(rfft(a), rfft(b), grid, do_dealias)
+    sa, sb = rfft(a), rfft(b)
+    if do_dealias:
+        sa, sb = dealias_spec(sa, grid), dealias_spec(sb, grid)
+    spec = conv_spec(sa, sb, grid)
+    if do_dealias:
+        spec = dealias_spec(spec, grid)
     return irfft(spec, grid.n_points)
 
 
@@ -185,8 +204,7 @@ def product(f: Field, g: Field, dealias: bool = False) -> Field:
     """Pointwise product computed as an exact spectral convolution.
 
     With ``dealias=True`` both inputs and the output are truncated by the
-    2/3 rule; chained calls (cubic and quartic terms) then never admit
-    aliased energy into retained modes.
+    2/3 rule.
     """
     grid = require_same_grid(f, g)
     return Field(grid, _product_vals(f.values, g.values, grid, dealias))
@@ -236,10 +254,35 @@ def field_to_binary(f: Field, path) -> None:
 
 
 def field_from_binary(path) -> Field:
+    """Rebuild a field written by :func:`field_to_binary`.
+
+    Raises :class:`InvalidParameterError`, naming ``path``, when the header is
+    short, the length is not finite and positive, the point count is not a
+    positive integer naming a valid grid, the payload is not 8 bytes per
+    point, or a value is not finite.
+    """
     with open(path, "rb") as fh:
-        length, n_real = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
-        n = int(round(n_real))
-        vals = np.frombuffer(fh.read(8 * n), dtype="<f8")
-    if vals.size != n:
-        raise InvalidParameterError(f"truncated field file {path!r}")
-    return Field(PeriodicGrid(length, n), vals.astype(np.float64))
+        header = fh.read(_BIN_HEADER.size)
+        payload = fh.read()
+    if len(header) != _BIN_HEADER.size:
+        raise InvalidParameterError(f"field file {path!r} has a truncated header")
+    length, n_real = _BIN_HEADER.unpack(header)
+    if not (math.isfinite(length) and length > 0.0):
+        raise InvalidParameterError(
+            f"field file {path!r}: length {length!r} is not finite and positive")
+    if not (math.isfinite(n_real) and n_real >= 1.0 and n_real.is_integer()):
+        raise InvalidParameterError(
+            f"field file {path!r}: point count {n_real!r} is not a positive integer")
+    n = int(n_real)
+    if len(payload) != 8 * n:
+        raise InvalidParameterError(
+            f"field file {path!r}: payload of {len(payload)} bytes, "
+            f"expected {8 * n} for {n} points")
+    vals = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(vals)):
+        raise InvalidParameterError(f"field file {path!r} holds non-finite values")
+    try:
+        grid = PeriodicGrid(length, n)
+    except InvalidParameterError as err:
+        raise InvalidParameterError(f"field file {path!r}: {err}") from err
+    return Field(grid, vals)

@@ -153,3 +153,11 @@ def test_builtin_profiles():
     assert np.array_equal(psi.values, BUMP.field.values)
     with pytest.raises(InvalidParameterError):
         builtin_profile("mystery", GRID64)
+
+
+def test_top_half_takes_lists_ranges_and_arrays():
+    from rchlab.initial_data import _top_half
+
+    assert _top_half([1, 2, 3, 4, 5]) == [3, 4, 5]
+    assert list(_top_half(range(5, 10))) == [7, 8, 9]
+    assert np.array_equal(_top_half(np.arange(4.0)), [2.0, 3.0])

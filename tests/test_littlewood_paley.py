@@ -1,10 +1,12 @@
 """Dyadic filters, Besov/Sobolev norms, sharp constants."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import rchlab.littlewood_paley as lp
 from rchlab.errors import InvalidParameterError
 from rchlab.littlewood_paley import (BesovIndex, besov_norm, block_norms,
                                      build_filter_bank, chi_profile,
@@ -160,3 +162,21 @@ def test_lp_norm_validation():
         lp_norm(f, 0.5)
     assert lp_norm(f, math.inf) == 1.0
     assert lp_norm(f, 1.0) == pytest.approx(GRID.length, rel=1e-12)
+
+
+def test_besov_tail_diagnostic_only_at_debug(caplog, monkeypatch):
+    calls = []
+
+    def counted(bank, f):
+        calls.append(1)
+        return high_tail_fraction(bank, f)
+
+    monkeypatch.setattr(lp, "high_tail_fraction", counted)
+    f = Field(GRID, np.cos(2000.0 * GRID.x))  # all mass beyond the top annulus
+    idx = BesovIndex(1.0, 2.0, 2.0)
+    caplog.set_level(logging.INFO, logger="rchlab.littlewood_paley")
+    quiet = besov_norm(BANK, f, idx)
+    assert calls == [] and "beyond the top annulus" not in caplog.text
+    caplog.set_level(logging.DEBUG, logger="rchlab.littlewood_paley")
+    assert besov_norm(BANK, f, idx) == quiet
+    assert calls == [1] and "beyond the top annulus" in caplog.text

@@ -1,6 +1,7 @@
 """Grid, multipliers, exact products, serialization."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -171,3 +172,33 @@ def test_csv_rejects_garbage(tmp_path):
     path.write_text("x,value\n0.0,1.0\n")  # 1 point: not a valid grid
     with pytest.raises(InvalidParameterError):
         field_from_csv(path)
+
+
+def _header(length, n_real):
+    return struct.pack("<dd", length, n_real)
+
+
+GOOD_PAYLOAD = np.linspace(-1.0, 1.0, 16).astype("<f8").tobytes()
+
+FORGED = {
+    "short_header": bytes(12),
+    "nan_count": _header(1.0, math.nan) + GOOD_PAYLOAD,
+    "inf_count": _header(1.0, math.inf) + GOOD_PAYLOAD,
+    "negative_count": _header(1.0, -16.0) + GOOD_PAYLOAD,
+    "fractional_count": _header(1.0, 16.4) + GOOD_PAYLOAD,
+    "count_not_power_of_two": _header(1.0, 24.0) + bytes(8 * 24),
+    "nan_length": _header(math.nan, 16.0) + GOOD_PAYLOAD,
+    "zero_length": _header(0.0, 16.0) + GOOD_PAYLOAD,
+    "truncated_payload": _header(1.0, 16.0) + GOOD_PAYLOAD[:-8],
+    "trailing_bytes": _header(1.0, 16.0) + GOOD_PAYLOAD + bytes(8),
+    "nan_value": (_header(1.0, 16.0) + struct.pack("<d", math.nan)
+                  + GOOD_PAYLOAD[8:]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED))
+def test_binary_rejects_forged_files(tmp_path, case):
+    path = tmp_path / "forged.bin"
+    path.write_bytes(FORGED[case])
+    with pytest.raises(InvalidParameterError, match="forged.bin"):
+        field_from_binary(path)
