@@ -3,9 +3,11 @@
 State per label xi: position y, stretching y_xi, velocity U = u(t, y), and
 slope U_xi = y_xi * u_x(t, y).  The nonlocal terms are half-line convolutions
 with exp(-|y - x|) rewritten in label variables (Jacobian y_xi absorbed into
-the integrand), evaluated by O(N) exponential prefix scans with trapezoidal
-weights.  The scans wrap once around the circle, which periodizes the kernel
-to within exp(-2 * period).
+the integrand), evaluated with trapezoidal weights by one O(N) two-sided
+exponential scan per right-hand side: the block exponentials exp(+-(y - y_ref))
+are computed once and serve both the left and the right sums.  The scan wraps
+once around the circle, which periodizes the kernel to within
+exp(-2 * period).
 """
 
 from __future__ import annotations
@@ -59,42 +61,64 @@ def _check_monotone(y: np.ndarray, period: float, time=None) -> None:
             "particle map lost strict monotonicity", time=time)
 
 
-def _one_sided_scan(w: np.ndarray, y: np.ndarray, period: float) -> np.ndarray:
-    """T_i = sum over one wrapped period of e^{-(y_i - y_j)} w_j, j strictly left.
+def _one_sided_scan(w: np.ndarray, y: np.ndarray,
+                    period: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both one-sided sums over one wrapped period, in one pass.
 
-    Blocked prefix scan: exponents are taken relative to each block's first
-    node so nothing overflows, and a scalar carry propagates across blocks
-    (two laps around the circle; the first lap only builds the carry).
+    ``t_left[i]`` sums ``e^{-(y_i - y_j)} w_j`` over j strictly left of i plus
+    every node one period to the left; ``t_right[i]`` sums
+    ``e^{-(y_j - y_i)} w_j`` over j strictly right of i plus every node one
+    period to the right.  The nodes are cut into blocks, and exponents are
+    taken relative to each block's first node, so ``e^{rel}`` and ``e^{-rel}``
+    are computed once, serve both sides, and cannot overflow while a block
+    spans at most 700 (e^700 is just below the float64 overflow threshold).
+    Two scalar carries cross the blocks, one each way, over two laps of the
+    circle; the first lap only builds them.
     """
     n = len(y)
-    block = 512 if n > 512 else n
-    starts = list(range(0, n, block))
-    out = np.empty(n)
-    carry = 0.0
-    for lap in (0, 1):
-        offset = -period if lap == 0 else 0.0
-        for b, i0 in enumerate(starts):
-            i1 = min(i0 + block, n)
-            yb = y[i0:i1] + offset
-            wb = w[i0:i1]
-            ref = yb[0]
-            rel = yb - ref
-            if rel[-1] > 700.0:
-                raise InvalidParameterError("scan block spans too wide a cell")
-            e_fwd = np.exp(rel) * wb
-            cum = np.cumsum(e_fwd)
-            e_bwd = np.exp(-rel)
-            local = e_bwd * (cum - e_fwd)  # exclusive prefix
-            if lap == 1:
-                out[i0:i1] = local + carry * e_bwd
-            # carry to the first node of the next block (may wrap)
-            if i1 < n:
-                y_next = y[i1] + offset
-            else:
-                y_next = y[0] + offset + period
-            decay = np.exp(-(y_next - ref))
-            carry = decay * (carry + cum[-1])
-    return out
+    block = min(n, 512)  # grid sizes are powers of two, so blocks tile
+    n_blocks = n // block
+    y = y.reshape(n_blocks, block)
+    w = w.reshape(n_blocks, block)
+    ref = y[:, 0]
+    rel = y - ref[:, None]
+    if np.max(rel[:, -1]) > 700.0:
+        raise InvalidParameterError("scan block spans too wide a cell")
+    e_fwd = np.exp(rel)
+    e_bwd = np.exp(np.negative(rel, out=rel), out=rel)
+    # exclusive prefix and suffix sums, each one block at a time
+    fw = e_fwd * w
+    left = np.empty_like(fw)
+    left[:, 0] = 0.0
+    np.cumsum(fw[:, :-1], axis=1, out=left[:, 1:])
+    sums_left = (left[:, -1] + fw[:, -1]).tolist()
+    bw = np.multiply(e_bwd, w, out=fw)
+    right = np.empty_like(fw)
+    right[:, -1] = 0.0
+    np.cumsum(bw[:, :0:-1], axis=1, out=right[:, -2::-1])
+    sums_right = (right[:, 0] + bw[:, 0]).tolist()
+    # decay[b] carries a sum from block b's first node to block b + 1's
+    decay = np.exp(ref - np.append(ref[1:], ref[0] + period)).tolist()
+    carry_left = [0.0] * n_blocks
+    carry_right = [0.0] * n_blocks
+    # k walks two laps of blocks; the carries of the second lap are kept
+    c = 0.0
+    for k in range(2 * n_blocks):
+        b = k % n_blocks
+        if k >= n_blocks:
+            carry_left[b] = c
+        c = decay[b] * (c + sums_left[b])
+    c = 0.0
+    for k in range(2 * n_blocks - 2, -1, -1):
+        b = k % n_blocks
+        c = decay[b] * (c + sums_right[(b + 1) % n_blocks])
+        if k < n_blocks:
+            carry_right[b] = c
+    left += np.array(carry_left)[:, None]
+    left *= e_bwd
+    right += np.array(carry_right)[:, None]
+    right *= e_fwd
+    return left.reshape(n), right.reshape(n)
 
 
 def exp_scan_split(weights: np.ndarray, y: np.ndarray, grid: PeriodicGrid,
@@ -114,38 +138,32 @@ def exp_scan_split(weights: np.ndarray, y: np.ndarray, grid: PeriodicGrid,
     if y.shape != w.shape or y.shape != (grid.n_points,):
         raise InvalidParameterError("weights/y must match the label grid size")
     _check_monotone(y, grid.length)
-    dxi = grid.spacing
-    t_left = _one_sided_scan(w, y, grid.length)
-    t_right = _one_sided_scan(w[::-1], (-y)[::-1], grid.length)[::-1]
+    t_left, t_right = _one_sided_scan(w, y, grid.length)
     if kind == "signed":
-        return dxi * (t_left - t_right)
-    return dxi * (w + t_left + t_right)
+        return grid.spacing * (t_left - t_right)
+    return grid.spacing * (w + t_left + t_right)
 
 
-def _q_profile(U, U_xi, y_xi, params: ModelParams) -> np.ndarray:
-    ux = U_xi / y_xi
-    q = params.c1 * U**2 + 0.5 * ux**2
-    if params.c2 != 0.0:
-        q += params.c2 * U**3
-    if params.c3 != 0.0:
-        q += params.c3 * U**4
+def _q_profile(U: np.ndarray, ux: np.ndarray, params: ModelParams) -> np.ndarray:
+    """q = U^2 (c1 + U (c2 + c3 U)) + (1/2) u_x^2.
+
+    Horner form: ``U**3`` and ``U**4`` of an array of both signs take numpy's
+    generic power path, far slower than the products.
+    """
+    q = U * params.c3
+    q += params.c2
+    q *= U
+    q += params.c1
+    q *= U
+    q *= U
+    q += 0.5 * ux * ux
     return q
 
 
 def lagrangian_rhs(state: LagrangianState, params: ModelParams) -> LagrangianState:
     """Time derivative of the particle state (returned in state layout)."""
-    grid = state.grid
-    if np.min(state.y_xi) <= 0.0:
-        raise DiffeomorphismError("y_xi must stay positive")
-    q = _q_profile(state.U, state.U_xi, state.y_xi, params)
-    w = q * state.y_xi
-    signed = exp_scan_split(w, state.y, grid, "signed")
-    unsigned = exp_scan_split(w, state.y, grid, "unsigned")
-    dU = 0.5 * signed
-    dU_xi = q * state.y_xi - 0.5 * state.y_xi * unsigned
-    return LagrangianState(grid=grid, labels=state.labels, y=state.U.copy(),
-                           y_xi=state.U_xi.copy(), U=dU, U_xi=dU_xi,
-                           ux_integral=state.U_xi / state.y_xi)
+    return _unpack(state.grid, state.labels,
+                   _rhs_packed(_pack(state), state.grid, params))
 
 
 def _pack(state: LagrangianState) -> np.ndarray:
@@ -161,23 +179,22 @@ def _unpack(grid, labels, arr) -> LagrangianState:
 
 def _rhs_packed(arr: np.ndarray, grid: PeriodicGrid, params: ModelParams,
                 time=None) -> np.ndarray:
+    """Time derivative of the packed state ``(y, y_xi, U, U_xi, int u_x)``."""
     y, y_xi, U, U_xi = arr[0], arr[1], arr[2], arr[3]
     if np.min(y_xi) <= 0.0:
         raise DiffeomorphismError("y_xi must stay positive", time=time)
     _check_monotone(y, grid.length, time=time)
-    q = _q_profile(U, U_xi, y_xi, params)
-    w = q * y_xi
+    ux = U_xi / y_xi
+    w = _q_profile(U, ux, params)
+    w *= y_xi
+    t_left, t_right = _one_sided_scan(w, y, grid.length)
     dxi = grid.spacing
-    t_left = _one_sided_scan(w, y, grid.length)
-    t_right = _one_sided_scan(w[::-1], (-y)[::-1], grid.length)[::-1]
-    signed = dxi * (t_left - t_right)
-    unsigned = dxi * (w + t_left + t_right)
     out = np.empty_like(arr)
     out[0] = U
     out[1] = U_xi
-    out[2] = 0.5 * signed
-    out[3] = q * y_xi - 0.5 * y_xi * unsigned
-    out[4] = U_xi / y_xi
+    out[2] = 0.5 * (dxi * (t_left - t_right))
+    out[3] = w - 0.5 * y_xi * (dxi * (w + t_left + t_right))
+    out[4] = ux
     return out
 
 

@@ -232,15 +232,18 @@ def field_from_csv(path) -> Field:
             xs.append(float(row[0]))
             vs.append(float(row[1]))
     x = np.asarray(xs)
+    vals = np.asarray(vs)
     n = len(x)
     if n < 2:
         raise InvalidParameterError(f"field CSV {path!r} has fewer than 2 rows")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(vals))):
+        raise InvalidParameterError(f"field CSV {path!r} holds non-finite values")
     # the lattice starts at -L/2, so the first abscissa recovers the length
     # exactly (a spacing*n reconstruction can drift by an ulp)
     grid = PeriodicGrid(length=-2.0 * x[0], n_points=n)
     if not np.allclose(grid.x, x, rtol=0.0, atol=1e-9 * max(1.0, abs(x[0]))):
         raise InvalidParameterError("CSV x column is not a centered uniform lattice")
-    return Field(grid, np.asarray(vs))
+    return Field(grid, vals)
 
 
 _BIN_HEADER = struct.Struct("<dd")  # little-endian: length, n_points

@@ -8,10 +8,10 @@ import pytest
 from rchlab.coefficients import derive_coefficients
 from rchlab.errors import InvalidParameterError
 from rchlab.eulerian import SolverConfig, rhs_g, solve
-from rchlab.lagrangian import (LagrangianState, exp_scan_split, initial_state,
-                               lagrangian_rhs, lagrangian_solve,
-                               linf_along_paths, pullback_to_eulerian,
-                               stability_distance)
+from rchlab.lagrangian import (LagrangianState, _one_sided_scan,
+                               exp_scan_split, initial_state, lagrangian_rhs,
+                               lagrangian_solve, linf_along_paths,
+                               pullback_to_eulerian, stability_distance)
 from rchlab.littlewood_paley import lp_norm
 from rchlab.spectral import Field, PeriodicGrid, ddx, helmholtz_inverse
 
@@ -33,12 +33,49 @@ def _brute_left(w, y, period):
     return out
 
 
-def _brute_split(w, y, grid, kind):
-    t_left = _brute_left(w, y, grid.length)
-    t_right = _brute_left(w[::-1], (-y)[::-1], grid.length)[::-1]
+def _brute_sides(w, y, period):
+    return (_brute_left(w, y, period),
+            _brute_left(w[::-1], (-y)[::-1], period)[::-1])
+
+
+def _combine(t_left, t_right, w, grid, kind):
     if kind == "signed":
         return grid.spacing * (t_left - t_right)
     return grid.spacing * (w + t_left + t_right)
+
+
+def _reference_left_scan(w, y, period):
+    # the former one-sided kernel, one block at a time over two laps; the
+    # right sums came from a second call on the mirrored map
+    n = len(y)
+    block = 512 if n > 512 else n
+    starts = list(range(0, n, block))
+    out = np.empty(n)
+    carry = 0.0
+    for lap in (0, 1):
+        offset = -period if lap == 0 else 0.0
+        for i0 in starts:
+            i1 = min(i0 + block, n)
+            yb = y[i0:i1] + offset
+            ref = yb[0]
+            rel = yb - ref
+            e_fwd = np.exp(rel) * w[i0:i1]
+            cum = np.cumsum(e_fwd)
+            e_bwd = np.exp(-rel)
+            if lap == 1:
+                out[i0:i1] = e_bwd * (cum - e_fwd) + carry * e_bwd
+            y_next = y[i1] + offset if i1 < n else y[0] + offset + period
+            carry = np.exp(-(y_next - ref)) * (carry + cum[-1])
+    return out
+
+
+def _stretched_map(grid, rng):
+    # smooth non-uniform stretching (y_xi between 0.75 and 1.25) plus jitter
+    y = grid.x + 0.125 * grid.length / (2.0 * np.pi) \
+        * np.sin(2.0 * np.pi * grid.x / grid.length) \
+        + 0.2 * grid.spacing * rng.uniform(-1.0, 1.0, grid.n_points)
+    assert np.all(np.diff(y) > 0.0)
+    return y
 
 
 def test_scan_matches_brute_force():
@@ -48,23 +85,46 @@ def test_scan_matches_brute_force():
         + 0.2 * grid.spacing * rng.uniform(-1.0, 1.0, 512)
     assert np.all(np.diff(y) > 0.0)
     w = rng.normal(size=512)
+    sides = _brute_sides(w, y, grid.length)
     for kind in ("signed", "unsigned"):
         got = exp_scan_split(w, y, grid, kind)
-        want = _brute_split(w, y, grid, kind)
+        want = _combine(*sides, w, grid, kind)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-10 * scale, kind
 
 
 def test_scan_blocked_carry_matches_brute():
-    # n > block size exercises the carry propagation across blocks
+    # 2048 nodes make 4 blocks, so the carries cross blocks both ways
     grid = PeriodicGrid(16.0 * np.pi, 2048)
     rng = np.random.default_rng(22)
-    y = grid.x + 0.4 * grid.spacing * rng.uniform(-1.0, 1.0, 2048)
-    assert np.all(np.diff(y) > 0.0)
+    y = _stretched_map(grid, rng)
     w = rng.normal(size=2048)
-    got = exp_scan_split(w, y, grid, "signed")
-    want = _brute_split(w, y, grid, "signed")
-    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    sides = _brute_sides(w, y, grid.length)
+    for kind in ("signed", "unsigned"):
+        got = exp_scan_split(w, y, grid, kind)
+        want = _combine(*sides, w, grid, kind)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), kind
+
+
+@pytest.mark.parametrize("n_points", [16, 512, 2**14])
+def test_two_sided_scan_matches_former_kernel(n_points):
+    grid = PeriodicGrid(32.0 * np.pi, n_points)
+    rng = np.random.default_rng(23)
+    y = _stretched_map(grid, rng)
+    w = rng.normal(size=n_points)
+    t_left, t_right = _one_sided_scan(w, y, grid.length)
+    want_left = _reference_left_scan(w, y, grid.length)
+    want_right = _reference_left_scan(w[::-1], (-y)[::-1], grid.length)[::-1]
+    for got, want in ((t_left, want_left), (t_right, want_right)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_scan_rejects_too_wide_a_block():
+    # 16 nodes make one block, spanning 15/16 of the period: e^{960}
+    # would overflow
+    grid = PeriodicGrid(1024.0, 16)
+    with pytest.raises(InvalidParameterError, match="too wide"):
+        exp_scan_split(np.ones(16), grid.x, grid, "signed")
 
 
 def test_unsigned_scan_is_kernel_convolution():
@@ -197,3 +257,34 @@ def test_rhs_requires_positive_stretching():
     from rchlab.errors import DiffeomorphismError
     with pytest.raises(DiffeomorphismError):
         lagrangian_rhs(bad, P1)
+
+
+def test_mass_and_energy_conserved_with_rotation():
+    # E = int (U^2 y_xi + U_xi^2 / y_xi) d xi and the mass int U y_xi d xi
+    # are invariants of the exact flow at every Omega; the particle scheme
+    # keeps them to its second-order quadrature error.  At Omega = 1 the
+    # cubic and quartic flux terms are on, acting on a U of both signs.
+    drifts = []
+    for n_points in (2**11, 2**12):
+        grid = PeriodicGrid(32.0 * np.pi, n_points)
+        u0 = Field(grid, 0.2 * np.cos(0.5 * grid.x)
+                   + 0.1 * np.sin(0.25 * grid.x))
+        cfg = SolverConfig(dt=1.0 / 128.0, t_end=0.5, snapshot_every=64)
+        traj = lagrangian_solve(initial_state(u0), P1, cfg)
+        first, last = traj.states[0], traj.states[-1]
+        assert traj.times[-1] == 0.5
+
+        def energy(s):
+            return grid.spacing * np.sum(s.U**2 * s.y_xi + s.U_xi**2 / s.y_xi)
+
+        def mass(s):
+            return grid.spacing * np.sum(s.U * s.y_xi)
+
+        # u0 has zero mass, so its drift is absolute (int |u0| is about 14)
+        drifts.append((abs(energy(last) - energy(first)) / energy(first),
+                       abs(mass(last) - mass(first))))
+    (e_coarse, m_coarse), (e_fine, m_fine) = drifts
+    assert e_fine <= 1.5e-6
+    assert m_fine <= 8e-6
+    assert 3.0 <= e_coarse / e_fine <= 5.0
+    assert 3.0 <= m_coarse / m_fine <= 5.0

@@ -174,6 +174,15 @@ def test_csv_rejects_garbage(tmp_path):
         field_from_csv(path)
 
 
+def test_csv_rejects_non_finite_values(tmp_path):
+    values = np.linspace(-1.0, 1.0, 256)
+    values[17] = math.nan
+    path = tmp_path / "holed.csv"
+    field_to_csv(Field(GRID, values), path)
+    with pytest.raises(InvalidParameterError, match="holed.csv"):
+        field_from_csv(path)
+
+
 def _header(length, n_real):
     return struct.pack("<dd", length, n_real)
 
