@@ -27,7 +27,7 @@ from .initial_data import (build_family, build_psi, builtin_profile,
                            certification_tables)
 from .lagrangian import initial_state, lagrangian_solve, pullback_to_eulerian
 from .littlewood_paley import (BesovIndex, besov_norm, block_norms,
-                               build_filter_bank, lp_norm)
+                               build_filter_bank, lp_norm, sequence_norm)
 from .spectral import (Field, PeriodicGrid, field_from_binary, field_from_csv,
                        field_to_binary, field_to_csv)
 
@@ -85,7 +85,7 @@ def _cmd_besov(args) -> int:
     r = math.inf if args.r <= 0 else args.r
     idx = BesovIndex(args.s, args.p, r)
     weighted = block_norms(bank, f, idx)
-    print(f"besov_norm,{besov_norm(bank, f, idx)!r}")
+    print(f"besov_norm,{sequence_norm(weighted, idx.r)!r}")
     print("j,weighted_block_norm")
     for j, val in zip(range(-1, bank.j_max + 1), weighted):
         print(f"{j},{float(val)!r}")
@@ -285,7 +285,18 @@ def _add_grid_flags(p, with_points: bool = True) -> None:
                        help="grid points (default: sized automatically)")
 
 
-def main(argv=None) -> int:
+def _add_campaign_flags(p, steps: int) -> None:
+    p.add_argument("--omega", type=float, default=experiments.DEFAULT_OMEGA)
+    p.add_argument("--dt", type=float, default=None,
+                   help="time step (default: horizon / steps)")
+    p.add_argument("--steps", type=int, default=steps,
+                   help=f"time steps (default {steps})")
+    p.add_argument("--out", default=None,
+                   help="report directory (default reports/<name>)")
+    _add_grid_flags(p)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rchlab",
         description="Spectral laboratory for a rotating shallow-water "
@@ -348,48 +359,42 @@ def main(argv=None) -> int:
     _add_grid_flags(p)
     p.set_defaults(func=_cmd_data)
 
-    campaign = argparse.ArgumentParser(add_help=False)
-    campaign.add_argument("--omega", type=float,
-                          default=experiments.DEFAULT_OMEGA)
-    campaign.add_argument("--dt", type=float, default=None,
-                          help="time step (default: horizon / steps)")
-    campaign.add_argument("--steps", type=int, default=None)
-    campaign.add_argument("--out", default=None,
-                          help="report directory (default reports/<name>)")
-    _add_grid_flags(campaign)
-
     sweep = argparse.ArgumentParser(add_help=False)
     sweep.add_argument("--n-min", type=int, default=5)
     sweep.add_argument("--n-max", type=int, default=9)
 
-    p = sub.add_parser("nonuniform-super", parents=[campaign, sweep],
+    p = sub.add_parser("nonuniform-super", parents=[sweep],
                        help="high/low frequency gap persistence, "
                             "supercritical indices")
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--r", type=float, default=2.0)
+    _add_campaign_flags(p, steps=48)
     p.set_defaults(func=_cmd_nonuniform_super)
 
-    p = sub.add_parser("nonuniform-critical", parents=[campaign, sweep],
+    p = sub.add_parser("nonuniform-critical", parents=[sweep],
                        help="gap persistence on the critical index line")
     p.add_argument("--p", type=float, default=2.0)
+    _add_campaign_flags(p, steps=48)
     p.set_defaults(func=_cmd_nonuniform_critical)
 
-    p = sub.add_parser("decomp-rates", parents=[campaign, sweep],
+    p = sub.add_parser("decomp-rates", parents=[sweep],
                        help="frozen-data decay, side-band boundedness and "
                             "first-order residual rates")
     p.add_argument("--s", type=float, default=2.5)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--r", type=float, default=2.0)
+    _add_campaign_flags(p, steps=48)
     p.set_defaults(func=_cmd_decomp_rates)
 
-    p = sub.add_parser("critical-expansion", parents=[campaign, sweep],
+    p = sub.add_parser("critical-expansion", parents=[sweep],
                        help="first-order expansion control on the critical "
                             "line")
     p.add_argument("--p", type=float, default=2.0)
+    _add_campaign_flags(p, steps=48)
     p.set_defaults(func=_cmd_critical_expansion)
 
-    p = sub.add_parser("continuity", parents=[campaign],
+    p = sub.add_parser("continuity",
                        help="solution distance under vanishing data "
                             "perturbations")
     p.add_argument("--s", type=float, default=2.0)
@@ -397,9 +402,10 @@ def main(argv=None) -> int:
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--eps", type=float, action="append", default=None)
     p.add_argument("--tend", type=float, default=None)
+    _add_campaign_flags(p, steps=64)
     p.set_defaults(func=_cmd_continuity)
 
-    p = sub.add_parser("picard", parents=[campaign],
+    p = sub.add_parser("picard",
                        help="contraction of the frozen-coefficient iteration")
     p.add_argument("--init", default="smoke")
     p.add_argument("--m-max", type=int, default=8)
@@ -407,15 +413,16 @@ def main(argv=None) -> int:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--tend", type=float, default=None)
+    _add_campaign_flags(p, steps=200)
     p.set_defaults(func=_cmd_picard)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     if getattr(args, "eps", None) is None and args.command == "continuity":
         args.eps = [1e-2, 1e-3, 1e-4]
-    if getattr(args, "steps", None) is None and hasattr(args, "steps"):
-        args.steps = 200 if args.command == "picard" else 48
-        if args.command == "continuity":
-            args.steps = 64
     return args.func(args)
 
 

@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import FrequencyOverflowError, InvalidParameterError
 from .littlewood_paley import (BesovIndex, DyadicFilterBank, besov_norm,
-                               block_norms, build_filter_bank, lp_norm,
-                               smooth_plateau)
+                               block_norms, block_profile, build_filter_bank,
+                               lp_norm, sequence_norm, smooth_plateau,
+                               weight_profile)
 from .spectral import Field, PeriodicGrid, ddx, product, synthesize
 
 PLATEAU_RADIUS = 0.25
@@ -176,6 +177,17 @@ def check_low_product(bump: BumpProfile, n_range, s: float, p: float,
                      empirical_min=float(np.min(_top_half(values))))
 
 
+def _carrier_norms(bank: DyadicFilterBank, w: Field, indices,
+                   p: float) -> list[float]:
+    """Besov norms of ``w`` at each index from its one block profile, then
+    ||d_x w||_{L^p}."""
+    profile = block_profile(bank, w, p)
+    row = [sequence_norm(weight_profile(profile, idx.s), idx.r)
+           for idx in indices]
+    row.append(lp_norm(ddx(w), p))
+    return row
+
+
 def certification_tables(bump: BumpProfile, n_range, s: float, p: float,
                          r: float = 2.0) -> list[CertTable]:
     """Every lemma-check table in one pass over the mode range.
@@ -187,18 +199,17 @@ def certification_tables(bump: BumpProfile, n_range, s: float, p: float,
     """
     ns = list(n_range)
     bank = build_filter_bank(bump.grid)
+    carrier_idx = {f"w0n_besov_{tag}": BesovIndex(theta, p, r) for theta, tag
+                   in ((s - 1.0, "minus"), (s, "center"), (s + 1.0, "plus"))}
+    # one member at a time, so that no member outlives its own row
+    rows = [_carrier_norms(bank, make_w0n(bump, n, s), carrier_idx.values(), p)
+            for n in ns]
     tables: list[CertTable] = []
-    for theta, tag in ((s - 1.0, "minus"), (s, "center"), (s + 1.0, "plus")):
-        idx = BesovIndex(theta, p, r)
-        vals = np.asarray([besov_norm(bank, make_w0n(bump, n, s), idx)
-                           for n in ns])
+    for quantity, column in zip([*carrier_idx, "dx_w0n_lp"], zip(*rows)):
+        vals = np.asarray(column)
         tables.append(CertTable(
-            quantity=f"w0n_besov_{tag}", ns=np.asarray(ns, dtype=int),
-            values=vals, empirical_min=float(np.min(_top_half(vals)))))
-    vals = np.asarray([lp_norm(ddx(make_w0n(bump, n, s)), p) for n in ns])
-    tables.append(CertTable(quantity="dx_w0n_lp", ns=np.asarray(ns, dtype=int),
-                            values=vals,
-                            empirical_min=float(np.min(_top_half(vals)))))
+            quantity=quantity, ns=np.asarray(ns, dtype=int), values=vals,
+            empirical_min=float(np.min(_top_half(vals)))))
     idx_s = BesovIndex(s, p, r)
     vals = np.asarray([besov_norm(bank, make_v0n(bump, n), idx_s) for n in ns])
     tables.append(CertTable(quantity="v0n_besov", ns=np.asarray(ns, dtype=int),

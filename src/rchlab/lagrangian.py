@@ -254,9 +254,10 @@ def pullback_to_eulerian(state: LagrangianState) -> Field:
 
 
 def _w1_intersection_norm(f: Field, p: float) -> float:
-    from .littlewood_paley import w1p_norm
-
-    return max(w1p_norm(f, np.inf), w1p_norm(f, p))
+    """max(W^{1,inf} norm, W^{1,p} norm), with one spectral derivative."""
+    df = ddx(f)
+    return max(lp_norm(f, np.inf) + lp_norm(df, np.inf),
+               lp_norm(f, p) + lp_norm(df, p))
 
 
 def stability_distance(a: LagrangianTrajectory, b: LagrangianTrajectory,

@@ -7,6 +7,12 @@ j >= 0 with the cutoff itself as block j = -1.  On a finite lattice the
 family stops at ``j_max`` (largest j with (8/3) 2^j <= k_Nyquist); the
 residual high-frequency tail is folded into block ``j_max`` so that the
 blocks still sum to the identity on every lattice mode.
+
+A Besov norm is computed in two steps.  :func:`block_profile` transforms the
+field once and measures every block in L^p: Plancherel for p = 2, one inverse
+transform per block otherwise.  The profile does not depend on (s, r), so one
+profile serves every regularity: :func:`weight_profile` applies the weights
+2^{js} and :func:`sequence_norm` takes the l^r norm over j.
 """
 
 from __future__ import annotations
@@ -144,16 +150,31 @@ def _block_lp_from_spec(spec: np.ndarray, grid: PeriodicGrid, p: float) -> float
     return float((h * np.sum(np.abs(vals) ** p)) ** (1.0 / p))
 
 
-def block_norms(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> np.ndarray:
-    """Weighted block norms 2^{js} ||block_j f||_{L^p} for j = -1 .. j_max."""
+def block_profile(bank: DyadicFilterBank, f: Field, p: float) -> np.ndarray:
+    """Unweighted block norms ||block_j f||_{L^p} for j = -1 .. j_max."""
     if f.grid != bank.grid:
         raise InvalidParameterError("field grid does not match filter bank grid")
     spec = rfft(f.values)
-    out = np.empty(bank.j_max + 2)
-    for idx_j, j in enumerate(range(-1, bank.j_max + 1)):
-        val = _block_lp_from_spec(spec * bank.filter_for(j), f.grid, idx.p)
-        out[idx_j] = 2.0 ** (j * idx.s) * val
-    return out
+    return np.array([_block_lp_from_spec(spec * bank.filter_for(j), f.grid, p)
+                     for j in range(-1, bank.j_max + 1)])
+
+
+def weight_profile(profile: np.ndarray, s: float) -> np.ndarray:
+    """Weighted block norms 2^{js} profile_j, j counting from -1."""
+    return np.array([2.0 ** (j * s) * val
+                     for j, val in enumerate(profile.tolist(), start=-1)])
+
+
+def sequence_norm(a: np.ndarray, r: float) -> float:
+    """l^r norm of a nonnegative sequence; r may be math.inf."""
+    if r == math.inf:
+        return float(np.max(a))
+    return float(np.sum(a ** r) ** (1.0 / r))
+
+
+def block_norms(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> np.ndarray:
+    """Weighted block norms 2^{js} ||block_j f||_{L^p} for j = -1 .. j_max."""
+    return weight_profile(block_profile(bank, f, idx.p), idx.s)
 
 
 def high_tail_fraction(bank: DyadicFilterBank, f: Field) -> float:
@@ -181,9 +202,7 @@ def besov_norm(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> float:
             log.debug("besov_norm: %.3e of the L2 mass sits beyond the top "
                       "annulus and is carried by block j_max=%d", tail,
                       bank.j_max)
-    if idx.r == math.inf:
-        return float(np.max(a))
-    return float(np.sum(a ** idx.r) ** (1.0 / idx.r))
+    return sequence_norm(a, idx.r)
 
 
 def sobolev_h_norm(f: Field, s: float) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,38 +212,53 @@ def product(f: Field, g: Field, dealias: bool = False) -> Field:
 
 
 def field_to_csv(f: Field, path) -> None:
-    """Write (x, value) rows; full float64 round-trip precision."""
+    """Write (x, value) rows; full float64 round-trip precision.
+
+    Rows are streamed in the ``csv`` module's default dialect: ``repr`` of
+    each float, comma separated, CRLF line ends.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        for x, v in zip(f.grid.x, f.values):
-            writer.writerow([repr(float(x)), repr(float(v))])
+        fh.write("x,value\r\n")
+        fh.writelines(f"{x!r},{v!r}\r\n"
+                      for x, v in zip(f.grid.x.tolist(), f.values.tolist()))
 
 
 def field_from_csv(path) -> Field:
-    """Rebuild a field from (x, value) rows written by :func:`field_to_csv`."""
-    xs: list[float] = []
-    vs: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    """Rebuild a field from (x, value) rows written by :func:`field_to_csv`.
+
+    Raises :class:`InvalidParameterError`, naming ``path``, for a wrong
+    header, a row that is not two numbers, fewer than 2 rows, a non-finite
+    entry, or an x column that is not a centered uniform lattice.
+    """
+    with open(path) as fh:
+        header = next(csv.reader([fh.readline()]), [])
         if [c.strip().lower() for c in header[:2]] != ["x", "value"]:
-            raise InvalidParameterError(f"unexpected CSV header {header!r}")
-        for row in reader:
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
-    x = np.asarray(xs)
-    vals = np.asarray(vs)
-    n = len(x)
+            raise InvalidParameterError(
+                f"field CSV {path!r}: unexpected header {header!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as err:
+            raise InvalidParameterError(f"field CSV {path!r}: {err}") from err
+    n = rows.shape[0]
     if n < 2:
         raise InvalidParameterError(f"field CSV {path!r} has fewer than 2 rows")
+    if rows.shape[1] != 2:
+        raise InvalidParameterError(
+            f"field CSV {path!r} has {rows.shape[1]} columns, expected 2")
+    x, vals = rows[:, 0], np.ascontiguousarray(rows[:, 1])
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(vals))):
         raise InvalidParameterError(f"field CSV {path!r} holds non-finite values")
     # the lattice starts at -L/2, so the first abscissa recovers the length
     # exactly (a spacing*n reconstruction can drift by an ulp)
-    grid = PeriodicGrid(length=-2.0 * x[0], n_points=n)
+    try:
+        grid = PeriodicGrid(length=-2.0 * x[0], n_points=n)
+    except InvalidParameterError as err:
+        raise InvalidParameterError(f"field CSV {path!r}: {err}") from err
     if not np.allclose(grid.x, x, rtol=0.0, atol=1e-9 * max(1.0, abs(x[0]))):
-        raise InvalidParameterError("CSV x column is not a centered uniform lattice")
+        raise InvalidParameterError(
+            f"field CSV {path!r}: x column is not a centered uniform lattice")
     return Field(grid, vals)
 
 

@@ -5,7 +5,10 @@ import math
 
 import pytest
 
-from rchlab.cli import main
+from rchlab.cli import build_parser, main
+from rchlab.littlewood_paley import (BesovIndex, besov_norm, block_norms,
+                                     build_filter_bank)
+from rchlab.spectral import field_from_csv
 
 
 def test_coeffs_json(capsys):
@@ -34,6 +37,37 @@ def test_data_then_besov(tmp_path, capsys):
     assert float(val) > 0.0
     assert out[1] == "j,weighted_block_norm"
     assert out[2].startswith("-1,")
+
+
+@pytest.mark.parametrize("s, p, r", [("2", "1", "2"), ("1.5", "2", "-1")])
+def test_besov_output_matches_library(tmp_path, capsys, s, p, r):
+    path = tmp_path / "psi.csv"
+    assert main(["data", "--family", "psi", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["besov", "--input", str(path), "--s", s, "--p", p,
+                 "--r", r]) == 0
+    out = capsys.readouterr().out.splitlines()
+    f = field_from_csv(path)
+    bank = build_filter_bank(f.grid)
+    idx = BesovIndex(float(s), float(p), math.inf if float(r) <= 0 else float(r))
+    assert out[0] == f"besov_norm,{besov_norm(bank, f, idx)!r}"
+    want = block_norms(bank, f, idx)
+    assert out[2:] == [f"{j},{v!r}" for j, v in
+                       zip(range(-1, bank.j_max + 1), want.tolist())]
+
+
+CAMPAIGN_STEPS = {"nonuniform-super": 48, "nonuniform-critical": 48,
+                  "decomp-rates": 48, "critical-expansion": 48,
+                  "continuity": 64, "picard": 200}
+
+
+@pytest.mark.parametrize("command", sorted(CAMPAIGN_STEPS))
+def test_campaign_defaults(command):
+    parser = build_parser()
+    args = parser.parse_args([command])
+    assert args.steps == CAMPAIGN_STEPS[command]
+    assert (args.omega, args.dt, args.out, args.N) == (1.0, None, None, None)
+    assert parser.parse_args([command, "--steps", "7"]).steps == 7
 
 
 def test_solve_writes_snapshots(tmp_path, capsys):

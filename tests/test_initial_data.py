@@ -11,7 +11,8 @@ from rchlab.initial_data import (build_family, build_psi, builtin_profile,
                                  certification_tables, check_low_product,
                                  make_v0n, make_w0n, max_feasible_n,
                                  modulation_frequency)
-from rchlab.littlewood_paley import (build_filter_bank, dyadic_block, lp_norm,
+from rchlab.littlewood_paley import (BesovIndex, besov_norm,
+                                     build_filter_bank, dyadic_block, lp_norm,
                                      smooth_plateau)
 from rchlab.spectral import Field, PeriodicGrid, ddx, mode_amplitudes
 
@@ -99,6 +100,21 @@ def test_family_transport_seed():
     scale = np.max(np.abs(want))
     assert np.max(np.abs(fam.z0n.values - want)) <= 1e-12 * scale
     assert fam.carrier == pytest.approx((33.0 / 24.0) * 32.0, abs=0.5)
+
+
+@pytest.mark.parametrize("p, r", [(2.0, 2.0), (1.0, 1.0), (1.0, math.inf)])
+def test_certification_tables_match_separate_norms(p, r):
+    # one block profile per member must reproduce, bit for bit, a separate
+    # besov_norm at each regularity and a separate derivative norm
+    s, ns = 2.0, range(3, 7)
+    bank = build_filter_bank(GRID64)
+    tables = {t.quantity: t for t in certification_tables(BUMP, ns, s, p, r)}
+    for theta, tag in ((s - 1.0, "minus"), (s, "center"), (s + 1.0, "plus")):
+        want = [besov_norm(bank, make_w0n(BUMP, n, s), BesovIndex(theta, p, r))
+                for n in ns]
+        assert tables[f"w0n_besov_{tag}"].values.tolist() == want, tag
+    want = [lp_norm(ddx(make_w0n(BUMP, n, s)), p) for n in ns]
+    assert tables["dx_w0n_lp"].values.tolist() == want
 
 
 def test_certification_slopes():

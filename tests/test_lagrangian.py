@@ -9,10 +9,10 @@ from rchlab.coefficients import derive_coefficients
 from rchlab.errors import InvalidParameterError
 from rchlab.eulerian import SolverConfig, rhs_g, solve
 from rchlab.lagrangian import (LagrangianState, _one_sided_scan,
-                               exp_scan_split, initial_state, lagrangian_rhs,
+                               _w1_intersection_norm, exp_scan_split, initial_state, lagrangian_rhs,
                                lagrangian_solve, linf_along_paths,
                                pullback_to_eulerian, stability_distance)
-from rchlab.littlewood_paley import lp_norm
+from rchlab.littlewood_paley import lp_norm, w1p_norm
 from rchlab.spectral import Field, PeriodicGrid, ddx, helmholtz_inverse
 
 P1 = derive_coefficients(1.0)
@@ -237,6 +237,14 @@ def test_scan_validation():
     from rchlab.errors import DiffeomorphismError
     with pytest.raises(DiffeomorphismError):
         exp_scan_split(w, y_bad, grid, "signed")
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_w1_intersection_norm_takes_one_derivative(p):
+    grid = PeriodicGrid(2.0 * np.pi, 128)
+    f = Field(grid, np.random.default_rng(5).normal(size=128))
+    assert _w1_intersection_norm(f, p) == max(w1p_norm(f, math.inf),
+                                              w1p_norm(f, p))
 
 
 def test_stability_distance_validation():

@@ -9,9 +9,11 @@ import pytest
 import rchlab.littlewood_paley as lp
 from rchlab.errors import InvalidParameterError
 from rchlab.littlewood_paley import (BesovIndex, besov_norm, block_norms,
-                                     build_filter_bank, chi_profile,
-                                     dyadic_block, high_tail_fraction,
-                                     lp_norm, sobolev_h_norm, w1p_norm)
+                                     block_profile, build_filter_bank,
+                                     chi_profile, dyadic_block,
+                                     high_tail_fraction, lp_norm,
+                                     sequence_norm, sobolev_h_norm,
+                                     w1p_norm, weight_profile)
 from rchlab.spectral import Field, PeriodicGrid, ddx
 
 GRID = PeriodicGrid(2.0 * np.pi, 4096)
@@ -180,3 +182,18 @@ def test_besov_tail_diagnostic_only_at_debug(caplog, monkeypatch):
     caplog.set_level(logging.DEBUG, logger="rchlab.littlewood_paley")
     assert besov_norm(BANK, f, idx) == quiet
     assert calls == [1] and "beyond the top annulus" in caplog.text
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_one_profile_serves_every_regularity(p):
+    f = random_band_limited(GRID, 900.0, seed=4)
+    profile = block_profile(BANK, f, p)
+    for j in range(-1, BANK.j_max + 1):
+        assert profile[j + 1] == pytest.approx(
+            lp_norm(dyadic_block(BANK, f, j), p), rel=1e-12, abs=1e-300)
+    for s in (-1.0, 0.0, 0.5, 2.0, 3.0):
+        weighted = weight_profile(profile, s)
+        for r in (1.0, 2.0, math.inf):
+            idx = BesovIndex(s, p, r)
+            assert np.array_equal(weighted, block_norms(BANK, f, idx))
+            assert sequence_norm(weighted, r) == besov_norm(BANK, f, idx)

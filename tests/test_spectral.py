@@ -1,10 +1,17 @@
 """Grid, multipliers, exact products, serialization."""
 
+import csv
+import io
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rchlab.errors import GridMismatchError, InvalidParameterError
 from rchlab.spectral import (Field, PeriodicGrid, ddx, dealias,
@@ -180,6 +187,82 @@ def test_csv_rejects_non_finite_values(tmp_path):
     path = tmp_path / "holed.csv"
     field_to_csv(Field(GRID, values), path)
     with pytest.raises(InvalidParameterError, match="holed.csv"):
+        field_from_csv(path)
+
+
+def _csv_writer_reference(f):
+    # the writer that field_to_csv replaced; its bytes are the file format
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["x", "value"])
+    for x, v in zip(f.grid.x, f.values):
+        writer.writerow([repr(float(x)), repr(float(v))])
+    return buf.getvalue().encode()
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    extremes = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
+                0.1, -1.0 / 3.0]
+    values = np.random.default_rng(3).normal(size=GRID.n_points)
+    values[:len(extremes)] = extremes
+    f = Field(GRID, values)
+    path = tmp_path / "f.csv"
+    field_to_csv(f, path)
+    assert path.read_bytes() == _csv_writer_reference(f)
+    g = field_from_csv(path)
+    assert np.array_equal(g.values, f.values)
+    assert np.array_equal(np.signbit(g.values), np.signbit(f.values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([16, 32, 128]).flatmap(
+           lambda n: arrays(np.float64, n, elements=st.floats(
+               allow_nan=False, allow_infinity=False))),
+       st.floats(min_value=1e-3, max_value=1e6))
+def test_csv_roundtrip_is_exact(values, length):
+    f = Field(PeriodicGrid(length, values.size), values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        field_to_csv(f, path)
+        g = field_from_csv(path)
+    assert g.grid == f.grid
+    assert np.array_equal(g.values, f.values)
+    assert np.array_equal(np.signbit(g.values), np.signbit(f.values))
+
+
+def _lattice_rows(n=16):
+    return [f"{x!r},{0.5 * i!r}" for i, x in
+            enumerate(PeriodicGrid(2.0 * np.pi, n).x.tolist())]
+
+
+MALFORMED_CSV = {
+    "empty_file": "",
+    "header_only": "x,value\n",
+    "wrong_header": "t,value\n" + "\n".join(_lattice_rows()) + "\n",
+    "ragged_row": "x,value\n" + "\n".join(_lattice_rows()[:5]
+                                           + [_lattice_rows()[5] + ",1.0"]
+                                           + _lattice_rows()[6:]) + "\n",
+    "three_columns": "x,value\n" + "\n".join(r + ",0.0" for r in
+                                              _lattice_rows()) + "\n",
+    "non_numeric_cell": "x,value\n" + "\n".join(_lattice_rows()[:3]
+                                                 + ["0.5,abc"]) + "\n",
+    "empty_cell": "x,value\n" + "\n".join(_lattice_rows()[:3]
+                                           + ["0.5,"]) + "\n",
+    "hash_in_cell": "x,value\n" + "\n".join(_lattice_rows()[:3]
+                                             + ["0.5,1.0#2"]) + "\n",
+    "row_count_not_a_grid": "x,value\n" + "\n".join(_lattice_rows(32)[:24])
+                            + "\n",
+    "not_a_lattice": "x,value\n" + "\n".join(
+        f"{0.1 * i * i - 1.0!r},1.0" for i in range(16)) + "\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+def test_csv_rejects_malformed_files(tmp_path, case):
+    path = tmp_path / "malformed.csv"
+    path.write_text(MALFORMED_CSV[case])
+    with pytest.raises(InvalidParameterError, match="malformed.csv"):
         field_from_csv(path)
 
 
