@@ -28,8 +28,8 @@ from scipy.fft import irfft, rfft
 
 from .coefficients import ModelParams
 from .errors import BlowUpError, CFLError, InvalidParameterError
-from .spectral import (Field, PeriodicGrid, conv_spec, dealias_spec, pad_values,
-                       project_values)
+from .spectral import (Field, PeriodicGrid, conv_spec, dealias_spec, ddx,
+                       mode_energies, pad_values, project_values)
 
 CFL_FRACTION = 0.5
 BLOWUP_THRESHOLD = 1e8
@@ -145,21 +145,13 @@ def kappa_horizon(u0_norm: float, kappa: float = KAPPA_DEFAULT) -> float:
 
 def h1_integral(f: Field) -> float:
     """The conserved quadratic integral: sum of lattice L2 masses of u and u_x."""
-    spec = rfft(f.values)
-    n = f.grid.n_points
-    c2 = np.abs(spec) ** 2 / n**2
-    weights = np.full(c2.shape, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
     sym = 1.0 + f.grid.k**2
     sym[-1] = 1.0  # derivative loses the unpaired Nyquist mode
-    return float(f.grid.length * np.sum(weights * sym * c2))
+    return float(f.grid.length * np.sum(sym * mode_energies(f)))
 
 
 def transport_diagnostic(f: Field) -> float:
     """Size function ||u_x||_inf + ||u||_inf + ||u||_inf^2 + ||u||_inf^3."""
-    from .spectral import ddx
-
     a = float(np.max(np.abs(f.values)))
     b = float(np.max(np.abs(ddx(f).values)))
     return b + a + a**2 + a**3

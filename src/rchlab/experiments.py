@@ -6,6 +6,10 @@ norms and distances, fits rates by least squares on log data over the top
 half of the sweep range, and emits a report with explicit pass/fail verdicts.
 Reports are bit-for-bit reproducible: evaluation order is fixed and nothing
 draws randomness.
+
+The three mode-index sweeps share one skeleton: :func:`_sweep_setup`, and one
+helper each for the top-half slope, the first-order residual rows and their
+late-t exponent.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .coefficients import derive_coefficients
 from .errors import InvalidParameterError
-from .eulerian import (SolverConfig, Trajectory, full_rhs, kappa_horizon,
+from .eulerian import (KAPPA_DEFAULT, SolverConfig, full_rhs, kappa_horizon,
                        picard_iterate, solve)
 from .initial_data import _top_half, build_family, build_psi, builtin_profile
 from .littlewood_paley import (BesovIndex, DyadicFilterBank, besov_norm,
@@ -136,6 +140,9 @@ def fit_line(x, y) -> Fit:
     y = np.asarray(y, dtype=float)
     if len(x) < 2:
         raise InvalidParameterError("need at least two points to fit a slope")
+    if not np.all(np.isfinite(x)) or np.all(x == x[0]):
+        raise InvalidParameterError(
+            f"abscissae must be finite and not all equal, got {x.tolist()}")
     xb = x - x.mean()
     sxx = float(np.sum(xb**2))
     slope = float(np.sum(xb * y) / sxx)
@@ -149,6 +156,9 @@ def fit_line(x, y) -> Fit:
 def _time_stepping(t_end: float, steps: int, samples: int,
                    dt: float | None) -> tuple[float, int]:
     """Step size and snapshot cadence; an explicit dt overrides the count."""
+    if steps < 1 or samples < 1:
+        raise InvalidParameterError(
+            f"steps and samples must be >= 1, got {steps!r} and {samples!r}")
     if dt is not None:
         dt = float(dt)
         if not 0.0 < dt <= t_end:
@@ -177,43 +187,65 @@ class _FamilySetup:
     v0_norm: float
 
 
-def _prepare_families(n_list, idx: BesovIndex, length: float):
+def _sweep_setup(idx: BesovIndex, n_list, length: float, steps: int,
+                 samples: int, dt: float | None, *, min_indices: int,
+                 horizon: str):
+    """Sorted mode indices, one family and filter bank per n with the Besov
+    norms of its members, and the solver configuration on half the smallest
+    guaranteed-existence horizon of the ``horizon`` norm over the sweep."""
+    n_list = sorted(int(n) for n in n_list)
+    if len(set(n_list)) != len(n_list) or len(n_list) < min_indices:
+        raise InvalidParameterError(
+            f"need at least {min_indices} distinct mode indices, got {n_list}")
     setups = {}
     for n in n_list:
         grid = grid_for_block(n, length)
-        bump = build_psi(grid)
-        fam = build_family(bump, n, idx.s)
+        fam = build_family(build_psi(grid), n, idx.s)
         bank = build_filter_bank(grid)
         setups[n] = _FamilySetup(
             fam=fam, bank=bank,
             u0_norm=besov_norm(bank, fam.u0n, idx),
             w0_norm=besov_norm(bank, fam.w0n, idx),
             v0_norm=besov_norm(bank, fam.v0n, idx))
-    return setups
-
-
-def _sample_indices(traj: Trajectory):
-    return range(len(traj.times))
-
-
-def _diff_field(a: Trajectory, b: Trajectory, i: int) -> Field:
-    return Field(a.grid, a.states[i] - b.states[i])
-
-
-def _nonuniform_core(name: str, idx: BesovIndex, n_list, t_grid,
-                     omega: float, length: float, kappa: float,
-                     steps: int, samples: int,
-                     dt: float | None = None) -> ExperimentReport:
-    params = derive_coefficients(omega)
-    n_list = sorted(int(n) for n in n_list)
-    if len(n_list) < 4:
-        raise InvalidParameterError("need at least four mode indices")
-    setups = _prepare_families(n_list, idx, length)
-    horizon = min(kappa_horizon(s.u0_norm, kappa) for s in setups.values())
-    t_end = 0.5 * horizon if t_grid is None else float(max(t_grid))
+    t_end = 0.5 * min(kappa_horizon(getattr(st, horizon))
+                      for st in setups.values())
     dt, snapshot_every = _time_stepping(t_end, steps, samples, dt)
-    cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_every=snapshot_every)
+    return n_list, setups, SolverConfig(dt=dt, t_end=t_end,
+                                        snapshot_every=snapshot_every)
 
+
+def _top_half_slope(ns, values) -> Fit:
+    """Slope of log2 ``values`` against n over the top half of the sweep."""
+    return fit_line(_top_half(ns), np.log2(_top_half(values)))
+
+
+def _residual_rows(table: list[dict], n: int, st: _FamilySetup, traj, h: Field,
+                   idx: BesovIndex, key: str) -> list[int]:
+    """Append a row ``key`` = ||u(t) - u0n - t h|| for every sampled t > 0 of
+    ``traj``, the solution from u0n; return the new row indices."""
+    rows = []
+    for i, t in enumerate(traj.times.tolist()):
+        if t <= 0.0:
+            continue
+        resid = Field(traj.grid, traj.states[i] - st.fam.u0n.values - t * h.values)
+        table.append({"n": n, "t": t, key: besov_norm(st.bank, resid, idx)})
+        rows.append(len(table) - 1)
+    return rows
+
+
+def _late_exponent(table: list[dict], rows: list[int], key: str) -> Fit:
+    """Log-log slope of ``key`` against t over the later half of ``rows``."""
+    late = _top_half(rows)
+    return fit_line(np.log([table[i]["t"] for i in late]),
+                    np.log([max(table[i][key], 1e-300) for i in late]))
+
+
+def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
+                     length: float, steps: int, samples: int,
+                     dt: float | None) -> ExperimentReport:
+    params = derive_coefficients(omega)
+    n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, samples, dt,
+                                       min_indices=4, horizon="u0_norm")
     table: list[dict] = []
     gap_rows: list[int] = []
     curve_rows: dict[int, list[int]] = {}
@@ -222,9 +254,9 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, t_grid,
         traj_u = solve(s.fam.u0n, params, cfg)
         traj_w = solve(s.fam.w0n, params, cfg)
         curve_rows[n] = []
-        for i in _sample_indices(traj_u):
-            t = float(traj_u.times[i])
-            dist = besov_norm(s.bank, _diff_field(traj_u, traj_w, i), idx)
+        for i, t in enumerate(traj_u.times.tolist()):
+            dist = besov_norm(s.bank, Field(traj_u.grid, traj_u.states[i]
+                                            - traj_w.states[i]), idx)
             row = {"n": n, "t": t, "distance": dist,
                    "ratio": dist / t if t > 0 else float("nan"),
                    "v0n_norm": s.v0_norm, "w0n_norm": s.w0_norm,
@@ -234,11 +266,8 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, t_grid,
             if t == 0.0:
                 gap_rows.append(len(table) - 1)
 
-    ns = np.asarray(n_list, dtype=float)
-    gap_fit = fit_line(_top_half(ns), np.log2(_top_half(
-        [setups[n].v0_norm for n in n_list])))
-    wb_fit = fit_line(_top_half(ns), np.log2(_top_half(
-        [setups[n].w0_norm for n in n_list])))
+    gap_fit = _top_half_slope(n_list, [setups[n].v0_norm for n in n_list])
+    wb_fit = _top_half_slope(n_list, [setups[n].w0_norm for n in n_list])
 
     # empirical kappa: per sampled t > 0, minimum over top-half n of dist/t
     times = sorted({round(table[i]["t"], 12) for i in curve_rows[n_list[0]]})
@@ -255,7 +284,7 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, t_grid,
                     vals.append(table[i]["ratio"])
                     kappa_rows.append(i)
         kappa_curve.append((t, min(vals)))
-    late = [(t, v) for t, v in kappa_curve if t >= t_end / 4.0 - 1e-12]
+    late = [(t, v) for t, v in kappa_curve if t >= cfg.t_end / 4.0 - 1e-12]
     kappa_emp = min(v for _, v in late)
     kappa_fit = fit_line(np.log([t for t, _ in late]),
                          np.log([max(v, 1e-300) for _, v in late]))
@@ -267,69 +296,67 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, t_grid,
     report = ExperimentReport(
         name=name,
         parameters={"s": idx.s, "p": idx.p, "r": idx.r, "n_list": n_list,
-                    "omega": omega, "length": length, "kappa": kappa,
-                    "t_end": t_end, "dt": dt, "steps": steps,
-                    "snapshot_every": snapshot_every,
+                    "omega": omega, "length": length, "kappa": KAPPA_DEFAULT,
+                    "t_end": cfg.t_end, "dt": cfg.dt, "steps": steps,
+                    "snapshot_every": cfg.snapshot_every,
                     "grid_points": {n: setups[n].fam.u0n.grid.n_points
                                     for n in n_list},
                     "plot": {"x": "t", "y": "distance", "logscale": ""}},
-        table=table)
-    report.fits["initial_gap_slope"] = gap_fit
-    report.fits["w_family_slope"] = wb_fit
-    report.fits["kappa_trend"] = kappa_fit
-    report.verdicts["initial_gap_vanishes"] = Verdict(
-        passed=abs(gap_fit.slope + 1.0) <= 0.1, value=gap_fit.slope,
-        tolerance="slope within -1 +/- 0.1", rows=gap_rows,
-        detail="log2 ||v0n|| vs n over the top half of the range")
-    report.verdicts["w_family_bounded"] = Verdict(
-        passed=abs(wb_fit.slope) <= 0.1, value=wb_fit.slope,
-        tolerance="|slope| <= 0.1", rows=gap_rows,
-        detail="log2 ||w0n|| vs n over the top half of the range")
-    report.verdicts["kappa_positive"] = Verdict(
-        passed=kappa_emp > 0.0, value=kappa_emp,
-        tolerance="min over top-half n, t in [T0/4, T0] of distance/t > 0",
-        rows=sorted(set(kappa_rows)),
-        detail="empirical persistence of the solution gap")
-    report.verdicts["t0_gap_identity"] = Verdict(
-        passed=t0_err <= 1e-12, value=t0_err,
-        tolerance="relative error <= 1e-12", rows=gap_rows,
-        detail="distance at t=0 equals the initial gap exactly")
+        table=table,
+        fits={"initial_gap_slope": gap_fit, "w_family_slope": wb_fit,
+              "kappa_trend": kappa_fit},
+        verdicts={
+            "initial_gap_vanishes": Verdict(
+                passed=abs(gap_fit.slope + 1.0) <= 0.1, value=gap_fit.slope,
+                tolerance="slope within -1 +/- 0.1", rows=gap_rows,
+                detail="log2 ||v0n|| vs n over the top half of the range"),
+            "w_family_bounded": Verdict(
+                passed=abs(wb_fit.slope) <= 0.1, value=wb_fit.slope,
+                tolerance="|slope| <= 0.1", rows=gap_rows,
+                detail="log2 ||w0n|| vs n over the top half of the range"),
+            "kappa_positive": Verdict(
+                passed=kappa_emp > 0.0, value=kappa_emp,
+                tolerance="min over top-half n, t in [T0/4, T0] of "
+                          "distance/t > 0",
+                rows=sorted(set(kappa_rows)),
+                detail="empirical persistence of the solution gap"),
+            "t0_gap_identity": Verdict(
+                passed=t0_err <= 1e-12, value=t0_err,
+                tolerance="relative error <= 1e-12", rows=gap_rows,
+                detail="distance at t=0 equals the initial gap exactly")})
     report.validate()
     return report
 
 
-def run_nonuniform_supercritical(s: float, p: float, r: float, n_list,
-                                 t_grid=None, *, omega: float = DEFAULT_OMEGA,
+def run_nonuniform_supercritical(s: float, p: float, r: float, n_list, *,
+                                 omega: float = DEFAULT_OMEGA,
                                  length: float = DEFAULT_LENGTH,
-                                 kappa: float = 0.1, steps: int = DEFAULT_STEPS,
+                                 steps: int = DEFAULT_STEPS,
                                  samples: int = DEFAULT_SAMPLES,
                                  dt: float | None = None) -> ExperimentReport:
     """Gap persistence for indices above the critical line."""
     if not (s > max(1.5, 1.0 + 1.0 / p)):
         raise InvalidParameterError(
             f"supercritical run needs s > max(3/2, 1 + 1/p), got s={s}, p={p}")
-    idx = BesovIndex(s, p, r)
-    return _nonuniform_core("nonuniform_supercritical", idx, n_list, t_grid,
-                            omega, length, kappa, steps, samples, dt)
+    return _nonuniform_core("nonuniform_supercritical", BesovIndex(s, p, r),
+                            n_list, omega, length, steps, samples, dt)
 
 
-def run_nonuniform_critical(p: float, n_list, t_grid=None, *,
-                            omega: float = DEFAULT_OMEGA,
-                            length: float = DEFAULT_LENGTH, kappa: float = 0.1,
+def run_nonuniform_critical(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
+                            length: float = DEFAULT_LENGTH,
                             steps: int = DEFAULT_STEPS,
                             samples: int = DEFAULT_SAMPLES,
                             dt: float | None = None) -> ExperimentReport:
     """Gap persistence on the critical line s = 1 + 1/p, r = 1, p in [1, 2]."""
     if not (1.0 <= p <= 2.0):
         raise InvalidParameterError(f"critical run needs p in [1, 2], got {p}")
-    idx = BesovIndex(1.0 + 1.0 / p, p, 1.0)
-    return _nonuniform_core("nonuniform_critical", idx, n_list, t_grid,
-                            omega, length, kappa, steps, samples, dt)
+    return _nonuniform_core("nonuniform_critical", BesovIndex(1.0 + 1.0 / p, p, 1.0),
+                            n_list, omega, length, steps, samples, dt)
 
 
-def run_decomposition_rates(s: float, p: float, r: float, n_list, t_grid=None,
-                            *, omega: float = DEFAULT_OMEGA,
-                            length: float = DEFAULT_LENGTH, kappa: float = 0.1,
+def run_decomposition_rates(s: float, p: float, r: float, n_list, *,
+                            omega: float = DEFAULT_OMEGA,
+                            length: float = DEFAULT_LENGTH,
                             steps: int = DEFAULT_STEPS,
                             samples: int = DEFAULT_SAMPLES,
                             dt: float | None = None) -> ExperimentReport:
@@ -337,26 +364,16 @@ def run_decomposition_rates(s: float, p: float, r: float, n_list, t_grid=None,
     boundedness, and the quadratic-in-time first-order residual."""
     idx = BesovIndex(s, p, r)
     params = derive_coefficients(omega)
-    n_list = sorted(int(n) for n in n_list)
-    if len(n_list) < 4:
-        raise InvalidParameterError("need at least four mode indices")
-    setups = _prepare_families(n_list, idx, length)
-    horizon = min(kappa_horizon(st.w0_norm, kappa) for st in setups.values())
-    t_end = 0.5 * horizon if t_grid is None else float(max(t_grid))
-    dt, snapshot_every = _time_stepping(t_end, steps, samples, dt)
-    cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_every=snapshot_every)
-
+    n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, samples, dt,
+                                       min_indices=4, horizon="w0_norm")
     idx_up = BesovIndex(s + 1.0, p, r)
     idx_down = BesovIndex(s - 1.0, p, r)
     table: list[dict] = []
-    sup_rows: list[int] = []
     for n in n_list:
         st = setups[n]
         traj_w = solve(st.fam.w0n, params, cfg)
-        sup_dist = 0.0
-        sup_up = 0.0
-        sup_down = 0.0
-        for i in _sample_indices(traj_w):
+        sup_dist = sup_up = sup_down = 0.0
+        for i in range(len(traj_w.times)):
             w_t = traj_w.field_at(i)
             diff = Field(w_t.grid, w_t.values - st.fam.w0n.values)
             sup_dist = max(sup_dist, besov_norm(st.bank, diff, idx))
@@ -366,67 +383,52 @@ def run_decomposition_rates(s: float, p: float, r: float, n_list, t_grid=None,
                       "sideband_up": sup_up / 2.0**n,
                       "sideband_down": sup_down * 2.0**n,
                       "w0n_norm": st.w0_norm})
-        sup_rows.append(len(table) - 1)
+    sup_rows = list(range(len(table)))
 
     n_big = n_list[-1]
     st = setups[n_big]
-    traj_u = solve(st.fam.u0n, params, cfg)
-    res_rows: list[int] = []
-    for i in _sample_indices(traj_u):
-        t = float(traj_u.times[i])
-        if t <= 0.0:
-            continue
-        resid = Field(traj_u.grid,
-                      traj_u.states[i] - st.fam.u0n.values - t * st.fam.z0n.values)
-        table.append({"n": n_big, "t": t,
-                      "first_order_residual": besov_norm(st.bank, resid, idx)})
-        res_rows.append(len(table) - 1)
+    res_rows = _residual_rows(table, n_big, st, solve(st.fam.u0n, params, cfg),
+                              st.fam.z0n, idx, "first_order_residual")
 
-    ns = np.asarray(n_list, dtype=float)
-    decay_fit = fit_line(_top_half(ns), np.log2(_top_half(
-        [table[i]["sup_distance"] for i in sup_rows])))
-    up_fit = fit_line(_top_half(ns), np.log2(_top_half(
-        [table[i]["sideband_up"] for i in sup_rows])))
-    down_fit = fit_line(_top_half(ns), np.log2(_top_half(
-        [table[i]["sideband_down"] for i in sup_rows])))
-    late = _top_half(res_rows)
-    res_fit = fit_line(np.log([table[i]["t"] for i in late]),
-                       np.log([max(table[i]["first_order_residual"], 1e-300)
-                               for i in late]))
+    decay_fit, up_fit, down_fit = (
+        _top_half_slope(n_list, [table[i][key] for i in sup_rows])
+        for key in ("sup_distance", "sideband_up", "sideband_down"))
+    res_fit = _late_exponent(table, res_rows, "first_order_residual")
 
     bound = -(s - 1.5) / 2.0 + 0.3
     report = ExperimentReport(
         name="decomposition_rates",
         parameters={"s": s, "p": p, "r": r, "n_list": n_list, "omega": omega,
-                    "length": length, "kappa": kappa, "t_end": t_end, "dt": dt,
+                    "length": length, "kappa": KAPPA_DEFAULT,
+                    "t_end": cfg.t_end, "dt": cfg.dt,
                     "residual_mode_index": n_big,
                     "plot": {"x": "n", "y": "sup_distance", "logscale": "y"}},
-        table=table)
-    report.fits["frozen_distance_slope"] = decay_fit
-    report.fits["sideband_up_slope"] = up_fit
-    report.fits["sideband_down_slope"] = down_fit
-    report.fits["residual_t_exponent"] = res_fit
-    report.verdicts["frozen_distance_decays"] = Verdict(
-        passed=decay_fit.slope <= bound, value=decay_fit.slope,
-        tolerance=f"slope <= -(s-3/2)/2 + 0.3 = {bound:.3g}", rows=sup_rows,
-        detail="log2 sup_t distance to frozen data vs n, top half")
-    report.verdicts["sidebands_bounded"] = Verdict(
-        passed=abs(up_fit.slope) <= 0.3 and abs(down_fit.slope) <= 0.3,
-        value=max(abs(up_fit.slope), abs(down_fit.slope)),
-        tolerance="|slope| <= 0.3 for both shifted-index ratios",
-        rows=sup_rows,
-        detail="sup_t ||w||_{B^{s+-1}} / 2^{+-n} stays flat in n")
-    report.verdicts["residual_quadratic"] = Verdict(
-        passed=res_fit.slope >= 1.8, value=res_fit.slope,
-        tolerance="t-exponent >= 1.8", rows=res_rows,
-        detail=f"first-order residual at n={n_big}, top half of the t range")
+        table=table,
+        fits={"frozen_distance_slope": decay_fit, "sideband_up_slope": up_fit,
+              "sideband_down_slope": down_fit, "residual_t_exponent": res_fit},
+        verdicts={
+            "frozen_distance_decays": Verdict(
+                passed=decay_fit.slope <= bound, value=decay_fit.slope,
+                tolerance=f"slope <= -(s-3/2)/2 + 0.3 = {bound:.3g}",
+                rows=sup_rows,
+                detail="log2 sup_t distance to frozen data vs n, top half"),
+            "sidebands_bounded": Verdict(
+                passed=abs(up_fit.slope) <= 0.3 and abs(down_fit.slope) <= 0.3,
+                value=max(abs(up_fit.slope), abs(down_fit.slope)),
+                tolerance="|slope| <= 0.3 for both shifted-index ratios",
+                rows=sup_rows,
+                detail="sup_t ||w||_{B^{s+-1}} / 2^{+-n} stays flat in n"),
+            "residual_quadratic": Verdict(
+                passed=res_fit.slope >= 1.8, value=res_fit.slope,
+                tolerance="t-exponent >= 1.8", rows=res_rows,
+                detail=f"first-order residual at n={n_big}, top half of the "
+                       f"t range")})
     report.validate()
     return report
 
 
-def run_critical_expansion(p: float, n_list, t_grid=None, *,
-                           omega: float = DEFAULT_OMEGA,
-                           length: float = DEFAULT_LENGTH, kappa: float = 0.1,
+def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
+                           length: float = DEFAULT_LENGTH,
                            steps: int = DEFAULT_STEPS,
                            samples: int = DEFAULT_SAMPLES,
                            dt: float | None = None) -> ExperimentReport:
@@ -437,19 +439,9 @@ def run_critical_expansion(p: float, n_list, t_grid=None, *,
     s = 1.0 + 1.0 / p
     idx = BesovIndex(s, p, 1.0)
     params = derive_coefficients(omega)
-    n_list = sorted(int(n) for n in n_list)
-    if len(n_list) < 2:
-        raise InvalidParameterError("need at least two mode indices")
-    setups = _prepare_families(n_list, idx, length)
-    horizon = min(kappa_horizon(st.u0_norm, kappa) for st in setups.values())
-    t_end = 0.5 * horizon if t_grid is None else float(max(t_grid))
-    dt, snapshot_every = _time_stepping(t_end, steps, samples, dt)
-    cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_every=snapshot_every)
-
+    n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, samples, dt,
+                                       min_indices=2, horizon="u0_norm")
     table: list[dict] = []
-    q_rows: list[int] = []
-    res_rows: list[int] = []
-    n_big = n_list[-1]
     for n in n_list:
         st = setups[n]
         u0 = st.fam.u0n
@@ -462,44 +454,38 @@ def run_critical_expansion(p: float, n_list, t_grid=None, *,
                  + linf * bracket**2 * b3)
         table.append({"n": n, "q_diagnostic": q_val, "u0_linf": linf,
                       "u0_norm": st.u0_norm})
-        q_rows.append(len(table) - 1)
-        if n == n_big:
-            h0 = full_rhs(u0, params)
-            traj = solve(u0, params, cfg)
-            for i in _sample_indices(traj):
-                t = float(traj.times[i])
-                if t <= 0.0:
-                    continue
-                resid = Field(traj.grid,
-                              traj.states[i] - u0.values - t * h0.values)
-                table.append({"n": n, "t": t,
-                              "expansion_residual": besov_norm(st.bank, resid, idx)})
-                res_rows.append(len(table) - 1)
+    q_rows = list(range(len(table)))
+
+    n_big = n_list[-1]
+    st = setups[n_big]
+    u0 = st.fam.u0n
+    h0 = full_rhs(u0, params)
+    res_rows = _residual_rows(table, n_big, st, solve(u0, params, cfg), h0, idx,
+                              "expansion_residual")
 
     q_fit = fit_line(np.asarray(n_list, dtype=float),
                      np.log2([table[i]["q_diagnostic"] for i in q_rows]))
-    late = _top_half(res_rows)
-    res_fit = fit_line(np.log([table[i]["t"] for i in late]),
-                       np.log([max(table[i]["expansion_residual"], 1e-300)
-                               for i in late]))
+    res_fit = _late_exponent(table, res_rows, "expansion_residual")
     report = ExperimentReport(
         name="critical_expansion",
         parameters={"p": p, "s": s, "n_list": n_list, "omega": omega,
-                    "length": length, "kappa": kappa, "t_end": t_end, "dt": dt,
+                    "length": length, "kappa": KAPPA_DEFAULT,
+                    "t_end": cfg.t_end, "dt": cfg.dt,
                     "residual_mode_index": n_big,
                     "plot": {"x": "t", "y": "expansion_residual",
                              "logscale": "xy"}},
-        table=table)
-    report.fits["q_diagnostic_slope"] = q_fit
-    report.fits["residual_t_exponent"] = res_fit
-    report.verdicts["q_bounded"] = Verdict(
-        passed=abs(q_fit.slope) <= 0.3, value=q_fit.slope,
-        tolerance="|slope| <= 0.3 across the n range", rows=q_rows,
-        detail="log2 Q diagnostic vs n stays flat")
-    report.verdicts["residual_quadratic"] = Verdict(
-        passed=res_fit.slope >= 1.8, value=res_fit.slope,
-        tolerance="t-exponent >= 1.8", rows=res_rows,
-        detail=f"full first-order residual at n={n_big}, top half of t range")
+        table=table,
+        fits={"q_diagnostic_slope": q_fit, "residual_t_exponent": res_fit},
+        verdicts={
+            "q_bounded": Verdict(
+                passed=abs(q_fit.slope) <= 0.3, value=q_fit.slope,
+                tolerance="|slope| <= 0.3 across the n range", rows=q_rows,
+                detail="log2 Q diagnostic vs n stays flat"),
+            "residual_quadratic": Verdict(
+                passed=res_fit.slope >= 1.8, value=res_fit.slope,
+                tolerance="t-exponent >= 1.8", rows=res_rows,
+                detail=f"full first-order residual at n={n_big}, top half "
+                       f"of t range")})
     report.validate()
     return report
 
@@ -508,12 +494,16 @@ def run_continuous_dependence(s: float, p: float, r: float, eps_list,
                               t_end: float | None = None, *,
                               omega: float = DEFAULT_OMEGA,
                               length: float = DEFAULT_LENGTH,
-                              n_points: int = 2**12, kappa: float = 0.1,
-                              steps: int = 64, samples: int = 8,
+                              n_points: int = 2**12, steps: int = 64,
+                              samples: int = 8,
                               dt: float | None = None) -> ExperimentReport:
     """Vanishing of the solution distance under vanishing data perturbation."""
     idx = BesovIndex(s, p, r)
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
+    if (not all(math.isfinite(e) and e > 0.0 for e in eps_list)
+            or len(set(eps_list)) != len(eps_list)):
+        raise InvalidParameterError(
+            f"eps must be distinct, finite and > 0, got {eps_list}")
     params = derive_coefficients(omega)
     grid = PeriodicGrid(length, n_points)
     u0 = builtin_profile("smoke", grid)
@@ -521,16 +511,15 @@ def run_continuous_dependence(s: float, p: float, r: float, eps_list,
     pert = Field(grid, bump.field.values / bump.peak)
     bank = build_filter_bank(grid)
     if t_end is None:
-        t_end = 0.5 * kappa_horizon(besov_norm(bank, u0, idx), kappa)
+        t_end = 0.5 * kappa_horizon(besov_norm(bank, u0, idx))
     dt, snapshot_every = _time_stepping(t_end, steps, samples, dt)
     cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_every=snapshot_every)
     base = solve(u0, params, cfg)
     table: list[dict] = []
     for eps in eps_list:
-        ue = Field(grid, u0.values + eps * pert.values)
-        traj = solve(ue, params, cfg)
-        sup_dist = max(besov_norm(bank, _diff_field(traj, base, i), idx)
-                       for i in _sample_indices(traj))
+        traj = solve(Field(grid, u0.values + eps * pert.values), params, cfg)
+        sup_dist = max(besov_norm(bank, Field(grid, state - ref), idx)
+                       for state, ref in zip(traj.states, base.states))
         table.append({"eps": eps, "sup_distance": sup_dist})
     dists = [row["sup_distance"] for row in table]
     strictly_decreasing = all(b < a for a, b in zip(dists, dists[1:]))
@@ -542,21 +531,20 @@ def run_continuous_dependence(s: float, p: float, r: float, eps_list,
                     "t_end": t_end, "dt": dt,
                     "plot": {"x": "eps", "y": "sup_distance",
                              "logscale": "xy"}},
-        table=table)
-    report.fits["continuity_slope"] = cont_fit
-    report.verdicts["distance_vanishes"] = Verdict(
-        passed=strictly_decreasing, value=dists[-1],
-        tolerance="sup-t distance strictly decreasing along eps -> 0",
-        rows=list(range(len(table))),
-        detail=f"fitted continuity slope {cont_fit.slope:.3f}")
+        table=table,
+        fits={"continuity_slope": cont_fit},
+        verdicts={"distance_vanishes": Verdict(
+            passed=strictly_decreasing, value=dists[-1],
+            tolerance="sup-t distance strictly decreasing along eps -> 0",
+            rows=list(range(len(table))),
+            detail=f"fitted continuity slope {cont_fit.slope:.3f}")})
     report.validate()
     return report
 
 
 def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
                            s: float = 2.0, p: float = 2.0, r: float = 2.0,
-                           kappa: float = 0.1, steps: int = 200,
-                           t_end: float | None = None,
+                           steps: int = 200, t_end: float | None = None,
                            dt: float | None = None) -> ExperimentReport:
     """Contraction of the frozen-coefficient iteration toward the solution."""
     if m_max < 3:
@@ -566,7 +554,7 @@ def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
     params = derive_coefficients(omega)
     bank = build_filter_bank(u0.grid)
     if t_end is None:
-        t_end = kappa_horizon(besov_norm(bank, u0, idx), kappa)
+        t_end = kappa_horizon(besov_norm(bank, u0, idx))
     dt, _ = _time_stepping(t_end, steps, 1, dt)
     cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_every=1)
     iters = picard_iterate(u0, params, cfg, m_max)
@@ -575,7 +563,6 @@ def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
     # iters[j] is iterate j+1; iterate zero vanishes identically, so the
     # first gap is just the sup-t norm of iterate one.
     table: list[dict] = []
-    d_rows: list[int] = []
     gaps: list[float] = []
     for m in range(1, m_max + 1):
         cur = iters[m - 1]
@@ -587,7 +574,7 @@ def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
             sup = max(sup, besov_norm(bank, Field(u0.grid, vals), idx_gap))
         gaps.append(sup)
         table.append({"m": m, "iterate_gap": sup})
-        d_rows.append(len(table) - 1)
+    d_rows = list(range(len(table)))
     ratios = [b / a if a > 0 else float("nan") for a, b in zip(gaps, gaps[1:])]
     for i, rt in enumerate(ratios):
         table[i + 1]["ratio"] = rt  # row m holds d_m / d_{m-1}
@@ -597,7 +584,6 @@ def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
         diff = Field(u0.grid, iters[-1].states[i] - reference.states[i])
         terminal = max(terminal, lp_norm(diff, 2.0))
     table.append({"m": m_max, "terminal_l2_gap": terminal})
-    term_row = len(table) - 1
 
     contraction = max(ratios[1:]) if len(ratios) > 1 else float("nan")
     report = ExperimentReport(
@@ -606,15 +592,17 @@ def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
                     "t_end": t_end, "dt": dt,
                     "grid_points": u0.grid.n_points, "length": u0.grid.length,
                     "plot": {"x": "m", "y": "iterate_gap", "logscale": "y"}},
-        table=table)
-    report.verdicts["contraction"] = Verdict(
-        passed=bool(contraction < 1.0), value=contraction,
-        tolerance="gap ratio < 1 for m >= 2", rows=d_rows,
-        detail="sup-t Besov gap between consecutive iterates")
-    report.verdicts["terminal_agreement"] = Verdict(
-        passed=terminal <= 1e-6, value=terminal,
-        tolerance="sup-t L2 gap to the direct solution <= 1e-6",
-        rows=[term_row],
-        detail=f"final iterate m={m_max} against the nonlinear solver")
+        table=table,
+        verdicts={
+            "contraction": Verdict(
+                passed=bool(contraction < 1.0), value=contraction,
+                tolerance="gap ratio < 1 for m >= 2", rows=d_rows,
+                detail="sup-t Besov gap between consecutive iterates"),
+            "terminal_agreement": Verdict(
+                passed=terminal <= 1e-6, value=terminal,
+                tolerance="sup-t L2 gap to the direct solution <= 1e-6",
+                rows=[len(table) - 1],
+                detail=f"final iterate m={m_max} against the nonlinear "
+                       f"solver")})
     report.validate()
     return report

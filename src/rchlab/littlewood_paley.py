@@ -25,7 +25,7 @@ import numpy as np
 from scipy.fft import irfft, rfft
 
 from .errors import InvalidParameterError
-from .spectral import Field, PeriodicGrid
+from .spectral import Field, PeriodicGrid, ddx, mode_energies
 
 log = logging.getLogger(__name__)
 
@@ -179,17 +179,11 @@ def block_norms(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> np.ndarray
 
 def high_tail_fraction(bank: DyadicFilterBank, f: Field) -> float:
     """L^2 mass fraction beyond the top resolved annulus (8/3) 2^{j_max}."""
-    spec = rfft(f.values)
-    n = f.grid.n_points
-    c2 = np.abs(spec) ** 2 / n**2
-    weights = np.full(c2.shape, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    total = float(np.sum(weights * c2))
+    energies = mode_energies(f)
+    total = float(np.sum(energies))
     if total == 0.0:
         return 0.0
-    tail_mask = f.grid.k > (8.0 / 3.0) * 2.0 ** bank.j_max
-    tail = float(np.sum(weights[tail_mask] * c2[tail_mask]))
+    tail = float(np.sum(energies[f.grid.k > (8.0 / 3.0) * 2.0 ** bank.j_max]))
     return tail / total
 
 
@@ -207,19 +201,10 @@ def besov_norm(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> float:
 
 def sobolev_h_norm(f: Field, s: float) -> float:
     """Fractional Sobolev norm via the lattice Plancherel identity."""
-    grid = f.grid
-    spec = rfft(f.values)
-    n = grid.n_points
-    c2 = np.abs(spec) ** 2 / n**2
-    weights = np.full(c2.shape, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    sym = (1.0 + grid.k**2) ** s
-    return float(math.sqrt(grid.length * np.sum(weights * sym * c2)))
+    sym = (1.0 + f.grid.k**2) ** s
+    return float(math.sqrt(f.grid.length * np.sum(sym * mode_energies(f))))
 
 
 def w1p_norm(f: Field, p: float) -> float:
     """First-order Sobolev norm ||f||_p + ||f'||_p with spectral derivative."""
-    from .spectral import ddx
-
     return lp_norm(f, p) + lp_norm(ddx(f), p)

@@ -104,39 +104,35 @@ def synthesize(grid: PeriodicGrid, transform) -> Field:
     return Field(grid, irfft(spec.astype(np.complex128), grid.n_points))
 
 
-def _deriv_vals(vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    spec = rfft(vals)
-    spec *= 1j * grid.k
-    spec[-1] = 0.0  # odd multiplier is ambiguous at the unpaired Nyquist mode
-    return irfft(spec, grid.n_points)
-
-
-def _helmholtz_vals(vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    spec = rfft(vals)
-    spec /= 1.0 + grid.k**2
-    return irfft(spec, grid.n_points)
-
-
-def _gradp_vals(vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    spec = rfft(vals)
-    spec *= 1j * grid.k / (1.0 + grid.k**2)
-    spec[-1] = 0.0
-    return irfft(spec, grid.n_points)
+def _fourier_multiplier(f: Field, symbol: np.ndarray, odd: bool) -> Field:
+    spec = rfft(f.values)
+    spec *= symbol
+    if odd:  # an odd multiplier is ambiguous at the unpaired Nyquist mode
+        spec[-1] = 0.0
+    return Field(f.grid, irfft(spec, f.grid.n_points))
 
 
 def ddx(f: Field) -> Field:
     """Spectral derivative; exact for lattice-resolved bands."""
-    return Field(f.grid, _deriv_vals(f.values, f.grid))
+    return _fourier_multiplier(f, 1j * f.grid.k, odd=True)
 
 
 def helmholtz_inverse(f: Field) -> Field:
     """Apply (1 - d_xx)^{-1}, i.e. convolution with the kernel exp(-|x|)/2."""
-    return Field(f.grid, _helmholtz_vals(f.values, f.grid))
+    return _fourier_multiplier(f, 1.0 / (1.0 + f.grid.k**2), odd=False)
 
 
 def grad_p_conv(f: Field) -> Field:
     """Apply d_x (1 - d_xx)^{-1}, the derivative of the kernel convolution."""
-    return Field(f.grid, _gradp_vals(f.values, f.grid))
+    return _fourier_multiplier(f, 1j * f.grid.k / (1.0 + f.grid.k**2), odd=True)
+
+
+def mode_energies(f: Field) -> np.ndarray:
+    """Lattice energies |c_m|^2 of the one-sided modes, doubled for the paired
+    modes 1 .. N/2-1, so that L times their sum is ||f||_2^2 (Plancherel)."""
+    energies = np.abs(rfft(f.values)) ** 2 / f.grid.n_points**2
+    energies[1:-1] *= 2.0
+    return energies
 
 
 def dealias_spec(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
@@ -144,13 +140,10 @@ def dealias_spec(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return np.where(grid.k > grid.dealias_cap, 0.0, spec)
 
 
-def _dealias_vals(vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    return irfft(dealias_spec(rfft(vals), grid), grid.n_points)
-
-
 def dealias(f: Field) -> Field:
     """Project onto modes below the 2/3-rule cap."""
-    return Field(f.grid, _dealias_vals(f.values, f.grid))
+    return Field(f.grid, irfft(dealias_spec(rfft(f.values), f.grid),
+                               f.grid.n_points))
 
 
 def pad_values(spec: np.ndarray, grid: PeriodicGrid, m: int) -> np.ndarray:
@@ -190,17 +183,6 @@ def conv_spec(sa: np.ndarray, sb: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return project_values(prod, grid)
 
 
-def _product_vals(a: np.ndarray, b: np.ndarray, grid: PeriodicGrid,
-                  do_dealias: bool) -> np.ndarray:
-    sa, sb = rfft(a), rfft(b)
-    if do_dealias:
-        sa, sb = dealias_spec(sa, grid), dealias_spec(sb, grid)
-    spec = conv_spec(sa, sb, grid)
-    if do_dealias:
-        spec = dealias_spec(spec, grid)
-    return irfft(spec, grid.n_points)
-
-
 def product(f: Field, g: Field, dealias: bool = False) -> Field:
     """Pointwise product computed as an exact spectral convolution.
 
@@ -208,7 +190,13 @@ def product(f: Field, g: Field, dealias: bool = False) -> Field:
     2/3 rule.
     """
     grid = require_same_grid(f, g)
-    return Field(grid, _product_vals(f.values, g.values, grid, dealias))
+    sa, sb = rfft(f.values), rfft(g.values)
+    if dealias:
+        sa, sb = dealias_spec(sa, grid), dealias_spec(sb, grid)
+    spec = conv_spec(sa, sb, grid)
+    if dealias:
+        spec = dealias_spec(spec, grid)
+    return Field(grid, irfft(spec, grid.n_points))
 
 
 def field_to_csv(f: Field, path) -> None:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from rchlab.cli import build_parser, main
+from rchlab.errors import InvalidParameterError
 from rchlab.littlewood_paley import (BesovIndex, besov_norm, block_norms,
                                      build_filter_bank)
 from rchlab.spectral import field_from_csv
@@ -116,6 +117,18 @@ def test_picard_campaign_exit_code(tmp_path, capsys):
     assert (out / "report.json").exists()
     assert (out / "table.csv").exists()
     assert (out / "plot.gp").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["continuity", "--steps", "0"],
+    ["picard", "--steps", "0"],
+    ["continuity", "--eps", "0.01", "--eps", "0"],
+    ["continuity", "--eps", "0.01", "--eps", "0.01"],
+])
+def test_bad_campaign_input_is_a_typed_error(tmp_path, argv):
+    with pytest.raises(InvalidParameterError):
+        main(argv + ["--N", "2048", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_input_file(tmp_path):

@@ -10,6 +10,10 @@ from rchlab.errors import InvalidParameterError
 from rchlab.experiments import (ExperimentReport, Fit, Verdict, _time_stepping,
                                 fit_line, grid_for_block,
                                 run_continuous_dependence,
+                                run_critical_expansion,
+                                run_decomposition_rates,
+                                run_nonuniform_critical,
+                                run_nonuniform_supercritical,
                                 run_picard_convergence, write_report)
 from rchlab.initial_data import builtin_profile
 from rchlab.spectral import PeriodicGrid
@@ -40,6 +44,14 @@ def test_fit_line_noise_widens_stderr():
 def test_fit_line_needs_two_points():
     with pytest.raises(InvalidParameterError):
         fit_line([1.0], [2.0])
+
+
+@pytest.mark.parametrize("x", [[2.0, 2.0], [0.1, 0.1, 0.1],
+                               [1.0, math.inf], [1.0, -math.inf, 2.0],
+                               [1.0, math.nan, 2.0]])
+def test_fit_line_rejects_degenerate_abscissae(x):
+    with pytest.raises(InvalidParameterError):
+        fit_line(x, np.arange(len(x), dtype=float))
 
 
 def test_report_rejects_dangling_verdict_rows():
@@ -99,6 +111,57 @@ def test_time_stepping_override():
         _time_stepping(0.3, 48, 8, 0.5)
     with pytest.raises(InvalidParameterError):
         _time_stepping(0.3, 48, 8, -0.1)
+
+
+@pytest.mark.parametrize("steps, samples, dt", [(0, 8, None), (-4, 8, None),
+                                                (48, 0, None), (0, 8, 0.05),
+                                                (48, 0, 0.05)])
+def test_time_stepping_rejects_empty_counts(steps, samples, dt):
+    with pytest.raises(InvalidParameterError):
+        _time_stepping(0.3, steps, samples, dt)
+
+
+@pytest.mark.parametrize("eps", [[1e-2, 0.0], [1e-2, -1e-3], [1e-2, math.nan],
+                                 [1e-2, math.inf], [1e-2, 1e-2],
+                                 [1e-2, 1e-3, 1e-3]])
+def test_continuous_dependence_rejects_bad_eps(eps):
+    with pytest.raises(InvalidParameterError):
+        run_continuous_dependence(2.0, 2.0, 2.0, eps, n_points=2**11, steps=4,
+                                  samples=2)
+
+
+@pytest.mark.parametrize("run, n_list", [
+    (lambda ns: run_nonuniform_supercritical(2.0, 2.0, 2.0, ns), [4, 5, 6]),
+    (lambda ns: run_nonuniform_critical(2.0, ns), [4, 5, 6]),
+    (lambda ns: run_decomposition_rates(2.5, 2.0, 2.0, ns), [4, 5, 6]),
+    (lambda ns: run_critical_expansion(2.0, ns), [5]),
+], ids=["super", "critical", "decomp", "expansion"])
+def test_sweeps_need_enough_mode_indices(run, n_list):
+    with pytest.raises(InvalidParameterError, match="distinct mode indices"):
+        run(n_list)
+    with pytest.raises(InvalidParameterError, match="distinct mode indices"):
+        run(n_list[:1] + n_list * 2)  # a repeated index is rejected too
+
+
+def _small_sweeps():
+    return {
+        "super": run_nonuniform_supercritical(2.0, 2.0, 2.0, range(4, 8),
+                                              steps=4),
+        "critical": run_nonuniform_critical(2.0, range(4, 8), steps=4),
+        "decomp": run_decomposition_rates(2.5, 2.0, 2.0, range(4, 8), steps=8),
+        "expansion": run_critical_expansion(2.0, [5, 6], steps=8),
+    }
+
+
+def test_sweep_reports_are_byte_identical_across_runs(tmp_path):
+    first, second = _small_sweeps(), _small_sweeps()
+    for name, report in first.items():
+        assert report.parameters["kappa"] == 0.1
+        write_report(report, tmp_path / "a" / name)
+        write_report(second[name], tmp_path / "b" / name)
+        for out in ("report.json", "table.csv", "plot.gp"):
+            assert ((tmp_path / "a" / name / out).read_bytes()
+                    == (tmp_path / "b" / name / out).read_bytes()), (name, out)
 
 
 def test_continuous_dependence_small_run(tmp_path):

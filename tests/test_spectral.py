@@ -17,8 +17,8 @@ from rchlab.errors import GridMismatchError, InvalidParameterError
 from rchlab.spectral import (Field, PeriodicGrid, ddx, dealias,
                              field_from_binary, field_from_csv,
                              field_to_binary, field_to_csv, grad_p_conv,
-                             helmholtz_inverse, mode_amplitudes, product,
-                             synthesize)
+                             helmholtz_inverse, mode_amplitudes, mode_energies,
+                             product, synthesize)
 
 GRID = PeriodicGrid(2.0 * np.pi, 256)
 
@@ -95,6 +95,19 @@ def test_parseval():
     spectral = GRID.length * np.sum(weights * np.abs(c) ** 2)
     physical = GRID.spacing * np.sum(f.values**2)
     assert spectral == pytest.approx(physical, rel=1e-12)
+
+
+def test_mode_energies_are_the_weighted_lattice_energies():
+    rng = np.random.default_rng(12)
+    f = Field(GRID, rng.normal(size=256))
+    c2 = np.abs(mode_amplitudes(f)) ** 2
+    weights = np.full(len(c2), 2.0)
+    weights[0] = 1.0
+    weights[-1] = 1.0
+    energies = mode_energies(f)
+    assert np.array_equal(energies, weights * c2)  # doubling is exact
+    physical = GRID.spacing * np.sum(f.values**2)
+    assert GRID.length * np.sum(energies) == pytest.approx(physical, rel=1e-12)
 
 
 def test_product_exact_trig():
