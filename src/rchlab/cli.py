@@ -4,7 +4,9 @@ Subcommands mirror the library layout: coefficient derivation, Besov norm
 evaluation, the two solvers, data-family construction and certification, and
 the experiment campaigns.  Field files are CSV when the path ends in ``.csv``
 and packed binary otherwise.  Campaign subcommands write a report directory
-(report.json, table.csv, plot.gp) and exit nonzero if any verdict failed.
+(report.json, table.csv, plot.gp).  The exit status is 0 on success, 1 if a
+campaign verdict failed and 2 for bad input: a usage error, or an rchlab
+error, which :func:`run` reports on one stderr line.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from . import experiments
 from .coefficients import derive_coefficients
+from .errors import RchlabError
 from .eulerian import SolverConfig, h1_integral, solve
 from .experiments import DEFAULT_LENGTH
 from .initial_data import (build_family, build_psi, builtin_profile,
@@ -35,13 +38,19 @@ BUILTIN_NAMES = ("zero", "smoke", "psi")
 DEFAULT_POINTS = 2**12
 
 
+def _bad_input(message: str) -> SystemExit:
+    """Report bad command-line input on one stderr line; exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
 def _load_field(init: str, length: float, n_points: int | None) -> Field:
     if init in BUILTIN_NAMES:
         grid = PeriodicGrid(length, n_points or DEFAULT_POINTS)
         return builtin_profile(init, grid)
     path = Path(init)
     if not path.exists():
-        raise SystemExit(f"error: no field file {path} and not one of "
+        raise _bad_input(f"no field file {path} and not one of "
                          f"{'/'.join(BUILTIN_NAMES)}")
     if path.suffix == ".csv":
         return field_from_csv(path)
@@ -196,11 +205,11 @@ def _cmd_data(args) -> int:
             sys.stdout.write(text)
         return 0
     if args.family is None:
-        raise SystemExit("error: pass --family or --certify")
+        raise _bad_input("pass --family or --certify")
     if args.family != "psi" and args.n is None:
-        raise SystemExit("error: --n is required for the modulated families")
+        raise _bad_input("--n is required for the modulated families")
     if args.out is None:
-        raise SystemExit("error: --out is required with --family")
+        raise _bad_input("--out is required with --family")
     grid = _auto_family_grid(args.L, args.N, args.n)
     bump = build_psi(grid)
     if args.family == "psi":
@@ -426,5 +435,17 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def run(argv=None) -> None:
+    """Console entry point: :func:`main`, with an rchlab error reported as
+    one stderr line ``TypeName: message [t=time]`` and exit status 2."""
+    try:
+        code = main(argv)
+    except RchlabError as err:
+        when = "" if err.time is None else f" t={float(err.time)!r}"
+        print(f"{type(err).__name__}: {err}{when}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

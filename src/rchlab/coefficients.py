@@ -31,6 +31,18 @@ class ModelParams:
     c2: float
     c3: float
 
+    def quartic(self, u):
+        """u^2 (c1 + u (c2 + c3 u)), the polynomial part of the nonlocal flux,
+        as one new array.  Horner form: ``u**3`` and ``u**4`` of an array of
+        both signs take numpy's generic power path, far slower than products."""
+        q = u * self.c3
+        q += self.c2
+        q *= u
+        q += self.c1
+        q *= u
+        q *= u
+        return q
+
 
 @dataclass(frozen=True)
 class CubicRoot:

@@ -1,15 +1,26 @@
 """Shared exception types for solver and data-construction failure modes."""
 
 
-class InvalidParameterError(ValueError):
+class RchlabError(Exception):
+    """Base of every rchlab error; the command line reports these as bad input.
+
+    Carries ``time``, the simulation time the error refers to, or None.
+    """
+
+    def __init__(self, message, time=None):
+        super().__init__(message)
+        self.time = time
+
+
+class InvalidParameterError(RchlabError, ValueError):
     """Raised when a parameter set is outside the model's admissible range."""
 
 
-class GridMismatchError(ValueError):
+class GridMismatchError(RchlabError, ValueError):
     """Raised when fields on different grids are combined."""
 
 
-class FrequencyOverflowError(ValueError):
+class FrequencyOverflowError(RchlabError, ValueError):
     """Requested carrier frequency does not fit under the dealias cap.
 
     Carries ``max_feasible_n``, the largest admissible mode index on the grid.
@@ -20,34 +31,23 @@ class FrequencyOverflowError(ValueError):
         self.max_feasible_n = max_feasible_n
 
 
-class CFLError(RuntimeError):
+class CFLError(RchlabError, RuntimeError):
     """Raised when the advective CFL guard fails at runtime.
 
-    Carries ``time``, the simulation time at which the guard tripped.
+    ``time`` is the start of the step the guard refused.
     """
 
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
 
-
-class BlowUpError(RuntimeError):
+class BlowUpError(RchlabError, RuntimeError):
     """Raised when the solution exceeds the blow-up threshold or loses finiteness.
 
-    Carries ``time``, the last time with a valid state.
+    ``time`` is the last time with a valid state.
     """
 
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
 
-
-class DiffeomorphismError(RuntimeError):
+class DiffeomorphismError(RchlabError, RuntimeError):
     """Raised when the particle map loses strict monotonicity (y_xi <= 0).
 
-    Carries ``time`` when raised during time stepping.
+    ``time`` is set when raised during time stepping: the end of the step
+    whose result crossed, or the start of the step whose stage did.
     """
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time

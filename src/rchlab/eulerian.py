@@ -13,21 +13,24 @@ only onto modes at or above 2N/3) and 3N without it (more than the 5N/2 an
 unmasked quartic needs).  Exact products followed by one projection keep the
 semi-discrete mass and H1 identities for every rotation.
 
-Time stepping is classical RK4 with a fixed step, an advective CFL guard, and
-a blow-up threshold; a Picard iterator for the frozen-coefficient
-linearization is provided for contraction experiments.
+Time stepping is classical RK4 with a fixed step in one march,
+:func:`_rk4_march`, shared by :func:`solve`, the Picard iterator for the
+frozen-coefficient linearization and the particle solver.  Guard contract: a
+check before a step (the CFL guard) and an error in a stage carry the step's
+start t; a check of a step's result carries the last good time t (blow-up)
+or the step's end (a particle crossing).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import irfft, rfft
 
 from .coefficients import ModelParams
-from .errors import BlowUpError, CFLError, InvalidParameterError
+from .errors import BlowUpError, CFLError, InvalidParameterError, RchlabError
 from .spectral import (Field, PeriodicGrid, conv_spec, dealias_spec, ddx,
                        mode_energies, pad_values, project_values)
 
@@ -43,7 +46,6 @@ class SolverConfig:
     dt: float
     t_end: float
     snapshot_every: int = 1
-    dealias: bool = True
 
     def __post_init__(self):
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
@@ -78,7 +80,7 @@ class Trajectory:
 
 
 def _nonlinear_spec(spec_u: np.ndarray, grid: PeriodicGrid, params: ModelParams,
-                    dealias: bool, advect: bool = True) -> np.ndarray:
+                    dealias: bool = True, advect: bool = True) -> np.ndarray:
     """Spectrum of G(u) - u u_x, or of G(u) alone when ``advect`` is false.
 
     ``spec_u`` is the one-sided spectrum of u on ``grid``; with ``dealias``
@@ -92,13 +94,9 @@ def _nonlinear_spec(spec_u: np.ndarray, grid: PeriodicGrid, params: ModelParams,
     spec_ux[-1] = 0.0
     u = pad_values(spec_u, grid, m)
     ux = pad_values(spec_ux, grid, m)
-    # in place, so that at most three M-point arrays are alive at once
-    q = u * params.c3  # q = u^2 (c1 + u (c2 + c3 u)) + (1/2) u_x^2
-    q += params.c2
-    q *= u
-    q += params.c1
-    q *= u
-    q *= u
+    # q = u^2 (c1 + u (c2 + c3 u)) + (1/2) u_x^2 in place, so that at most
+    # three M-point arrays are alive at once
+    q = params.quartic(u)
     if advect:
         u *= ux  # u u_x
     ux *= ux
@@ -174,44 +172,74 @@ def _step_times(dt: float, t_end: float) -> np.ndarray:
     return times
 
 
+def _rk4_march(state, cfg: SolverConfig, rhs, snapshot, guard, refuse=None):
+    """Classical RK4 over the step times of ``cfg``, shared by every integrator.
+
+    Stages call ``rhs(tau, state)`` at exactly tau = t, t + dt/2 (twice) and
+    t_next.  ``refuse(state, t, dt)``, if given, may raise before a step and
+    ``guard(state, t, t_next)`` after it; a stage's rchlab error without a
+    time gets t.  ``snapshot(state)`` is kept at t = 0, every
+    ``cfg.snapshot_every`` steps and at the end; no state is written in
+    place, so it may keep them.  Returns (snapshot times, snapshots).
+    """
+    times = _step_times(cfg.dt, cfg.t_end)
+    last = len(times) - 1
+    snaps = [snapshot(state)]
+    snap_times = [0.0]
+    for i in range(last):
+        t, t_next = times[i], times[i + 1]
+        dt = t_next - t
+        t_mid = t + 0.5 * dt
+        if refuse is not None:
+            refuse(state, t, dt)
+        try:
+            k1 = rhs(t, state)
+            k2 = rhs(t_mid, state + 0.5 * dt * k1)
+            k3 = rhs(t_mid, state + 0.5 * dt * k2)
+            k4 = rhs(t_next, state + dt * k3)
+        except RchlabError as err:
+            if err.time is None:
+                err.time = t
+            raise
+        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        guard(state, t, t_next)
+        if (i + 1) % cfg.snapshot_every == 0 or i + 1 == last:
+            snaps.append(snapshot(state))
+            snap_times.append(t_next)
+    return np.asarray(snap_times), snaps
+
+
 def solve(u0: Field, params: ModelParams, cfg: SolverConfig) -> Trajectory:
     """Integrate the full equation from ``u0`` with fixed-step RK4.
 
     Raises :class:`CFLError` if ``dt * max|u|`` exceeds half the grid spacing
-    at any step, and :class:`BlowUpError` (with the last good time) if the
-    state exceeds the blow-up threshold or loses finiteness.
+    before a step, and :class:`BlowUpError` if the state exceeds the blow-up
+    threshold or loses finiteness; each carries a time as the march says.
     """
     grid = u0.grid
-    times = _step_times(cfg.dt, cfg.t_end)
-    u = u0.values.copy()
-    # the state steps in spectral form; the lattice values feed only the
+    # the state steps in spectral form; the lattice values u feed only the
     # guards and snapshots, since a round trip per step adds more rounding
     # than the RK4 error of a small step
-    s = rfft(u)
-    snaps = [u.copy()]
-    snap_times = [0.0]
-    for i in range(len(times) - 1):
-        t, t_next = times[i], times[i + 1]
-        dt = t_next - t
+    u = u0.values.copy()
+
+    def cfl(s, t, dt):
         step_max = np.max(np.abs(u))
         if dt * step_max > CFL_FRACTION * grid.spacing:
             raise CFLError(
                 f"CFL guard failed at t={t:.6g}: dt*max|u|={dt * step_max:.3e} "
                 f"> {CFL_FRACTION} * spacing={CFL_FRACTION * grid.spacing:.3e}",
                 time=t)
-        k1 = _nonlinear_spec(s, grid, params, cfg.dealias)
-        k2 = _nonlinear_spec(s + 0.5 * dt * k1, grid, params, cfg.dealias)
-        k3 = _nonlinear_spec(s + 0.5 * dt * k2, grid, params, cfg.dealias)
-        k4 = _nonlinear_spec(s + dt * k3, grid, params, cfg.dealias)
-        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def to_lattice(s, t, t_next):
+        nonlocal u
         u = irfft(s, grid.n_points)
         _check_state(u, t_last_good=t)
-        step_idx = i + 1
-        if step_idx % cfg.snapshot_every == 0 or step_idx == len(times) - 1:
-            snaps.append(u.copy())
-            snap_times.append(t_next)
-    return Trajectory(grid=grid, params=params,
-                      times=np.asarray(snap_times), states=np.asarray(snaps))
+
+    times, snaps = _rk4_march(
+        rfft(u), cfg, lambda tau, s: _nonlinear_spec(s, grid, params),
+        snapshot=lambda s: u, guard=to_lattice, refuse=cfl)
+    return Trajectory(grid=grid, params=params, times=times,
+                      states=np.asarray(snaps))
 
 
 class _TimeInterpolant:
@@ -240,6 +268,32 @@ class _TimeInterpolant:
         return out
 
 
+def _frozen_rhs(prev: Trajectory | None, grid: PeriodicGrid,
+                params: ModelParams):
+    """RHS ``G(u^m) - u^m v_x`` of a Picard iterate, with u^m interpolated
+    from ``prev`` (None is the zero iterate).  G(u^m) depends on tau alone,
+    and k2 and k3 share t + dt/2 while one step's t_next is the next step's
+    t, so a memo of two taus makes two kernel calls per step."""
+    if prev is None:
+        return lambda tau, vals: np.zeros_like(vals)
+    frozen = _TimeInterpolant(prev)
+    memo = {}
+
+    def rhs(tau, vals):
+        if tau not in memo:
+            if len(memo) == 2:
+                del memo[next(iter(memo))]
+            sf = dealias_spec(rfft(frozen(tau)), grid)
+            memo[tau] = sf, _nonlinear_spec(sf, grid, params, advect=False)
+        sf, g = memo[tau]
+        svx = 1j * grid.k * dealias_spec(rfft(vals), grid)
+        svx[-1] = 0.0
+        advect = dealias_spec(conv_spec(sf, svx, grid), grid)
+        return irfft(g - advect, grid.n_points)
+
+    return rhs
+
+
 def picard_iterate(u0: Field, params: ModelParams, cfg: SolverConfig,
                    m_iters: int) -> list[Trajectory]:
     """Iterates of the frozen-coefficient linearization.
@@ -251,55 +305,14 @@ def picard_iterate(u0: Field, params: ModelParams, cfg: SolverConfig,
     """
     if m_iters < 1:
         raise InvalidParameterError("m_iters must be >= 1")
-    grid = u0.grid
-    times = _step_times(cfg.dt, cfg.t_end)
+    every_step = replace(cfg, snapshot_every=1)
     iterates: list[Trajectory] = []
-    prev: _TimeInterpolant | None = None  # None encodes the zero iterate
-
-    def frozen_terms(tau):
-        # (masked spectrum of u^m(tau), spectrum of G(u^m(tau)))
-        if prev is None:
-            return None
-        sf = rfft(prev(tau))
-        if cfg.dealias:
-            sf = dealias_spec(sf, grid)
-        return sf, _nonlinear_spec(sf, grid, params, cfg.dealias, advect=False)
-
-    def rhs(terms, vals):
-        if terms is None:
-            return np.zeros_like(vals)
-        sf, g = terms
-        sv = rfft(vals)
-        if cfg.dealias:
-            sv = dealias_spec(sv, grid)
-        svx = 1j * grid.k * sv
-        svx[-1] = 0.0
-        advect = conv_spec(sf, svx, grid)
-        if cfg.dealias:
-            advect = dealias_spec(advect, grid)
-        return irfft(g - advect, grid.n_points)
-
     for _ in range(m_iters):
-        u = u0.values.copy()
-        snaps = [u.copy()]
-        # G(u^m) depends on tau alone: k2 and k3 share t + dt/2, and one
-        # step's t_next is the next step's t
-        at_t = frozen_terms(times[0])
-        for i in range(len(times) - 1):
-            t, t_next = times[i], times[i + 1]
-            dt = t_next - t
-            at_mid = frozen_terms(t + 0.5 * dt)
-            at_next = frozen_terms(t_next)
-            k1 = rhs(at_t, u)
-            k2 = rhs(at_mid, u + 0.5 * dt * k1)
-            k3 = rhs(at_mid, u + 0.5 * dt * k2)
-            k4 = rhs(at_next, u + dt * k3)
-            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _check_state(u, t_last_good=t)
-            snaps.append(u.copy())
-            at_t = at_next
-        traj = Trajectory(grid=grid, params=params, times=times.copy(),
-                          states=np.asarray(snaps))
-        iterates.append(traj)
-        prev = _TimeInterpolant(traj)
+        rhs = _frozen_rhs(iterates[-1] if iterates else None, u0.grid, params)
+        times, snaps = _rk4_march(
+            u0.values.copy(), every_step, rhs, snapshot=lambda u: u,
+            guard=lambda u, t, t_next: _check_state(u, t_last_good=t))
+        iterates.append(Trajectory(grid=u0.grid, params=params, times=times,
+                                   states=np.asarray(snaps)))
+        del snaps  # else the list lives through the next iterate's march
     return iterates

@@ -182,17 +182,24 @@ def grid_for_block(n_block: int, length: float = DEFAULT_LENGTH) -> PeriodicGrid
 class _FamilySetup:
     fam: object
     bank: DyadicFilterBank
-    u0_norm: float
-    w0_norm: float
-    v0_norm: float
+    idx: BesovIndex
+    norms: dict = field(default_factory=dict)
+
+    def norm(self, member: str) -> float:
+        """Besov norm of the family member ``member``, computed on first use."""
+        if member not in self.norms:
+            self.norms[member] = besov_norm(self.bank, getattr(self.fam, member),
+                                            self.idx)
+        return self.norms[member]
 
 
 def _sweep_setup(idx: BesovIndex, n_list, length: float, steps: int,
                  samples: int, dt: float | None, *, min_indices: int,
                  horizon: str):
-    """Sorted mode indices, one family and filter bank per n with the Besov
-    norms of its members, and the solver configuration on half the smallest
-    guaranteed-existence horizon of the ``horizon`` norm over the sweep."""
+    """Sorted mode indices, one family and filter bank per n (a member's Besov
+    norm is computed when a driver first reads it), and the solver
+    configuration on half the smallest guaranteed-existence horizon of the
+    ``horizon`` norm over the sweep."""
     n_list = sorted(int(n) for n in n_list)
     if len(set(n_list)) != len(n_list) or len(n_list) < min_indices:
         raise InvalidParameterError(
@@ -201,13 +208,9 @@ def _sweep_setup(idx: BesovIndex, n_list, length: float, steps: int,
     for n in n_list:
         grid = grid_for_block(n, length)
         fam = build_family(build_psi(grid), n, idx.s)
-        bank = build_filter_bank(grid)
-        setups[n] = _FamilySetup(
-            fam=fam, bank=bank,
-            u0_norm=besov_norm(bank, fam.u0n, idx),
-            w0_norm=besov_norm(bank, fam.w0n, idx),
-            v0_norm=besov_norm(bank, fam.v0n, idx))
-    t_end = 0.5 * min(kappa_horizon(getattr(st, horizon))
+        setups[n] = _FamilySetup(fam=fam, bank=build_filter_bank(grid),
+                                 idx=idx)
+    t_end = 0.5 * min(kappa_horizon(st.norm(horizon))
                       for st in setups.values())
     dt, snapshot_every = _time_stepping(t_end, steps, samples, dt)
     return n_list, setups, SolverConfig(dt=dt, t_end=t_end,
@@ -245,7 +248,7 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
                      dt: float | None) -> ExperimentReport:
     params = derive_coefficients(omega)
     n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, samples, dt,
-                                       min_indices=4, horizon="u0_norm")
+                                       min_indices=4, horizon="u0n")
     table: list[dict] = []
     gap_rows: list[int] = []
     curve_rows: dict[int, list[int]] = {}
@@ -259,15 +262,15 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
                                             - traj_w.states[i]), idx)
             row = {"n": n, "t": t, "distance": dist,
                    "ratio": dist / t if t > 0 else float("nan"),
-                   "v0n_norm": s.v0_norm, "w0n_norm": s.w0_norm,
-                   "u0n_norm": s.u0_norm}
+                   "v0n_norm": s.norm("v0n"), "w0n_norm": s.norm("w0n"),
+                   "u0n_norm": s.norm("u0n")}
             table.append(row)
             curve_rows[n].append(len(table) - 1)
             if t == 0.0:
                 gap_rows.append(len(table) - 1)
 
-    gap_fit = _top_half_slope(n_list, [setups[n].v0_norm for n in n_list])
-    wb_fit = _top_half_slope(n_list, [setups[n].w0_norm for n in n_list])
+    gap_fit = _top_half_slope(n_list, [setups[n].norm("v0n") for n in n_list])
+    wb_fit = _top_half_slope(n_list, [setups[n].norm("w0n") for n in n_list])
 
     # empirical kappa: per sampled t > 0, minimum over top-half n of dist/t
     times = sorted({round(table[i]["t"], 12) for i in curve_rows[n_list[0]]})
@@ -365,7 +368,7 @@ def run_decomposition_rates(s: float, p: float, r: float, n_list, *,
     idx = BesovIndex(s, p, r)
     params = derive_coefficients(omega)
     n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, samples, dt,
-                                       min_indices=4, horizon="w0_norm")
+                                       min_indices=4, horizon="w0n")
     idx_up = BesovIndex(s + 1.0, p, r)
     idx_down = BesovIndex(s - 1.0, p, r)
     table: list[dict] = []
@@ -382,7 +385,7 @@ def run_decomposition_rates(s: float, p: float, r: float, n_list, *,
         table.append({"n": n, "sup_distance": sup_dist,
                       "sideband_up": sup_up / 2.0**n,
                       "sideband_down": sup_down * 2.0**n,
-                      "w0n_norm": st.w0_norm})
+                      "w0n_norm": st.norm("w0n")})
     sup_rows = list(range(len(table)))
 
     n_big = n_list[-1]
@@ -440,7 +443,7 @@ def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
     idx = BesovIndex(s, p, 1.0)
     params = derive_coefficients(omega)
     n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, samples, dt,
-                                       min_indices=2, horizon="u0_norm")
+                                       min_indices=2, horizon="u0n")
     table: list[dict] = []
     for n in n_list:
         st = setups[n]
@@ -453,7 +456,7 @@ def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
         q_val = (1.0 + linf * b2 + linf**2 * b3 + bracket**2 * b2
                  + linf * bracket**2 * b3)
         table.append({"n": n, "q_diagnostic": q_val, "u0_linf": linf,
-                      "u0_norm": st.u0_norm})
+                      "u0_norm": st.norm("u0n")})
     q_rows = list(range(len(table)))
 
     n_big = n_list[-1]

@@ -19,7 +19,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .coefficients import ModelParams
 from .errors import DiffeomorphismError, InvalidParameterError
-from .eulerian import SolverConfig, _check_state
+from .eulerian import SolverConfig, _check_state, _rk4_march
 from .littlewood_paley import lp_norm
 from .spectral import Field, PeriodicGrid, ddx
 
@@ -144,22 +144,6 @@ def exp_scan_split(weights: np.ndarray, y: np.ndarray, grid: PeriodicGrid,
     return grid.spacing * (w + t_left + t_right)
 
 
-def _q_profile(U: np.ndarray, ux: np.ndarray, params: ModelParams) -> np.ndarray:
-    """q = U^2 (c1 + U (c2 + c3 U)) + (1/2) u_x^2.
-
-    Horner form: ``U**3`` and ``U**4`` of an array of both signs take numpy's
-    generic power path, far slower than the products.
-    """
-    q = U * params.c3
-    q += params.c2
-    q *= U
-    q += params.c1
-    q *= U
-    q *= U
-    q += 0.5 * ux * ux
-    return q
-
-
 def lagrangian_rhs(state: LagrangianState, params: ModelParams) -> LagrangianState:
     """Time derivative of the particle state (returned in state layout)."""
     return _unpack(state.grid, state.labels,
@@ -177,15 +161,16 @@ def _unpack(grid, labels, arr) -> LagrangianState:
                            U=arr[2], U_xi=arr[3], ux_integral=arr[4])
 
 
-def _rhs_packed(arr: np.ndarray, grid: PeriodicGrid, params: ModelParams,
-                time=None) -> np.ndarray:
+def _rhs_packed(arr: np.ndarray, grid: PeriodicGrid,
+                params: ModelParams) -> np.ndarray:
     """Time derivative of the packed state ``(y, y_xi, U, U_xi, int u_x)``."""
     y, y_xi, U, U_xi = arr[0], arr[1], arr[2], arr[3]
     if np.min(y_xi) <= 0.0:
-        raise DiffeomorphismError("y_xi must stay positive", time=time)
-    _check_monotone(y, grid.length, time=time)
+        raise DiffeomorphismError("y_xi must stay positive")
+    _check_monotone(y, grid.length)
     ux = U_xi / y_xi
-    w = _q_profile(U, ux, params)
+    w = params.quartic(U)  # w = y_xi (U^2 (c1 + U (c2 + c3 U)) + u_x^2 / 2)
+    w += 0.5 * ux * ux
     w *= y_xi
     t_left, t_right = _one_sided_scan(w, y, grid.length)
     dxi = grid.spacing
@@ -212,32 +197,17 @@ def lagrangian_solve(state0: LagrangianState, params: ModelParams,
         raise InvalidParameterError(
             f"horizon too long for the slope guard: max|u0_x| * t_end = "
             f"{slope0 * cfg.t_end:.3g} >= 1")
-    from .eulerian import _step_times
 
-    times = _step_times(cfg.dt, cfg.t_end)
-    arr = _pack(state0)
-    if state0.ux_integral is None:
-        arr[4] = 0.0
-    snaps = [_unpack(grid, state0.labels, arr.copy())]
-    snap_times = [0.0]
-    for i in range(len(times) - 1):
-        t, t_next = times[i], times[i + 1]
-        dt = t_next - t
-        k1 = _rhs_packed(arr, grid, params, time=t)
-        k2 = _rhs_packed(arr + 0.5 * dt * k1, grid, params, time=t)
-        k3 = _rhs_packed(arr + 0.5 * dt * k2, grid, params, time=t)
-        k4 = _rhs_packed(arr + dt * k3, grid, params, time=t)
-        arr = arr + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def guard(arr, t, t_next):
         if np.min(arr[1]) <= 0.0:
             raise DiffeomorphismError("y_xi went nonpositive", time=t_next)
         _check_monotone(arr[0], grid.length, time=t_next)
         _check_state(arr[2], t_last_good=t)
-        step_idx = i + 1
-        if step_idx % cfg.snapshot_every == 0 or step_idx == len(times) - 1:
-            snaps.append(_unpack(grid, state0.labels, arr.copy()))
-            snap_times.append(t_next)
-    return LagrangianTrajectory(times=np.asarray(snap_times), states=snaps,
-                                params=params)
+
+    times, snaps = _rk4_march(
+        _pack(state0), cfg, lambda tau, arr: _rhs_packed(arr, grid, params),
+        snapshot=lambda arr: _unpack(grid, state0.labels, arr), guard=guard)
+    return LagrangianTrajectory(times=times, states=snaps, params=params)
 
 
 def pullback_to_eulerian(state: LagrangianState) -> Field:

@@ -25,13 +25,15 @@ from scipy.fft import irfft, rfft
 from .errors import GridMismatchError, InvalidParameterError
 
 TWO_THIRDS = 2.0 / 3.0
+# largest grid accepted; the largest in use is 2^19 (data --certify --n-max 11)
+MAX_POINTS = 2**24
 
 
 class PeriodicGrid:
     """Uniform lattice on a torus of circumference ``length``.
 
     ``n_points`` must be a power of two, at least 16, so dyadic filter banks
-    and padded transforms stay exact.
+    and padded transforms stay exact, and at most ``MAX_POINTS``.
     """
 
     def __init__(self, length: float, n_points: int):
@@ -40,6 +42,10 @@ class PeriodicGrid:
         if n_points < 16 or (n_points & (n_points - 1)) != 0:
             raise InvalidParameterError(
                 f"n_points must be a power of two >= 16, got {n_points!r}")
+        if n_points > MAX_POINTS:
+            raise InvalidParameterError(
+                f"n_points {n_points} exceeds the limit MAX_POINTS = 2^"
+                f"{MAX_POINTS.bit_length() - 1}")
         self.length = float(length)
         self.n_points = int(n_points)
         self.spacing = self.length / self.n_points

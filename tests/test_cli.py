@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +144,42 @@ def test_missing_input_file(tmp_path):
 def test_data_family_needs_mode_index(tmp_path):
     with pytest.raises(SystemExit):
         main(["data", "--family", "w0n", "--out", str(tmp_path / "w.csv")])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_script(argv, cwd):
+    """The console entry point in a fresh interpreter; returns the process."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH"))
+                           if p)
+    return subprocess.run(
+        [sys.executable, "-c", "from rchlab.cli import run; run()", *argv],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=300)
+
+
+@pytest.mark.parametrize("argv, head, tail", [
+    (["continuity", "--steps", "0", "--N", "2048"],
+     "InvalidParameterError: steps and samples must be >= 1", ""),
+    (["data", "--family", "w0n", "--n", "30", "--out", "w.csv"],
+     "InvalidParameterError: n_points 274877906944 exceeds the limit "
+     "MAX_POINTS", ""),
+    (["data", "--family", "w0n", "--n", "12", "--N", "2048", "--out", "w.csv"],
+     "FrequencyOverflowError: carrier", ""),
+    (["solve", "--init", "smoke", "--dt", "1", "--tend", "2", "--out", "x"],
+     "CFLError: CFL guard failed at t=0", " t=0.0"),
+    (["picard", "--init", "smoke", "--N", "2048", "--omega", "2.5",
+      "--tend", "0.1", "--dt", "0.03", "--m-max", "5", "--out", "x"],
+     "BlowUpError: state norm", " t=0.06"),
+    (["solve", "--init", "nope.csv", "--dt", "1", "--tend", "2", "--out", "x"],
+     "error: no field file nope.csv", ""),
+], ids=["invalid-parameter", "grid-cap", "frequency-overflow", "cfl",
+        "blow-up", "missing-file"])
+def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
+    proc = _run_script(argv, tmp_path)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(head) and lines[0].endswith(tail), lines[0]
+    assert not (tmp_path / "x").exists()

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from numpy.fft import irfft, rfft
 
+from rchlab import eulerian
 from rchlab.coefficients import ModelParams, derive_coefficients
 from rchlab.errors import BlowUpError, CFLError, InvalidParameterError
 from rchlab.eulerian import (SolverConfig, full_rhs, h1_integral,
                              kappa_horizon, picard_iterate, rhs_g, solve,
                              transport_diagnostic)
 from rchlab.initial_data import builtin_profile
+from rchlab.lagrangian import initial_state, lagrangian_solve
 from rchlab.littlewood_paley import (BesovIndex, besov_norm,
                                      build_filter_bank, lp_norm)
 from rchlab.spectral import Field, PeriodicGrid
@@ -247,3 +249,84 @@ def test_rhs_matches_oversampled_evaluation(dealias, top_mode):
         got = rfft(fn(u, p, dealias=dealias).values)[:-1]
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, fn.__name__
+
+
+def _nan_field():
+    grid = PeriodicGrid(64.0 * np.pi, 512)
+    vals = builtin_profile("smoke", grid).values.copy()
+    vals[7] = np.nan
+    return Field(grid, vals)
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda u0, p, cfg: solve(u0, p, cfg),
+    lambda u0, p, cfg: picard_iterate(u0, p, cfg, 2),
+    lambda u0, p, cfg: lagrangian_solve(initial_state(u0), p, cfg),
+], ids=["solve", "picard_iterate", "lagrangian_solve"])
+def test_nan_initial_field_blows_up_at_time_zero(integrate):
+    cfg = SolverConfig(dt=0.01, t_end=0.05)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(BlowUpError) as err:
+            integrate(_nan_field(), derive_coefficients(1.0), cfg)
+    assert err.value.time == 0.0
+
+
+def test_cfl_trip_mid_run_names_the_refused_step(monkeypatch):
+    # from step k on the right-hand side is a large constant: step k lifts the
+    # mean to dt * 1e5, and the guard refuses step k + 1 before its stages
+    grid = PeriodicGrid(64.0 * np.pi, 512)
+    dt, k = 0.01, 3
+    kernel = eulerian._nonlinear_spec
+    calls = []
+
+    def lifted(spec_u, *args, **kwargs):
+        calls.append(None)
+        out = kernel(spec_u, *args, **kwargs)
+        if len(calls) > 4 * k:
+            out = np.zeros_like(out)
+            out[0] = 1e5 * grid.n_points
+        return out
+
+    monkeypatch.setattr(eulerian, "_nonlinear_spec", lifted)
+    with pytest.raises(CFLError) as err:
+        solve(builtin_profile("smoke", grid), derive_coefficients(1.0),
+              SolverConfig(dt=dt, t_end=1.0))
+    assert err.value.time == dt * (k + 1)
+    assert len(calls) == 4 * (k + 1)
+
+
+def test_rk4_order_away_from_rounding():
+    # errors of 6e-7 down to 1.5e-10 against a dt/8 reference: far above
+    # rounding, so the measured order reads the scheme's, 4
+    grid = PeriodicGrid(64.0 * np.pi, 2**9)
+    u0 = builtin_profile("smoke", grid)
+    params = derive_coefficients(1.0)
+    dts = [0.25 / 2**i for i in range(4)]
+
+    def final(dt):
+        cfg = SolverConfig(dt=dt, t_end=2.0, snapshot_every=10**6)
+        return solve(u0, params, cfg).final().values
+
+    ref = final(dts[-1] / 8.0)
+    errs = [np.max(np.abs(final(dt) - ref)) for dt in dts]
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    assert all(abs(o - 4.0) <= 0.1 for o in orders), orders
+
+
+def test_rk4_march_is_the_classical_scheme():
+    # every integrator steps through this march, so a common-mode fault in
+    # it would pass the particle/grid cross-checks; pin it to the tableau.
+    # On y' = -2y each step multiplies by the RK4 stability polynomial, and
+    # on y' = 4 tau^3 the stage times make Simpson's rule, exact for cubics.
+    cfg = SolverConfig(dt=0.1, t_end=0.3)
+    z = -0.2
+    gain = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    times, snaps = eulerian._rk4_march(
+        np.ones(1), cfg, lambda tau, y: -2.0 * y, snapshot=lambda y: y[0],
+        guard=lambda y, t, t_next: None)
+    assert np.allclose(times, [0.0, 0.1, 0.2, 0.3], rtol=0.0, atol=1e-15)
+    assert snaps == pytest.approx([gain**i for i in range(4)], rel=1e-14)
+    _, snaps = eulerian._rk4_march(
+        np.zeros(1), cfg, lambda tau, y: np.full(1, 4.0 * tau**3),
+        snapshot=lambda y: y[0], guard=lambda y, t, t_next: None)
+    assert snaps[-1] == pytest.approx(0.3**4, rel=1e-14)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from rchlab import lagrangian
 from rchlab.coefficients import derive_coefficients
-from rchlab.errors import InvalidParameterError
+from rchlab.errors import DiffeomorphismError, InvalidParameterError
 from rchlab.eulerian import SolverConfig, rhs_g, solve
+from rchlab.initial_data import builtin_profile
 from rchlab.lagrangian import (LagrangianState, _one_sided_scan,
                                _w1_intersection_norm, exp_scan_split, initial_state, lagrangian_rhs,
                                lagrangian_solve, linf_along_paths,
@@ -296,3 +298,62 @@ def test_mass_and_energy_conserved_with_rotation():
     assert m_fine <= 8e-6
     assert 3.0 <= e_coarse / e_fine <= 5.0
     assert 3.0 <= m_coarse / m_fine <= 5.0
+
+
+def test_stage_crossing_names_the_step_start():
+    # one particle moves at unit speed into its resting neighbour a spacing
+    # ahead; they meet near t = 0.0982, inside step 7 (0.0875..0.1) after its
+    # midpoint, so the stage-4 input of step 7 is the first state that crosses
+    grid = PeriodicGrid(2.0 * np.pi, 64)
+    st = initial_state(Field(grid, np.zeros(64)))
+    st.U[20] = 1.0
+    dt = 0.0125
+    with pytest.raises(DiffeomorphismError) as err:
+        lagrangian_solve(st, derive_coefficients(0.0),
+                         SolverConfig(dt=dt, t_end=0.2))
+    assert err.value.time == dt * 7
+
+
+@pytest.mark.parametrize("row, message", [(0, "monotonicity"), (1, "y_xi")])
+def test_crossing_in_a_step_result_names_its_end(monkeypatch, row, message):
+    # in step k the stages 1, 2 and 4 close a gap (row 0: particle 20 runs
+    # into particle 21; row 1: y_xi at node 20 falls) that stage 3 leaves
+    # alone.  No stage input crosses, but the step's RK4 combination does.
+    grid = PeriodicGrid(2.0 * np.pi, 64)
+    dt, k = 0.01, 2
+    push = 1.6 * grid.spacing / dt if row == 0 else -1.6 / dt
+    rhs = lagrangian._rhs_packed
+    calls = []
+
+    def pushed(arr, *args, **kwargs):
+        out = rhs(arr, *args, **kwargs)
+        calls.append(None)
+        step, stage = divmod(len(calls) - 1, 4)
+        if step == k and stage != 2:
+            out[row, 20] += push
+        return out
+
+    monkeypatch.setattr(lagrangian, "_rhs_packed", pushed)
+    with pytest.raises(DiffeomorphismError, match=message) as err:
+        lagrangian_solve(initial_state(Field(grid, np.zeros(64))), P1,
+                         SolverConfig(dt=dt, t_end=0.1))
+    assert err.value.time == dt * (k + 1)
+    assert len(calls) == 4 * (k + 1)
+
+
+def test_rk4_order_away_from_rounding():
+    # errors of 4e-7 down to 1e-10 in the particle state against a dt/8
+    # reference: far above rounding, so the measured order is the scheme's
+    grid = PeriodicGrid(64.0 * np.pi, 2**11)
+    st = initial_state(builtin_profile("smoke", grid))
+    dts = [0.25 / 2**i for i in range(4)]
+
+    def final(dt):
+        cfg = SolverConfig(dt=dt, t_end=4.0, snapshot_every=10**6)
+        s = lagrangian_solve(st, P1, cfg).states[-1]
+        return np.stack([s.y, s.y_xi, s.U, s.U_xi])
+
+    ref = final(dts[-1] / 8.0)
+    errs = [np.max(np.abs(final(dt) - ref)) for dt in dts]
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    assert all(abs(o - 4.0) <= 0.1 for o in orders), orders

@@ -307,3 +307,9 @@ def test_binary_rejects_forged_files(tmp_path, case):
     path.write_bytes(FORGED[case])
     with pytest.raises(InvalidParameterError, match="forged.bin"):
         field_from_binary(path)
+
+
+def test_grid_above_the_cap_is_refused_before_allocating():
+    # 2^40 points would take 8 TiB for the lattice alone
+    with pytest.raises(InvalidParameterError, match="MAX_POINTS = 2\\^24"):
+        PeriodicGrid(1.0, 2**40)
