@@ -29,7 +29,7 @@ from .experiments import DEFAULT_LENGTH
 from .initial_data import (build_family, build_psi, builtin_profile,
                            certification_tables)
 from .lagrangian import initial_state, lagrangian_solve, pullback_to_eulerian
-from .littlewood_paley import (BesovIndex, besov_norm, block_norms,
+from .littlewood_paley import (BesovIndex, besov_norms, block_norms,
                                build_filter_bank, lp_norm, sequence_norm)
 from .spectral import (Field, PeriodicGrid, field_from_binary, field_from_csv,
                        field_to_binary, field_to_csv)
@@ -110,7 +110,7 @@ def _write_norm_table(path, traj, bank, indices) -> None:
             f = traj.field_at(i)
             row = [float(traj.times[i]), lp_norm(f, 2.0),
                    lp_norm(f, math.inf), h1_integral(f)]
-            row += [besov_norm(bank, f, idx) for idx in indices]
+            row += besov_norms(bank, f, indices)
             writer.writerow([repr(float(v)) for v in row])
 
 

@@ -156,7 +156,7 @@ def transport_diagnostic(f: Field) -> float:
 
 
 def _check_state(vals: np.ndarray, t_last_good: float) -> None:
-    m = np.max(np.abs(vals))
+    m = float(np.max(np.abs(vals)))
     if not np.isfinite(m) or m > BLOWUP_THRESHOLD:
         raise BlowUpError(
             f"state norm {m!r} beyond blow-up threshold {BLOWUP_THRESHOLD:g}",
@@ -226,7 +226,7 @@ def solve(u0: Field, params: ModelParams, cfg: SolverConfig) -> Trajectory:
         step_max = np.max(np.abs(u))
         if dt * step_max > CFL_FRACTION * grid.spacing:
             raise CFLError(
-                f"CFL guard failed at t={t:.6g}: dt*max|u|={dt * step_max:.3e} "
+                f"CFL guard failed: dt*max|u|={dt * step_max:.3e} "
                 f"> {CFL_FRACTION} * spacing={CFL_FRACTION * grid.spacing:.3e}",
                 time=t)
 

@@ -28,7 +28,7 @@ from .eulerian import (KAPPA_DEFAULT, SolverConfig, full_rhs, kappa_horizon,
                        picard_iterate, solve)
 from .initial_data import _top_half, build_family, build_psi, builtin_profile
 from .littlewood_paley import (BesovIndex, DyadicFilterBank, besov_norm,
-                               build_filter_bank, lp_norm)
+                               besov_norms, build_filter_bank, lp_norm)
 from .spectral import Field, PeriodicGrid, ddx
 
 DEFAULT_OMEGA = 1.0
@@ -194,8 +194,7 @@ class _FamilySetup:
 
 
 def _sweep_setup(idx: BesovIndex, n_list, length: float, steps: int,
-                 samples: int, dt: float | None, *, min_indices: int,
-                 horizon: str):
+                 dt: float | None, *, min_indices: int, horizon: str):
     """Sorted mode indices, one family and filter bank per n (a member's Besov
     norm is computed when a driver first reads it), and the solver
     configuration on half the smallest guaranteed-existence horizon of the
@@ -212,7 +211,7 @@ def _sweep_setup(idx: BesovIndex, n_list, length: float, steps: int,
                                  idx=idx)
     t_end = 0.5 * min(kappa_horizon(st.norm(horizon))
                       for st in setups.values())
-    dt, snapshot_every = _time_stepping(t_end, steps, samples, dt)
+    dt, snapshot_every = _time_stepping(t_end, steps, DEFAULT_SAMPLES, dt)
     return n_list, setups, SolverConfig(dt=dt, t_end=t_end,
                                         snapshot_every=snapshot_every)
 
@@ -244,10 +243,10 @@ def _late_exponent(table: list[dict], rows: list[int], key: str) -> Fit:
 
 
 def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
-                     length: float, steps: int, samples: int,
+                     length: float, steps: int,
                      dt: float | None) -> ExperimentReport:
     params = derive_coefficients(omega)
-    n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, samples, dt,
+    n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, dt,
                                        min_indices=4, horizon="u0n")
     table: list[dict] = []
     gap_rows: list[int] = []
@@ -335,39 +334,36 @@ def run_nonuniform_supercritical(s: float, p: float, r: float, n_list, *,
                                  omega: float = DEFAULT_OMEGA,
                                  length: float = DEFAULT_LENGTH,
                                  steps: int = DEFAULT_STEPS,
-                                 samples: int = DEFAULT_SAMPLES,
                                  dt: float | None = None) -> ExperimentReport:
     """Gap persistence for indices above the critical line."""
     if not (s > max(1.5, 1.0 + 1.0 / p)):
         raise InvalidParameterError(
             f"supercritical run needs s > max(3/2, 1 + 1/p), got s={s}, p={p}")
     return _nonuniform_core("nonuniform_supercritical", BesovIndex(s, p, r),
-                            n_list, omega, length, steps, samples, dt)
+                            n_list, omega, length, steps, dt)
 
 
 def run_nonuniform_critical(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
                             length: float = DEFAULT_LENGTH,
                             steps: int = DEFAULT_STEPS,
-                            samples: int = DEFAULT_SAMPLES,
                             dt: float | None = None) -> ExperimentReport:
     """Gap persistence on the critical line s = 1 + 1/p, r = 1, p in [1, 2]."""
     if not (1.0 <= p <= 2.0):
         raise InvalidParameterError(f"critical run needs p in [1, 2], got {p}")
     return _nonuniform_core("nonuniform_critical", BesovIndex(1.0 + 1.0 / p, p, 1.0),
-                            n_list, omega, length, steps, samples, dt)
+                            n_list, omega, length, steps, dt)
 
 
 def run_decomposition_rates(s: float, p: float, r: float, n_list, *,
                             omega: float = DEFAULT_OMEGA,
                             length: float = DEFAULT_LENGTH,
                             steps: int = DEFAULT_STEPS,
-                            samples: int = DEFAULT_SAMPLES,
                             dt: float | None = None) -> ExperimentReport:
     """Decay of the high-frequency evolution toward frozen data, side-band
     boundedness, and the quadratic-in-time first-order residual."""
     idx = BesovIndex(s, p, r)
     params = derive_coefficients(omega)
-    n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, samples, dt,
+    n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, dt,
                                        min_indices=4, horizon="w0n")
     idx_up = BesovIndex(s + 1.0, p, r)
     idx_down = BesovIndex(s - 1.0, p, r)
@@ -380,8 +376,9 @@ def run_decomposition_rates(s: float, p: float, r: float, n_list, *,
             w_t = traj_w.field_at(i)
             diff = Field(w_t.grid, w_t.values - st.fam.w0n.values)
             sup_dist = max(sup_dist, besov_norm(st.bank, diff, idx))
-            sup_up = max(sup_up, besov_norm(st.bank, w_t, idx_up))
-            sup_down = max(sup_down, besov_norm(st.bank, w_t, idx_down))
+            up, down = besov_norms(st.bank, w_t, (idx_up, idx_down))
+            sup_up = max(sup_up, up)
+            sup_down = max(sup_down, down)
         table.append({"n": n, "sup_distance": sup_dist,
                       "sideband_up": sup_up / 2.0**n,
                       "sideband_down": sup_down * 2.0**n,
@@ -433,7 +430,6 @@ def run_decomposition_rates(s: float, p: float, r: float, n_list, *,
 def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
                            length: float = DEFAULT_LENGTH,
                            steps: int = DEFAULT_STEPS,
-                           samples: int = DEFAULT_SAMPLES,
                            dt: float | None = None) -> ExperimentReport:
     """Quadratic-in-time control of the full first-order expansion on the
     critical line, with the boundedness diagnostic of the data family."""
@@ -442,7 +438,7 @@ def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
     s = 1.0 + 1.0 / p
     idx = BesovIndex(s, p, 1.0)
     params = derive_coefficients(omega)
-    n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, samples, dt,
+    n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, dt,
                                        min_indices=2, horizon="u0n")
     table: list[dict] = []
     for n in n_list:
@@ -450,8 +446,8 @@ def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
         u0 = st.fam.u0n
         linf = lp_norm(u0, math.inf)
         linf_x = lp_norm(ddx(u0), math.inf)
-        b2 = besov_norm(st.bank, u0, BesovIndex(2.0 + 1.0 / p, p, 1.0))
-        b3 = besov_norm(st.bank, u0, BesovIndex(3.0 + 1.0 / p, p, 1.0))
+        b2, b3 = besov_norms(st.bank, u0, (BesovIndex(2.0 + 1.0 / p, p, 1.0),
+                                           BesovIndex(3.0 + 1.0 / p, p, 1.0)))
         bracket = linf_x + linf + linf**2 + linf**3
         q_val = (1.0 + linf * b2 + linf**2 * b3 + bracket**2 * b2
                  + linf * bracket**2 * b3)
@@ -498,7 +494,6 @@ def run_continuous_dependence(s: float, p: float, r: float, eps_list,
                               omega: float = DEFAULT_OMEGA,
                               length: float = DEFAULT_LENGTH,
                               n_points: int = 2**12, steps: int = 64,
-                              samples: int = 8,
                               dt: float | None = None) -> ExperimentReport:
     """Vanishing of the solution distance under vanishing data perturbation."""
     idx = BesovIndex(s, p, r)
@@ -515,7 +510,7 @@ def run_continuous_dependence(s: float, p: float, r: float, eps_list,
     bank = build_filter_bank(grid)
     if t_end is None:
         t_end = 0.5 * kappa_horizon(besov_norm(bank, u0, idx))
-    dt, snapshot_every = _time_stepping(t_end, steps, samples, dt)
+    dt, snapshot_every = _time_stepping(t_end, steps, DEFAULT_SAMPLES, dt)
     cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_every=snapshot_every)
     base = solve(u0, params, cfg)
     table: list[dict] = []

@@ -4,9 +4,9 @@ Everything is built from one band-limited bump ``psi`` whose transform is a
 smooth plateau (1 on |k| <= 1/4, 0 beyond 1/2).  The high-frequency family
 modulates psi to a dyadic carrier ``(33/24) 2^n`` (snapped to the lattice),
 scaled by ``2^{-n s}``; the low-frequency family is ``(24/33) 2^{-n} psi``.
-Certification helpers tabulate the norm identities these families are
-designed to satisfy, with empirical constants taken over the top half of the
-mode range.
+:func:`certification_tables` tabulates the norm identities these families
+are designed to satisfy, with empirical constants taken over the top half of
+the mode range, in one pass that builds each member once.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import FrequencyOverflowError, InvalidParameterError
 from .littlewood_paley import (BesovIndex, DyadicFilterBank, besov_norm,
-                               block_norms, block_profile, build_filter_bank,
-                               lp_norm, sequence_norm, smooth_plateau,
-                               weight_profile)
+                               besov_norms, build_filter_bank, lp_norm,
+                               smooth_plateau)
 from .spectral import Field, PeriodicGrid, ddx, product, synthesize
 
 PLATEAU_RADIUS = 0.25
@@ -128,10 +127,6 @@ class CertTable:
     values: np.ndarray
     empirical_min: float  # over the top half of the range
 
-    def rows(self) -> list[dict]:
-        return [{"n": int(n), self.quantity: float(v)}
-                for n, v in zip(self.ns, self.values)]
-
 
 def _top_half(seq):
     """Upper half of a list, range or array: the window of every empirical
@@ -139,53 +134,37 @@ def _top_half(seq):
     return seq[len(seq) // 2:]
 
 
-def check_psii(bump: BumpProfile, a: float, n_range) -> CertTable:
-    """Lattice L^a norms of psi^2 cos(k_n x); the empirical floor of these
-    is the modulation-stability constant of the squared bump."""
-    ns = np.asarray(list(n_range), dtype=int)
-    psi2 = product(bump.field, bump.field)
-    vals = []
-    for n in ns:
-        k_n, _ = modulation_frequency(bump.grid, int(n))
-        f = Field(bump.grid, psi2.values * np.cos(k_n * bump.grid.x))
-        vals.append(lp_norm(f, a))
-    values = np.asarray(vals)
-    return CertTable(quantity="psi2_cos_norm", ns=ns, values=values,
+def _cert_table(quantity: str, ns, values) -> CertTable:
+    values = np.asarray(values)
+    return CertTable(quantity=quantity, ns=np.asarray(ns, dtype=int),
+                     values=values,
                      empirical_min=float(np.min(_top_half(values))))
 
 
-def check_low_product(bump: BumpProfile, n_range, s: float, p: float,
-                      bank: DyadicFilterBank | None = None) -> CertTable:
+def _check_resolvable(bank: DyadicFilterBank, ns) -> None:
+    if max(ns) > bank.j_max:
+        raise InvalidParameterError(
+            f"block {max(ns)} not resolvable (j_max={bank.j_max}); "
+            f"enlarge the grid")
+
+
+def _low_product_norm(bank: DyadicFilterBank, v: Field, dw: Field, s: float,
+                      p: float) -> float:
+    """Sup-weighted Besov norm of v0n d_x w0n."""
+    return besov_norm(bank, product(v, dw, dealias=True),
+                      BesovIndex(s, p, math.inf))
+
+
+def check_low_product(bump: BumpProfile, n_range, s: float,
+                      p: float) -> CertTable:
     """Sup-weighted Besov norms of v0n d_x w0n; their floor certifies the
     first-order gap between neighbouring family members."""
-    ns = np.asarray(list(n_range), dtype=int)
-    if bank is None:
-        bank = build_filter_bank(bump.grid)
-    if int(np.max(ns)) > bank.j_max:
-        raise InvalidParameterError(
-            f"block {int(np.max(ns))} not resolvable (j_max={bank.j_max}); "
-            f"enlarge the grid")
-    idx = BesovIndex(s, p, math.inf)
-    vals = []
-    for n in ns:
-        w = make_w0n(bump, int(n), s)
-        v = make_v0n(bump, int(n))
-        f = product(v, ddx(w), dealias=True)
-        vals.append(float(np.max(block_norms(bank, f, idx))))
-    values = np.asarray(vals)
-    return CertTable(quantity="low_product_norm", ns=ns, values=values,
-                     empirical_min=float(np.min(_top_half(values))))
-
-
-def _carrier_norms(bank: DyadicFilterBank, w: Field, indices,
-                   p: float) -> list[float]:
-    """Besov norms of ``w`` at each index from its one block profile, then
-    ||d_x w||_{L^p}."""
-    profile = block_profile(bank, w, p)
-    row = [sequence_norm(weight_profile(profile, idx.s), idx.r)
-           for idx in indices]
-    row.append(lp_norm(ddx(w), p))
-    return row
+    ns = [int(n) for n in n_range]
+    bank = build_filter_bank(bump.grid)
+    _check_resolvable(bank, ns)
+    return _cert_table("low_product_norm", ns, [
+        _low_product_norm(bank, make_v0n(bump, n), ddx(make_w0n(bump, n, s)),
+                          s, p) for n in ns])
 
 
 def certification_tables(bump: BumpProfile, n_range, s: float, p: float,
@@ -195,29 +174,32 @@ def certification_tables(bump: BumpProfile, n_range, s: float, p: float,
     Emits the carrier norms at the three neighbouring regularities (their
     log2 slopes against n should be theta - s), the carrier derivative in
     L^p (slope 1 - s), the low-frequency companion norm (slope -1), the
-    squared-bump modulation norms, and the low-product norms.
+    L^p norms of psi^2 cos(k_n x) (their floor is the modulation-stability
+    constant of the squared bump), and the low-product norms.  Each member
+    w0n, d_x w0n, v0n is built once, and no member outlives its own row.
     """
-    ns = list(n_range)
-    bank = build_filter_bank(bump.grid)
+    ns = [int(n) for n in n_range]
+    grid = bump.grid
+    bank = build_filter_bank(grid)
+    _check_resolvable(bank, ns)
     carrier_idx = {f"w0n_besov_{tag}": BesovIndex(theta, p, r) for theta, tag
                    in ((s - 1.0, "minus"), (s, "center"), (s + 1.0, "plus"))}
-    # one member at a time, so that no member outlives its own row
-    rows = [_carrier_norms(bank, make_w0n(bump, n, s), carrier_idx.values(), p)
-            for n in ns]
-    tables: list[CertTable] = []
-    for quantity, column in zip([*carrier_idx, "dx_w0n_lp"], zip(*rows)):
-        vals = np.asarray(column)
-        tables.append(CertTable(
-            quantity=quantity, ns=np.asarray(ns, dtype=int), values=vals,
-            empirical_min=float(np.min(_top_half(vals)))))
-    idx_s = BesovIndex(s, p, r)
-    vals = np.asarray([besov_norm(bank, make_v0n(bump, n), idx_s) for n in ns])
-    tables.append(CertTable(quantity="v0n_besov", ns=np.asarray(ns, dtype=int),
-                            values=vals,
-                            empirical_min=float(np.min(_top_half(vals)))))
-    tables.append(check_psii(bump, p, ns))
-    tables.append(check_low_product(bump, ns, s, p, bank))
-    return tables
+    psi2 = product(bump.field, bump.field)
+
+    def row(n: int) -> list[float]:
+        w = make_w0n(bump, n, s)
+        dw = ddx(w)
+        v = make_v0n(bump, n)
+        k_n, _ = modulation_frequency(grid, n)
+        return [*besov_norms(bank, w, carrier_idx.values()), lp_norm(dw, p),
+                besov_norm(bank, v, BesovIndex(s, p, r)),
+                lp_norm(Field(grid, psi2.values * np.cos(k_n * grid.x)), p),
+                _low_product_norm(bank, v, dw, s, p)]
+
+    quantities = [*carrier_idx, "dx_w0n_lp", "v0n_besov", "psi2_cos_norm",
+                  "low_product_norm"]
+    return [_cert_table(quantity, ns, column) for quantity, column
+            in zip(quantities, zip(*[row(n) for n in ns]))]
 
 
 def builtin_profile(name: str, grid: PeriodicGrid) -> Field:

@@ -34,7 +34,6 @@ class LagrangianState:
     y_xi: np.ndarray
     U: np.ndarray
     U_xi: np.ndarray
-    ux_integral: np.ndarray | None = None  # time integral of u_x along paths
 
 
 @dataclass
@@ -49,8 +48,7 @@ def initial_state(u0: Field) -> LagrangianState:
     x = u0.grid.x.copy()
     return LagrangianState(grid=u0.grid, labels=x, y=x.copy(),
                            y_xi=np.ones_like(x), U=u0.values.copy(),
-                           U_xi=ddx(u0).values,
-                           ux_integral=np.zeros_like(x))
+                           U_xi=ddx(u0).values)
 
 
 def _check_monotone(y: np.ndarray, period: float, time=None) -> None:
@@ -151,19 +149,17 @@ def lagrangian_rhs(state: LagrangianState, params: ModelParams) -> LagrangianSta
 
 
 def _pack(state: LagrangianState) -> np.ndarray:
-    return np.stack([state.y, state.y_xi, state.U, state.U_xi,
-                     state.ux_integral if state.ux_integral is not None
-                     else np.zeros_like(state.y)])
+    return np.stack([state.y, state.y_xi, state.U, state.U_xi])
 
 
 def _unpack(grid, labels, arr) -> LagrangianState:
     return LagrangianState(grid=grid, labels=labels, y=arr[0], y_xi=arr[1],
-                           U=arr[2], U_xi=arr[3], ux_integral=arr[4])
+                           U=arr[2], U_xi=arr[3])
 
 
 def _rhs_packed(arr: np.ndarray, grid: PeriodicGrid,
                 params: ModelParams) -> np.ndarray:
-    """Time derivative of the packed state ``(y, y_xi, U, U_xi, int u_x)``."""
+    """Time derivative of the packed state ``(y, y_xi, U, U_xi)``."""
     y, y_xi, U, U_xi = arr[0], arr[1], arr[2], arr[3]
     if np.min(y_xi) <= 0.0:
         raise DiffeomorphismError("y_xi must stay positive")
@@ -179,7 +175,6 @@ def _rhs_packed(arr: np.ndarray, grid: PeriodicGrid,
     out[1] = U_xi
     out[2] = 0.5 * (dxi * (t_left - t_right))
     out[3] = w - 0.5 * y_xi * (dxi * (w + t_left + t_right))
-    out[4] = ux
     return out
 
 

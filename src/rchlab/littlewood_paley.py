@@ -13,6 +13,8 @@ field once and measures every block in L^p: Plancherel for p = 2, one inverse
 transform per block otherwise.  The profile does not depend on (s, r), so one
 profile serves every regularity: :func:`weight_profile` applies the weights
 2^{js} and :func:`sequence_norm` takes the l^r norm over j.
+:func:`besov_norms` measures one field at several indices from one profile
+per distinct p.
 """
 
 from __future__ import annotations
@@ -187,16 +189,28 @@ def high_tail_fraction(bank: DyadicFilterBank, f: Field) -> float:
     return tail / total
 
 
-def besov_norm(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> float:
-    """Besov norm: l^r over j of the weighted block norms."""
-    a = block_norms(bank, f, idx)
+def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> list[float]:
+    """Besov norms of ``f`` at each index: l^r over j of the weighted block
+    norms, from one block profile per distinct p."""
+    profiles: dict[float, np.ndarray] = {}
+    norms = []
+    for idx in indices:
+        if idx.p not in profiles:
+            profiles[idx.p] = block_profile(bank, f, idx.p)
+        norms.append(sequence_norm(weight_profile(profiles[idx.p], idx.s),
+                                   idx.r))
     if log.isEnabledFor(logging.DEBUG):  # the tail costs a second transform
         tail = high_tail_fraction(bank, f)
         if tail > 1e-12:
             log.debug("besov_norm: %.3e of the L2 mass sits beyond the top "
                       "annulus and is carried by block j_max=%d", tail,
                       bank.j_max)
-    return sequence_norm(a, idx.r)
+    return norms
+
+
+def besov_norm(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> float:
+    """Besov norm: l^r over j of the weighted block norms."""
+    return besov_norms(bank, f, (idx,))[0]
 
 
 def sobolev_h_norm(f: Field, s: float) -> float:

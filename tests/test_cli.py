@@ -168,7 +168,7 @@ def _run_script(argv, cwd):
     (["data", "--family", "w0n", "--n", "12", "--N", "2048", "--out", "w.csv"],
      "FrequencyOverflowError: carrier", ""),
     (["solve", "--init", "smoke", "--dt", "1", "--tend", "2", "--out", "x"],
-     "CFLError: CFL guard failed at t=0", " t=0.0"),
+     "CFLError: CFL guard failed: dt*max|u|=", " t=0.0"),
     (["picard", "--init", "smoke", "--N", "2048", "--omega", "2.5",
       "--tend", "0.1", "--dt", "0.03", "--m-max", "5", "--out", "x"],
      "BlowUpError: state norm", " t=0.06"),
@@ -182,4 +182,5 @@ def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith(head) and lines[0].endswith(tail), lines[0]
+    assert "np.float64" not in lines[0]
     assert not (tmp_path / "x").exists()

@@ -126,8 +126,7 @@ def test_time_stepping_rejects_empty_counts(steps, samples, dt):
                                  [1e-2, 1e-3, 1e-3]])
 def test_continuous_dependence_rejects_bad_eps(eps):
     with pytest.raises(InvalidParameterError):
-        run_continuous_dependence(2.0, 2.0, 2.0, eps, n_points=2**11, steps=4,
-                                  samples=2)
+        run_continuous_dependence(2.0, 2.0, 2.0, eps, n_points=2**11, steps=4)
 
 
 @pytest.mark.parametrize("run, n_list", [
@@ -166,7 +165,7 @@ def test_sweep_reports_are_byte_identical_across_runs(tmp_path):
 
 def test_continuous_dependence_small_run(tmp_path):
     report = run_continuous_dependence(
-        2.0, 2.0, 2.0, [1e-1, 1e-2], n_points=2**11, steps=16, samples=4)
+        2.0, 2.0, 2.0, [1e-1, 1e-2], n_points=2**11, steps=16)
     assert [row["eps"] for row in report.table] == [1e-1, 1e-2]
     assert report.verdicts["distance_vanishes"].passed
     assert report.fits["continuity_slope"].slope == pytest.approx(1.0, abs=0.2)

@@ -11,10 +11,11 @@ from rchlab.initial_data import (build_family, build_psi, builtin_profile,
                                  certification_tables, check_low_product,
                                  make_v0n, make_w0n, max_feasible_n,
                                  modulation_frequency)
-from rchlab.littlewood_paley import (BesovIndex, besov_norm,
+from rchlab.littlewood_paley import (BesovIndex, besov_norm, block_norms,
                                      build_filter_bank, dyadic_block, lp_norm,
                                      smooth_plateau)
-from rchlab.spectral import Field, PeriodicGrid, ddx, mode_amplitudes
+from rchlab.spectral import (Field, PeriodicGrid, ddx, mode_amplitudes,
+                             product)
 
 GRID64 = PeriodicGrid(64.0 * np.pi, 2**14)
 BUMP = build_psi(GRID64)
@@ -104,8 +105,8 @@ def test_family_transport_seed():
 
 @pytest.mark.parametrize("p, r", [(2.0, 2.0), (1.0, 1.0), (1.0, math.inf)])
 def test_certification_tables_match_separate_norms(p, r):
-    # one block profile per member must reproduce, bit for bit, a separate
-    # besov_norm at each regularity and a separate derivative norm
+    # one pass that builds each member once must reproduce, bit for bit, a
+    # separate computation of every table
     s, ns = 2.0, range(3, 7)
     bank = build_filter_bank(GRID64)
     tables = {t.quantity: t for t in certification_tables(BUMP, ns, s, p, r)}
@@ -115,6 +116,20 @@ def test_certification_tables_match_separate_norms(p, r):
         assert tables[f"w0n_besov_{tag}"].values.tolist() == want, tag
     want = [lp_norm(ddx(make_w0n(BUMP, n, s)), p) for n in ns]
     assert tables["dx_w0n_lp"].values.tolist() == want
+    want = [besov_norm(bank, make_v0n(BUMP, n), BesovIndex(s, p, r))
+            for n in ns]
+    assert tables["v0n_besov"].values.tolist() == want
+    psi2 = product(BUMP.field, BUMP.field).values
+    want = [lp_norm(Field(GRID64, psi2 * np.cos(modulation_frequency(
+        GRID64, n)[0] * GRID64.x)), p) for n in ns]
+    assert tables["psi2_cos_norm"].values.tolist() == want
+    want = [float(np.max(block_norms(bank, product(
+        make_v0n(BUMP, n), ddx(make_w0n(BUMP, n, s)), dealias=True),
+        BesovIndex(s, p, math.inf)))) for n in ns]
+    assert tables["low_product_norm"].values.tolist() == want
+    assert len(tables) == 7
+    assert tables["low_product_norm"].values.tolist() == (
+        check_low_product(BUMP, ns, s, p).values.tolist())
 
 
 def test_certification_slopes():
@@ -149,8 +164,9 @@ def test_certification_slopes():
 
 
 def test_low_product_needs_resolvable_block():
-    with pytest.raises(InvalidParameterError):
-        check_low_product(BUMP, [7], 2.0, 2.0)
+    for tabulate in (check_low_product, certification_tables):
+        with pytest.raises(InvalidParameterError, match="not resolvable"):
+            tabulate(BUMP, [7], 2.0, 2.0)
 
 
 def test_bump_needs_fine_frequency_lattice():

@@ -165,17 +165,6 @@ def _trig_setup(n_points=2**12):
     return grid, u0
 
 
-def test_exponential_stretching_identity():
-    # y_xi(t) = exp(int_0^t u_x along the path); both sides are integrated
-    # by the same RK4 so they agree to scheme accuracy
-    _, u0 = _trig_setup()
-    cfg = SolverConfig(dt=1.0 / 128.0, t_end=0.5, snapshot_every=16)
-    traj = lagrangian_solve(initial_state(u0), P1, cfg)
-    final = traj.states[-1]
-    gap = np.max(np.abs(final.y_xi - np.exp(final.ux_integral)))
-    assert gap <= 1e-6
-
-
 def test_pullback_identity_at_t0():
     _, u0 = _trig_setup()
     back = pullback_to_eulerian(initial_state(u0))

@@ -8,11 +8,11 @@ import pytest
 
 import rchlab.littlewood_paley as lp
 from rchlab.errors import InvalidParameterError
-from rchlab.littlewood_paley import (BesovIndex, besov_norm, block_norms,
-                                     block_profile, build_filter_bank,
-                                     chi_profile, dyadic_block,
-                                     high_tail_fraction, lp_norm,
-                                     sequence_norm, sobolev_h_norm,
+from rchlab.littlewood_paley import (BesovIndex, besov_norm, besov_norms,
+                                     block_norms, block_profile,
+                                     build_filter_bank, chi_profile,
+                                     dyadic_block, high_tail_fraction,
+                                     lp_norm, sequence_norm, sobolev_h_norm,
                                      w1p_norm, weight_profile)
 from rchlab.spectral import Field, PeriodicGrid, ddx
 
@@ -197,3 +197,9 @@ def test_one_profile_serves_every_regularity(p):
             idx = BesovIndex(s, p, r)
             assert np.array_equal(weighted, block_norms(BANK, f, idx))
             assert sequence_norm(weighted, r) == besov_norm(BANK, f, idx)
+    # several indices in one call, with p interleaved, equal one besov_norm
+    # per index bit for bit
+    indices = [BesovIndex(s, q, r) for s in (-1.0, 2.0)
+               for r in (1.0, 2.0, math.inf) for q in (p, 1.0, 2.0, math.inf)]
+    assert besov_norms(BANK, f, indices) == [besov_norm(BANK, f, idx)
+                                             for idx in indices]
