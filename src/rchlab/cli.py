@@ -223,12 +223,8 @@ def _cmd_data(args) -> int:
     return 0
 
 
-def _report_out(args, default_name: str) -> Path:
-    return Path(args.out) if args.out else Path("reports") / default_name
-
-
 def _finish_campaign(report, args, name: str) -> int:
-    out = _report_out(args, name)
+    out = Path(args.out) if args.out else Path("reports") / name
     experiments.write_report(report, out)
     for key, v in report.verdicts.items():
         tag = "PASS" if v.passed else "FAIL"
@@ -302,7 +298,6 @@ def _add_campaign_flags(p, steps: int) -> None:
                    help=f"time steps (default {steps})")
     p.add_argument("--out", default=None,
                    help="report directory (default reports/<name>)")
-    _add_grid_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,9 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     p.set_defaults(func=_cmd_data)
 
+    # a sweep sizes its grid per mode index: it takes no --N, and N is None
     sweep = argparse.ArgumentParser(add_help=False)
     sweep.add_argument("--n-min", type=int, default=5)
     sweep.add_argument("--n-max", type=int, default=9)
+    _add_campaign_flags(sweep, steps=48)
+    _add_grid_flags(sweep, with_points=False)
+    sweep.set_defaults(N=None)
 
     p = sub.add_parser("nonuniform-super", parents=[sweep],
                        help="high/low frequency gap persistence, "
@@ -378,13 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--r", type=float, default=2.0)
-    _add_campaign_flags(p, steps=48)
     p.set_defaults(func=_cmd_nonuniform_super)
 
     p = sub.add_parser("nonuniform-critical", parents=[sweep],
                        help="gap persistence on the critical index line")
     p.add_argument("--p", type=float, default=2.0)
-    _add_campaign_flags(p, steps=48)
     p.set_defaults(func=_cmd_nonuniform_critical)
 
     p = sub.add_parser("decomp-rates", parents=[sweep],
@@ -393,14 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=2.5)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--r", type=float, default=2.0)
-    _add_campaign_flags(p, steps=48)
     p.set_defaults(func=_cmd_decomp_rates)
 
     p = sub.add_parser("critical-expansion", parents=[sweep],
                        help="first-order expansion control on the critical "
                             "line")
     p.add_argument("--p", type=float, default=2.0)
-    _add_campaign_flags(p, steps=48)
     p.set_defaults(func=_cmd_critical_expansion)
 
     p = sub.add_parser("continuity",
@@ -412,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, action="append", default=None)
     p.add_argument("--tend", type=float, default=None)
     _add_campaign_flags(p, steps=64)
+    _add_grid_flags(p)
     p.set_defaults(func=_cmd_continuity)
 
     p = sub.add_parser("picard",
@@ -423,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--tend", type=float, default=None)
     _add_campaign_flags(p, steps=200)
+    _add_grid_flags(p)
     p.set_defaults(func=_cmd_picard)
 
     return parser

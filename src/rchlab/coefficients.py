@@ -120,8 +120,6 @@ def solve_gamma_cubic(c: float, alpha: float, beta0: float, beta: float,
     a1 = -2.0
     a2 = omega1 / alpha**2
     a3 = -omega2 / alpha**3
-    if a0 == 0.0 and a1 == 0.0 and a2 == 0.0 and a3 == 0.0:
-        raise InvalidParameterError("degenerate all-zero gamma polynomial")
 
     def poly(g):
         return a0 + g * (a1 + g * (a2 + g * a3))
@@ -137,9 +135,9 @@ def solve_gamma_cubic(c: float, alpha: float, beta0: float, beta: float,
         disc = a1 * a1 - 4.0 * a2 * a0
         if disc >= 0.0:
             sq = math.sqrt(disc)
-            # numerically stable quadratic roots
+            # numerically stable quadratic roots; a1 = -2 makes q >= 1
             q = -0.5 * (a1 + math.copysign(sq, a1))
-            roots = [q / a2] if q == 0.0 else [q / a2, a0 / q]
+            roots = [q / a2, a0 / q]
     else:
         # monotone intervals delimited by the critical points of the cubic
         bound = 1.0 + max(abs(a0), abs(a1), abs(a2)) / abs(a3)

@@ -7,9 +7,10 @@ half of the sweep range, and emits a report with explicit pass/fail verdicts.
 Reports are bit-for-bit reproducible: evaluation order is fixed and nothing
 draws randomness.
 
-The three mode-index sweeps share one skeleton: :func:`_sweep_setup`, and one
-helper each for the top-half slope, the first-order residual rows and their
-late-t exponent.
+Every campaign measures its per-snapshot Besov distances through
+:func:`_distances`.  The three mode-index sweeps share one skeleton:
+:func:`_sweep_setup`, and one helper each for the top-half slope, the
+first-order residual rows and their late-t exponent.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ class ExperimentReport:
     fits: dict[str, Fit] = field(default_factory=dict)
     verdicts: dict[str, Verdict] = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         n = len(self.table)
         for key, v in self.verdicts.items():
@@ -114,23 +118,19 @@ def write_report(report: ExperimentReport, outdir) -> None:
         writer.writeheader()
         for row in report.table:
             writer.writerow({k: _jsonable(v) for k, v in row.items()})
-    hints = report.parameters.get("plot", {})
-    x_col = hints.get("x", columns[0] if columns else "x")
-    y_col = hints.get("y", columns[-1] if columns else "y")
-    logscale = hints.get("logscale", "")
-    ix = columns.index(x_col) + 1 if x_col in columns else 1
-    iy = columns.index(y_col) + 1 if y_col in columns else 2
+    plot = report.parameters["plot"]
     script = [
         f'# {report.name}',
         'set datafile separator ","',
         'set key autotitle columnhead',
         'set grid',
-        f'set xlabel "{x_col}"',
-        f'set ylabel "{y_col}"',
+        f'set xlabel "{plot["x"]}"',
+        f'set ylabel "{plot["y"]}"',
     ]
-    if logscale:
-        script.append(f'set logscale {logscale}')
-    script.append(f'plot "table.csv" using {ix}:{iy} with linespoints')
+    if plot["logscale"]:
+        script.append(f'set logscale {plot["logscale"]}')
+    script.append(f'plot "table.csv" using {columns.index(plot["x"]) + 1}:'
+                  f'{columns.index(plot["y"]) + 1} with linespoints')
     (out / "plot.gp").write_text("\n".join(script) + "\n")
 
 
@@ -216,6 +216,14 @@ def _sweep_setup(idx: BesovIndex, n_list, length: float, steps: int,
                                         snapshot_every=snapshot_every)
 
 
+def _distances(bank: DyadicFilterBank, states, ref,
+               idx: BesovIndex) -> list[float]:
+    """Besov norm of ``states[i] - ref[i]`` at each snapshot i; a single
+    array (or scalar) ``ref`` serves every snapshot."""
+    return [besov_norm(bank, Field(bank.grid, a - b), idx)
+            for a, b in zip(states, np.broadcast_to(ref, np.shape(states)))]
+
+
 def _top_half_slope(ns, values) -> Fit:
     """Slope of log2 ``values`` against n over the top half of the sweep."""
     return fit_line(_top_half(ns), np.log2(_top_half(values)))
@@ -256,14 +264,12 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
         traj_u = solve(s.fam.u0n, params, cfg)
         traj_w = solve(s.fam.w0n, params, cfg)
         curve_rows[n] = []
-        for i, t in enumerate(traj_u.times.tolist()):
-            dist = besov_norm(s.bank, Field(traj_u.grid, traj_u.states[i]
-                                            - traj_w.states[i]), idx)
-            row = {"n": n, "t": t, "distance": dist,
-                   "ratio": dist / t if t > 0 else float("nan"),
-                   "v0n_norm": s.norm("v0n"), "w0n_norm": s.norm("w0n"),
-                   "u0n_norm": s.norm("u0n")}
-            table.append(row)
+        dists = _distances(s.bank, traj_u.states, traj_w.states, idx)
+        for t, dist in zip(traj_u.times.tolist(), dists):
+            table.append({"n": n, "t": t, "distance": dist,
+                          "ratio": dist / t if t > 0 else float("nan"),
+                          "v0n_norm": s.norm("v0n"), "w0n_norm": s.norm("w0n"),
+                          "u0n_norm": s.norm("u0n")})
             curve_rows[n].append(len(table) - 1)
             if t == 0.0:
                 gap_rows.append(len(table) - 1)
@@ -271,21 +277,19 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
     gap_fit = _top_half_slope(n_list, [setups[n].norm("v0n") for n in n_list])
     wb_fit = _top_half_slope(n_list, [setups[n].norm("w0n") for n in n_list])
 
-    # empirical kappa: per sampled t > 0, minimum over top-half n of dist/t
-    times = sorted({round(table[i]["t"], 12) for i in curve_rows[n_list[0]]})
+    # empirical kappa: per sampled t > 0, minimum over top-half n of dist/t;
+    # every n shares cfg, so snapshot i sits at the same t for every n (the
+    # trend fit reads t rounded to 12 places, as it always has)
     top_ns = _top_half(n_list)
     kappa_curve = []
     kappa_rows: list[int] = []
-    for t in times:
+    for i, row in enumerate(curve_rows[n_list[0]]):
+        t = table[row]["t"]
         if t <= 0.0:
             continue
-        vals = []
-        for n in top_ns:
-            for i in curve_rows[n]:
-                if abs(table[i]["t"] - t) < 1e-12:
-                    vals.append(table[i]["ratio"])
-                    kappa_rows.append(i)
-        kappa_curve.append((t, min(vals)))
+        rows = [curve_rows[n][i] for n in top_ns]
+        kappa_rows += rows
+        kappa_curve.append((round(t, 12), min(table[j]["ratio"] for j in rows)))
     late = [(t, v) for t, v in kappa_curve if t >= cfg.t_end / 4.0 - 1e-12]
     kappa_emp = min(v for _, v in late)
     kappa_fit = fit_line(np.log([t for t, _ in late]),
@@ -295,7 +299,7 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
     t0_err = max(abs(table[i]["distance"] - table[i]["v0n_norm"])
                  / max(table[i]["v0n_norm"], 1e-300) for i in gap_rows)
 
-    report = ExperimentReport(
+    return ExperimentReport(
         name=name,
         parameters={"s": idx.s, "p": idx.p, "r": idx.r, "n_list": n_list,
                     "omega": omega, "length": length, "kappa": KAPPA_DEFAULT,
@@ -320,14 +324,12 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
                 passed=kappa_emp > 0.0, value=kappa_emp,
                 tolerance="min over top-half n, t in [T0/4, T0] of "
                           "distance/t > 0",
-                rows=sorted(set(kappa_rows)),
+                rows=sorted(kappa_rows),
                 detail="empirical persistence of the solution gap"),
             "t0_gap_identity": Verdict(
                 passed=t0_err <= 1e-12, value=t0_err,
                 tolerance="relative error <= 1e-12", rows=gap_rows,
                 detail="distance at t=0 equals the initial gap exactly")})
-    report.validate()
-    return report
 
 
 def run_nonuniform_supercritical(s: float, p: float, r: float, n_list, *,
@@ -371,14 +373,11 @@ def run_decomposition_rates(s: float, p: float, r: float, n_list, *,
     for n in n_list:
         st = setups[n]
         traj_w = solve(st.fam.w0n, params, cfg)
-        sup_dist = sup_up = sup_down = 0.0
-        for i in range(len(traj_w.times)):
-            w_t = traj_w.field_at(i)
-            diff = Field(w_t.grid, w_t.values - st.fam.w0n.values)
-            sup_dist = max(sup_dist, besov_norm(st.bank, diff, idx))
-            up, down = besov_norms(st.bank, w_t, (idx_up, idx_down))
-            sup_up = max(sup_up, up)
-            sup_down = max(sup_down, down)
+        sup_up, sup_down = np.max(
+            [besov_norms(st.bank, traj_w.field_at(i), (idx_up, idx_down))
+             for i in range(len(traj_w.times))], axis=0)
+        sup_dist = max(_distances(st.bank, traj_w.states, st.fam.w0n.values,
+                                  idx))
         table.append({"n": n, "sup_distance": sup_dist,
                       "sideband_up": sup_up / 2.0**n,
                       "sideband_down": sup_down * 2.0**n,
@@ -396,7 +395,7 @@ def run_decomposition_rates(s: float, p: float, r: float, n_list, *,
     res_fit = _late_exponent(table, res_rows, "first_order_residual")
 
     bound = -(s - 1.5) / 2.0 + 0.3
-    report = ExperimentReport(
+    return ExperimentReport(
         name="decomposition_rates",
         parameters={"s": s, "p": p, "r": r, "n_list": n_list, "omega": omega,
                     "length": length, "kappa": KAPPA_DEFAULT,
@@ -423,8 +422,6 @@ def run_decomposition_rates(s: float, p: float, r: float, n_list, *,
                 tolerance="t-exponent >= 1.8", rows=res_rows,
                 detail=f"first-order residual at n={n_big}, top half of the "
                        f"t range")})
-    report.validate()
-    return report
 
 
 def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
@@ -465,7 +462,7 @@ def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
     q_fit = fit_line(np.asarray(n_list, dtype=float),
                      np.log2([table[i]["q_diagnostic"] for i in q_rows]))
     res_fit = _late_exponent(table, res_rows, "expansion_residual")
-    report = ExperimentReport(
+    return ExperimentReport(
         name="critical_expansion",
         parameters={"p": p, "s": s, "n_list": n_list, "omega": omega,
                     "length": length, "kappa": KAPPA_DEFAULT,
@@ -485,8 +482,6 @@ def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
                 tolerance="t-exponent >= 1.8", rows=res_rows,
                 detail=f"full first-order residual at n={n_big}, top half "
                        f"of t range")})
-    report.validate()
-    return report
 
 
 def run_continuous_dependence(s: float, p: float, r: float, eps_list,
@@ -516,13 +511,12 @@ def run_continuous_dependence(s: float, p: float, r: float, eps_list,
     table: list[dict] = []
     for eps in eps_list:
         traj = solve(Field(grid, u0.values + eps * pert.values), params, cfg)
-        sup_dist = max(besov_norm(bank, Field(grid, state - ref), idx)
-                       for state, ref in zip(traj.states, base.states))
-        table.append({"eps": eps, "sup_distance": sup_dist})
+        table.append({"eps": eps, "sup_distance": max(
+            _distances(bank, traj.states, base.states, idx))})
     dists = [row["sup_distance"] for row in table]
     strictly_decreasing = all(b < a for a, b in zip(dists, dists[1:]))
     cont_fit = fit_line(np.log(eps_list), np.log(dists))
-    report = ExperimentReport(
+    return ExperimentReport(
         name="continuous_dependence",
         parameters={"s": s, "p": p, "r": r, "eps_list": eps_list,
                     "omega": omega, "length": length, "n_points": n_points,
@@ -536,8 +530,6 @@ def run_continuous_dependence(s: float, p: float, r: float, eps_list,
             tolerance="sup-t distance strictly decreasing along eps -> 0",
             rows=list(range(len(table))),
             detail=f"fitted continuity slope {cont_fit.slope:.3f}")})
-    report.validate()
-    return report
 
 
 def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
@@ -560,31 +552,21 @@ def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
 
     # iters[j] is iterate j+1; iterate zero vanishes identically, so the
     # first gap is just the sup-t norm of iterate one.
-    table: list[dict] = []
-    gaps: list[float] = []
-    for m in range(1, m_max + 1):
-        cur = iters[m - 1]
-        sup = 0.0
-        for i in range(len(cur.times)):
-            vals = cur.states[i].copy()
-            if m >= 2:
-                vals -= iters[m - 2].states[i]
-            sup = max(sup, besov_norm(bank, Field(u0.grid, vals), idx_gap))
-        gaps.append(sup)
-        table.append({"m": m, "iterate_gap": sup})
+    gaps = [max(_distances(bank, cur.states, prev, idx_gap))
+            for cur, prev in zip(iters, [0.0] + [it.states for it in iters])]
+    table: list[dict] = [{"m": m, "iterate_gap": gap}
+                         for m, gap in enumerate(gaps, start=1)]
     d_rows = list(range(len(table)))
     ratios = [b / a if a > 0 else float("nan") for a, b in zip(gaps, gaps[1:])]
     for i, rt in enumerate(ratios):
         table[i + 1]["ratio"] = rt  # row m holds d_m / d_{m-1}
 
-    terminal = 0.0
-    for i in range(len(reference.times)):
-        diff = Field(u0.grid, iters[-1].states[i] - reference.states[i])
-        terminal = max(terminal, lp_norm(diff, 2.0))
+    terminal = max(lp_norm(Field(u0.grid, a - b), 2.0)
+                   for a, b in zip(iters[-1].states, reference.states))
     table.append({"m": m_max, "terminal_l2_gap": terminal})
 
     contraction = max(ratios[1:]) if len(ratios) > 1 else float("nan")
-    report = ExperimentReport(
+    return ExperimentReport(
         name="picard_convergence",
         parameters={"omega": omega, "m_max": m_max, "s": s, "p": p, "r": r,
                     "t_end": t_end, "dt": dt,
@@ -602,5 +584,3 @@ def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
                 rows=[len(table) - 1],
                 detail=f"final iterate m={m_max} against the nonlinear "
                        f"solver")})
-    report.validate()
-    return report

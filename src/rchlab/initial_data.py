@@ -103,19 +103,17 @@ class DataFamily:
     u0n: Field
     z0n: Field
     carrier: float
-    carrier_snap_offset: float
 
 
 def build_family(bump: BumpProfile, n: int, s: float) -> DataFamily:
     """Assemble w0n, v0n, their sum, and the transport seed -u0n d_x u0n."""
-    k_n, snap = modulation_frequency(bump.grid, n)
+    k_n, _ = modulation_frequency(bump.grid, n)
     w = make_w0n(bump, n, s)
     v = make_v0n(bump, n)
     u = Field(bump.grid, w.values + v.values)
     z = product(u, ddx(u), dealias=True)
     z.values = -z.values
-    return DataFamily(n=n, s=s, w0n=w, v0n=v, u0n=u, z0n=z,
-                      carrier=k_n, carrier_snap_offset=snap)
+    return DataFamily(n=n, s=s, w0n=w, v0n=v, u0n=u, z0n=z, carrier=k_n)
 
 
 @dataclass

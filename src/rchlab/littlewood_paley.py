@@ -13,8 +13,8 @@ field once and measures every block in L^p: Plancherel for p = 2, one inverse
 transform per block otherwise.  The profile does not depend on (s, r), so one
 profile serves every regularity: :func:`weight_profile` applies the weights
 2^{js} and :func:`sequence_norm` takes the l^r norm over j.
-:func:`besov_norms` measures one field at several indices from one profile
-per distinct p.
+:func:`besov_norms` measures one field at several indices from one forward
+transform and one profile per distinct p.
 """
 
 from __future__ import annotations
@@ -145,20 +145,24 @@ def _block_lp_from_spec(spec: np.ndarray, grid: PeriodicGrid, p: float) -> float
         return _spectral_l2(spec, grid)
     if not np.any(spec):
         return 0.0
-    vals = irfft(spec, grid.n_points)
-    if p == math.inf:
-        return float(np.max(np.abs(vals)))
-    h = grid.spacing
-    return float((h * np.sum(np.abs(vals) ** p)) ** (1.0 / p))
+    return lp_norm(Field(grid, irfft(spec, grid.n_points)), p)
+
+
+def _profile_from_spec(bank: DyadicFilterBank, spec: np.ndarray,
+                       p: float) -> np.ndarray:
+    return np.array([_block_lp_from_spec(spec * bank.filter_for(j), bank.grid, p)
+                     for j in range(-1, bank.j_max + 1)])
+
+
+def _spectrum(bank: DyadicFilterBank, f: Field) -> np.ndarray:
+    if f.grid != bank.grid:
+        raise InvalidParameterError("field grid does not match filter bank grid")
+    return rfft(f.values)
 
 
 def block_profile(bank: DyadicFilterBank, f: Field, p: float) -> np.ndarray:
     """Unweighted block norms ||block_j f||_{L^p} for j = -1 .. j_max."""
-    if f.grid != bank.grid:
-        raise InvalidParameterError("field grid does not match filter bank grid")
-    spec = rfft(f.values)
-    return np.array([_block_lp_from_spec(spec * bank.filter_for(j), f.grid, p)
-                     for j in range(-1, bank.j_max + 1)])
+    return _profile_from_spec(bank, _spectrum(bank, f), p)
 
 
 def weight_profile(profile: np.ndarray, s: float) -> np.ndarray:
@@ -191,12 +195,13 @@ def high_tail_fraction(bank: DyadicFilterBank, f: Field) -> float:
 
 def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> list[float]:
     """Besov norms of ``f`` at each index: l^r over j of the weighted block
-    norms, from one block profile per distinct p."""
+    norms, from one forward transform and one block profile per distinct p."""
+    spec = _spectrum(bank, f)
     profiles: dict[float, np.ndarray] = {}
     norms = []
     for idx in indices:
         if idx.p not in profiles:
-            profiles[idx.p] = block_profile(bank, f, idx.p)
+            profiles[idx.p] = _profile_from_spec(bank, spec, idx.p)
         norms.append(sequence_norm(weight_profile(profiles[idx.p], idx.s),
                                    idx.r))
     if log.isEnabledFor(logging.DEBUG):  # the tail costs a second transform

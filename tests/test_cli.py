@@ -75,6 +75,16 @@ def test_campaign_defaults(command):
     assert parser.parse_args([command, "--steps", "7"]).steps == 7
 
 
+@pytest.mark.parametrize("command", ["nonuniform-super", "nonuniform-critical",
+                                     "decomp-rates", "critical-expansion"])
+def test_sweeps_take_no_point_count(command, capsys):
+    parser = build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, "--N", "4096"])
+    for sized in ("continuity", "picard"):
+        assert parser.parse_args([sized, "--N", "4096"]).N == 4096
+
+
 def test_solve_writes_snapshots(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["solve", "--init", "smoke", "--tend", "0.05", "--dt", "0.01",

@@ -15,7 +15,7 @@ from rchlab.experiments import (ExperimentReport, Fit, Verdict, _time_stepping,
                                 run_nonuniform_critical,
                                 run_nonuniform_supercritical,
                                 run_picard_convergence, write_report)
-from rchlab.initial_data import builtin_profile
+from rchlab.initial_data import _top_half, builtin_profile
 from rchlab.spectral import PeriodicGrid
 
 
@@ -60,6 +60,9 @@ def test_report_rejects_dangling_verdict_rows():
                                       rows=[3], detail="")
     with pytest.raises(InvalidParameterError):
         report.validate()
+    with pytest.raises(InvalidParameterError, match="missing row 3"):
+        ExperimentReport(name="demo", parameters={}, table=[{"a": 1}],
+                         verdicts={"oops": report.verdicts["oops"]})
 
 
 def test_write_report_outputs(tmp_path):
@@ -161,6 +164,40 @@ def test_sweep_reports_are_byte_identical_across_runs(tmp_path):
         for out in ("report.json", "table.csv", "plot.gp"):
             assert ((tmp_path / "a" / name / out).read_bytes()
                     == (tmp_path / "b" / name / out).read_bytes()), (name, out)
+
+
+def _kappa_by_time_matching(report):
+    """kappa_positive recomputed by matching rounded times across rows."""
+    table, n_list = report.table, report.parameters["n_list"]
+    curve_rows = {n: [i for i, row in enumerate(table) if row["n"] == n]
+                  for n in n_list}
+    times = sorted({round(table[i]["t"], 12) for i in curve_rows[n_list[0]]})
+    kappa_curve, kappa_rows = [], []
+    for t in times:
+        if t <= 0.0:
+            continue
+        vals = []
+        for n in _top_half(n_list):
+            for i in curve_rows[n]:
+                if abs(table[i]["t"] - t) < 1e-12:
+                    vals.append(table[i]["ratio"])
+                    kappa_rows.append(i)
+        kappa_curve.append((t, min(vals)))
+    t_end = report.parameters["t_end"]
+    late = [(t, v) for t, v in kappa_curve if t >= t_end / 4.0 - 1e-12]
+    fit = fit_line(np.log([t for t, _ in late]),
+                   np.log([max(v, 1e-300) for _, v in late]))
+    return min(v for _, v in late), sorted(set(kappa_rows)), fit
+
+
+def test_kappa_by_snapshot_index_matches_time_matching():
+    report = run_nonuniform_supercritical(2.0, 2.0, 2.0, range(4, 8), steps=4)
+    value, rows, fit = _kappa_by_time_matching(report)
+    verdict = report.verdicts["kappa_positive"]
+    assert verdict.value == value
+    assert verdict.rows == rows
+    assert len(rows) == 2 * 4  # two top-half n at each of four t > 0
+    assert report.fits["kappa_trend"] == fit
 
 
 def test_continuous_dependence_small_run(tmp_path):

@@ -203,3 +203,20 @@ def test_one_profile_serves_every_regularity(p):
                for r in (1.0, 2.0, math.inf) for q in (p, 1.0, 2.0, math.inf)]
     assert besov_norms(BANK, f, indices) == [besov_norm(BANK, f, idx)
                                              for idx in indices]
+
+
+def test_one_forward_transform_per_field(monkeypatch):
+    calls = []
+    rfft = lp.rfft
+
+    def counted(values, *args, **kwargs):
+        calls.append(1)
+        return rfft(values, *args, **kwargs)
+
+    f = random_band_limited(GRID, 900.0, seed=5)
+    indices = [BesovIndex(2.0, 1.0, 2.0), BesovIndex(2.0, 2.0, 2.0),
+               BesovIndex(1.0, math.inf, 1.0)]
+    want = [besov_norm(BANK, f, idx) for idx in indices]
+    monkeypatch.setattr(lp, "rfft", counted)
+    assert besov_norms(BANK, f, indices) == want
+    assert calls == [1]
