@@ -12,10 +12,10 @@ exp(-2 * period).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .coefficients import ModelParams
 from .errors import DiffeomorphismError, InvalidParameterError
@@ -205,14 +205,74 @@ def lagrangian_solve(state0: LagrangianState, params: ModelParams,
     return LagrangianTrajectory(times=times, states=snaps, params=params)
 
 
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    # one-sided three-point slope, kept zero or within 3 m0 to preserve shape
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(xk: np.ndarray, yk: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """PCHIP interpolant of ``(xk, yk)`` at ``x``, NaN outside the nodes.
+
+    Fritsch & Butland (1984) interior slopes, Moler's end slopes (*Numerical
+    Computing with MATLAB* 3.6), each step in the order of scipy's
+    ``PchipInterpolator`` and PPoly, so the values are bit-identical to
+    ``PchipInterpolator(xk, yk, extrapolate=False)(x)``.  ``xk`` must be
+    strictly increasing with at least three nodes.
+    """
+    n = len(xk)
+    # interval i holds xk[i] <= x < xk[i + 1]; the last one is closed
+    i = np.searchsorted(xk, x, side="right") - 1
+    i[x == xk[-1]] = n - 2
+    inside = (i >= 0) & (i <= n - 2)
+    i = np.clip(i, 0, n - 2)
+    # slopes only on the queried nodes and their neighbours; the end rule
+    # at a cut end is never read unless that end is the true one
+    lo, hi = max(int(i.min()) - 1, 0), min(int(i.max()) + 3, n)
+    xk, yk, i = xk[lo:hi], yk[lo:hi], i - lo
+    hk = np.diff(xk)
+    mk = np.diff(yk) / hk
+    smk = np.sign(mk)
+    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    dk = np.empty_like(yk)
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked by flat
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+        dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
+    dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+    h, m, d0 = hk[i], mk[i], dk[i]
+    t = (d0 + dk[i + 1] - 2 * m) / h
+    s = x - xk[i]
+    ss = s * s
+    # PPoly's sum: ((0 + y) + d s) + c1 s^2, then + c0 s^3
+    vals = ((0.0 + yk[i]) + d0 * s) + ((m - d0) / h - t) * ss
+    vals += (t / h) * (ss * s)
+    return np.where(inside, vals, np.nan)
+
+
 def pullback_to_eulerian(state: LagrangianState) -> Field:
-    """Sample u = U o y^{-1} on the label grid by monotone cubic interpolation."""
+    """Sample u = U o y^{-1} on the label grid by monotone cubic interpolation.
+
+    The nodes are y extended by one period on each side.  A flow map that
+    has drifted so far that this extension misses part of the grid is first
+    moved back by whole periods, which leaves u unchanged.
+    """
     grid = state.grid
     period = grid.length
-    ye = np.concatenate([state.y - period, state.y, state.y + period])
+    _check_monotone(state.y, period)
+    x = grid.x
+    y = state.y
+    if y[0] - period > x[0] or y[-1] + period < x[-1]:
+        y = y - math.floor((y[0] - x[0]) / period) * period
+    ye = np.concatenate([y - period, y, y + period])
     ue = np.concatenate([state.U, state.U, state.U])
-    interp = PchipInterpolator(ye, ue, extrapolate=False)
-    vals = interp(grid.x)
+    vals = _pchip(ye, ue, x)
     if np.any(np.isnan(vals)):
         raise InvalidParameterError("pullback left the covered interval")
     return Field(grid, vals)

@@ -27,7 +27,8 @@ import numpy as np
 from scipy.fft import irfft, rfft
 
 from .errors import InvalidParameterError
-from .spectral import Field, PeriodicGrid, ddx, mode_energies
+from .spectral import (Field, PeriodicGrid, _spectrum_energies, ddx,
+                       mode_energies)
 
 log = logging.getLogger(__name__)
 
@@ -183,14 +184,18 @@ def block_norms(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> np.ndarray
     return weight_profile(block_profile(bank, f, idx.p), idx.s)
 
 
-def high_tail_fraction(bank: DyadicFilterBank, f: Field) -> float:
-    """L^2 mass fraction beyond the top resolved annulus (8/3) 2^{j_max}."""
-    energies = mode_energies(f)
+def _tail_fraction(bank: DyadicFilterBank, spec: np.ndarray) -> float:
+    energies = _spectrum_energies(spec, bank.grid.n_points)
     total = float(np.sum(energies))
     if total == 0.0:
         return 0.0
-    tail = float(np.sum(energies[f.grid.k > (8.0 / 3.0) * 2.0 ** bank.j_max]))
+    tail = float(np.sum(energies[bank.grid.k > (8.0 / 3.0) * 2.0 ** bank.j_max]))
     return tail / total
+
+
+def high_tail_fraction(bank: DyadicFilterBank, f: Field) -> float:
+    """L^2 mass fraction beyond the top resolved annulus (8/3) 2^{j_max}."""
+    return _tail_fraction(bank, _spectrum(bank, f))
 
 
 def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> list[float]:
@@ -204,8 +209,8 @@ def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> list[float]:
             profiles[idx.p] = _profile_from_spec(bank, spec, idx.p)
         norms.append(sequence_norm(weight_profile(profiles[idx.p], idx.s),
                                    idx.r))
-    if log.isEnabledFor(logging.DEBUG):  # the tail costs a second transform
-        tail = high_tail_fraction(bank, f)
+    if log.isEnabledFor(logging.DEBUG):
+        tail = _tail_fraction(bank, spec)
         if tail > 1e-12:
             log.debug("besov_norm: %.3e of the L2 mass sits beyond the top "
                       "annulus and is carried by block j_max=%d", tail,

@@ -136,7 +136,12 @@ def grad_p_conv(f: Field) -> Field:
 def mode_energies(f: Field) -> np.ndarray:
     """Lattice energies |c_m|^2 of the one-sided modes, doubled for the paired
     modes 1 .. N/2-1, so that L times their sum is ||f||_2^2 (Plancherel)."""
-    energies = np.abs(rfft(f.values)) ** 2 / f.grid.n_points**2
+    return _spectrum_energies(rfft(f.values), f.grid.n_points)
+
+
+def _spectrum_energies(spec: np.ndarray, n_points: int) -> np.ndarray:
+    """:func:`mode_energies` of the field whose one-sided spectrum is ``spec``."""
+    energies = np.abs(spec) ** 2 / n_points**2
     energies[1:-1] *= 2.0
     return energies
 

@@ -159,14 +159,28 @@ def test_data_family_needs_mode_index(tmp_path):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _run_script(argv, cwd):
-    """The console entry point in a fresh interpreter; returns the process."""
+def _run_python(code, argv=(), cwd=None):
+    """``python -c code argv`` in a fresh interpreter that imports rchlab
+    from ``src/``; returns the process."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH"))
                            if p)
     return subprocess.run(
-        [sys.executable, "-c", "from rchlab.cli import run; run()", *argv],
+        [sys.executable, "-c", code, *argv],
         cwd=cwd, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, timeout=300)
+
+
+def _run_script(argv, cwd):
+    """The console entry point in a fresh interpreter; returns the process."""
+    return _run_python("from rchlab.cli import run; run()", argv, cwd)
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    proc = _run_python("import rchlab.cli, sys; "
+                       "print(sorted(m for m in sys.modules "
+                       "if m.startswith('scipy.interpolate')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv, head, tail", [

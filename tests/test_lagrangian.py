@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from rchlab import lagrangian
 from rchlab.coefficients import derive_coefficients
 from rchlab.errors import DiffeomorphismError, InvalidParameterError
 from rchlab.eulerian import SolverConfig, rhs_g, solve
 from rchlab.initial_data import builtin_profile
-from rchlab.lagrangian import (LagrangianState, _one_sided_scan,
+from rchlab.lagrangian import (LagrangianState, _one_sided_scan, _pchip,
                                _w1_intersection_norm, exp_scan_split, initial_state, lagrangian_rhs,
                                lagrangian_solve, linf_along_paths,
                                pullback_to_eulerian, stability_distance)
@@ -346,3 +349,98 @@ def test_rk4_order_away_from_rounding():
     errs = [np.max(np.abs(final(dt) - ref)) for dt in dts]
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(abs(o - 4.0) <= 0.1 for o in orders), orders
+
+
+def _scipy_pullback(state):
+    """The pullback as scipy's PchipInterpolator computes it."""
+    period = state.grid.length
+    ye = np.concatenate([state.y - period, state.y, state.y + period])
+    ue = np.concatenate([state.U, state.U, state.U])
+    return PchipInterpolator(ye, ue, extrapolate=False)(state.grid.x)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0, 2.5])
+def test_pullback_is_bit_identical_to_scipy(omega):
+    grid = PeriodicGrid(32.0 * np.pi, 2**10)
+    u0 = Field(grid, 0.2 * np.cos(0.5 * grid.x) + 0.05 * np.sin(1.5 * grid.x))
+    cfg = SolverConfig(dt=1.0 / 32.0, t_end=2.0, snapshot_every=16)
+    traj = lagrangian_solve(initial_state(u0), derive_coefficients(omega), cfg)
+    assert len(traj.states) == 5
+    for state in traj.states:
+        back = pullback_to_eulerian(state).values
+        assert back.tobytes() == _scipy_pullback(state).tobytes()
+
+
+# node values with flat runs, sign changes and exact (also negative) zeros
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                    st.floats(-10.0, 10.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-100.0, 100.0),
+       st.lists(st.floats(0.01, 10.0), min_size=2, max_size=40),
+       st.data())
+def test_pchip_is_bit_identical_to_scipy(x0, gaps, data):
+    xk = x0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    n = len(xk)
+    yk = np.array(data.draw(st.lists(_VALUES, min_size=n, max_size=n)))
+    hits = data.draw(st.lists(st.integers(0, n - 1), max_size=10))
+    fracs = data.draw(st.lists(st.floats(-0.1, 1.1), max_size=20))
+    # every node hit, the last node included, points between and outside
+    x = np.concatenate([xk[hits], [xk[-1]],
+                        xk[0] + np.array(fracs) * (xk[-1] - xk[0])])
+    ours = _pchip(xk, yk, x)
+    ref = PchipInterpolator(xk, yk, extrapolate=False)(x)
+    assert np.array_equal(np.isnan(ours), np.isnan(ref))
+    keep = ~np.isnan(ref)
+    assert ours[keep].tobytes() == ref[keep].tobytes()
+
+
+def test_pchip_keeps_scipys_positive_zero():
+    # at the node valued -0.0 every term of the cubic is -0.0; PPoly's sum
+    # starts from 0.0, so scipy returns +0.0 there
+    xk = np.array([-1.0, 0.0, 1.0, 2.0])
+    yk = np.array([1.0 / 3.0, -0.0, -1.0, -10.0])
+    x = np.array([0.0])
+    ref = PchipInterpolator(xk, yk, extrapolate=False)(x)
+    assert not np.signbit(ref[0])
+    assert _pchip(xk, yk, x).tobytes() == ref.tobytes()
+
+
+def test_pullback_after_a_drift_of_more_than_half_a_period():
+    # u ~ 1 carries every particle a whole period by t = 2 pi; from t = 7
+    # y_0 = 3.86 lies beyond pi, past what one period of extension covers
+    grid = PeriodicGrid(2.0 * np.pi, 256)
+    u0 = Field(grid, 1.0 + 0.001 * np.sin(grid.x))
+    cfg = SolverConfig(dt=0.01, t_end=8.0, snapshot_every=100)
+    traj = lagrangian_solve(initial_state(u0), derive_coefficients(0.0), cfg)
+    assert traj.states[7].y[0] > grid.x[0] + grid.length
+    for state in traj.states:
+        back = pullback_to_eulerian(state).values
+        k = math.floor((state.y[0] - grid.x[0]) / grid.length)
+        moved = LagrangianState(grid=grid, labels=state.labels,
+                                y=state.y - k * grid.length,
+                                y_xi=state.y_xi, U=state.U, U_xi=state.U_xi)
+        assert np.array_equal(back, pullback_to_eulerian(moved).values)
+        assert abs(np.max(back) - linf_along_paths(state)) <= 1e-4
+
+
+@pytest.mark.parametrize("k", [-2, -1, 1, 2, 3])
+def test_pullback_of_a_map_translated_by_whole_periods(k):
+    grid, u0 = _trig_setup(2**10)
+    state = initial_state(Field(grid, u0.values + 0.05 * np.sin(1.5 * grid.x)))
+    moved = LagrangianState(grid=grid, labels=state.labels,
+                            y=state.y + k * grid.length, y_xi=state.y_xi,
+                            U=state.U, U_xi=state.U_xi)
+    gap = np.abs(pullback_to_eulerian(moved).values
+                 - pullback_to_eulerian(state).values)
+    assert np.max(gap) <= 1e-12
+
+
+def test_pullback_rejects_a_folded_map():
+    grid, u0 = _trig_setup(2**10)
+    state = initial_state(u0)
+    state.y[10] = state.y[12]
+    with pytest.raises(DiffeomorphismError):
+        pullback_to_eulerian(state)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rchlab.littlewood_paley as lp
+import rchlab.spectral as spectral
 from rchlab.errors import InvalidParameterError
 from rchlab.littlewood_paley import (BesovIndex, besov_norm, besov_norms,
                                      block_norms, block_profile,
@@ -168,12 +169,13 @@ def test_lp_norm_validation():
 
 def test_besov_tail_diagnostic_only_at_debug(caplog, monkeypatch):
     calls = []
+    tail_fraction = lp._tail_fraction
 
-    def counted(bank, f):
+    def counted(bank, spec):
         calls.append(1)
-        return high_tail_fraction(bank, f)
+        return tail_fraction(bank, spec)
 
-    monkeypatch.setattr(lp, "high_tail_fraction", counted)
+    monkeypatch.setattr(lp, "_tail_fraction", counted)
     f = Field(GRID, np.cos(2000.0 * GRID.x))  # all mass beyond the top annulus
     idx = BesovIndex(1.0, 2.0, 2.0)
     caplog.set_level(logging.INFO, logger="rchlab.littlewood_paley")
@@ -220,3 +222,24 @@ def test_one_forward_transform_per_field(monkeypatch):
     monkeypatch.setattr(lp, "rfft", counted)
     assert besov_norms(BANK, f, indices) == want
     assert calls == [1]
+
+
+def test_tail_diagnostic_reuses_the_spectrum(caplog, monkeypatch):
+    f = Field(GRID, np.cos(0.3 * GRID.x) + np.cos(2000.0 * GRID.x))
+    want = ("besov_norm: %.3e of the L2 mass sits beyond the top annulus and "
+            "is carried by block j_max=%d" % (high_tail_fraction(BANK, f),
+                                              BANK.j_max))
+    calls = []
+
+    def counted(fn):
+        def wrapper(values, *args, **kwargs):
+            calls.append(1)
+            return fn(values, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lp, "rfft", counted(lp.rfft))
+    monkeypatch.setattr(spectral, "rfft", counted(spectral.rfft))
+    caplog.set_level(logging.DEBUG, logger="rchlab.littlewood_paley")
+    besov_norm(BANK, f, BesovIndex(1.0, 2.0, 2.0))
+    assert calls == [1]
+    assert [r.getMessage() for r in caplog.records] == [want]
