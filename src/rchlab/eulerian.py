@@ -11,7 +11,15 @@ the quartic flux and u u_x pointwise and projects each back once.  The lattice
 has 2N points under the 2/3-rule mask (a quartic of modes up to N/3 aliases
 only onto modes at or above 2N/3) and 3N without it (more than the 5N/2 an
 unmasked quartic needs).  Exact products followed by one projection keep the
-semi-discrete mass and H1 identities for every rotation.
+semi-discrete mass and H1 identities for every rotation.  The kernel is two
+halves, :func:`_padded_u_ux` and :func:`_flux_spec`, so that Picard can keep
+the padded u it samples.
+
+A Picard iterate steps the dealiased spectrum of its increment w = v - u0
+from zero and reads the values u0 + w only in its guard, so iterate 1 is u0
+exactly.  Per stage time tau it keeps the padded lattice of the interpolated
+u^m(tau) next to G(u^m(tau)), and each stage's u^m v_x is then one
+:func:`conv_spec`, two transforms at 2N.
 
 Time stepping is classical RK4 with a fixed step in one march,
 :func:`_rk4_march`, shared by :func:`solve`, the Picard iterator for the
@@ -86,27 +94,39 @@ def _nonlinear_spec(spec_u: np.ndarray, grid: PeriodicGrid, params: ModelParams,
     ``spec_u`` is the one-sided spectrum of u on ``grid``; with ``dealias``
     it and the result are cut by the 2/3 rule.
     """
-    k = grid.k
+    u, ux = _padded_u_ux(spec_u, grid, dealias)
+    return _flux_spec(u, ux, grid, params, dealias, advect)
+
+
+def _padded_u_ux(spec_u: np.ndarray, grid: PeriodicGrid, dealias: bool):
+    """Samples of u and u_x on the kernel's padded lattice: 2N points under
+    the 2/3-rule mask, 3N without it."""
     m = (2 if dealias else 3) * grid.n_points
     if dealias:
         spec_u = dealias_spec(spec_u, grid)
-    spec_ux = 1j * k * spec_u
+    spec_ux = 1j * grid.k * spec_u
     spec_ux[-1] = 0.0
-    u = pad_values(spec_u, grid, m)
-    ux = pad_values(spec_ux, grid, m)
-    # q = u^2 (c1 + u (c2 + c3 u)) + (1/2) u_x^2 in place, so that at most
-    # three M-point arrays are alive at once
+    return pad_values(spec_u, grid, m), pad_values(spec_ux, grid, m)
+
+
+def _flux_spec(u: np.ndarray, ux: np.ndarray, grid: PeriodicGrid,
+               params: ModelParams, dealias: bool, advect: bool) -> np.ndarray:
+    """:func:`_nonlinear_spec` from the padded lattices of u and u_x.  ``ux``
+    is overwritten; ``u`` is too when ``advect`` is true."""
+    k = grid.k
+    # the flux (1/2) u_x^2 + u^2 (c1 + u (c2 + c3 u)) and u u_x are formed in
+    # place in ux and u, so that at most three M-point arrays are alive at
+    # once, the caller's two lattices included
     q = params.quartic(u)
     if advect:
         u *= ux  # u u_x
     ux *= ux
     ux *= 0.5
-    q += ux
-    del ux
+    ux += q
+    del q
     if advect:
         adv = project_values(u, grid)
-    del u
-    out = project_values(q, grid)
+    out = project_values(ux, grid)
     out *= -1j * k / (1.0 + k**2)
     out[-1] = 0.0
     if advect:
@@ -268,28 +288,32 @@ class _TimeInterpolant:
         return out
 
 
-def _frozen_rhs(prev: Trajectory | None, grid: PeriodicGrid,
+def _frozen_rhs(prev: Trajectory | None, s0: np.ndarray, grid: PeriodicGrid,
                 params: ModelParams):
-    """RHS ``G(u^m) - u^m v_x`` of a Picard iterate, with u^m interpolated
-    from ``prev`` (None is the zero iterate).  G(u^m) depends on tau alone,
-    and k2 and k3 share t + dt/2 while one step's t_next is the next step's
-    t, so a memo of two taus makes two kernel calls per step."""
+    """RHS ``G(u^m) - u^m v_x`` of a Picard iterate in increment form: it
+    takes and returns spectra of w = v - u0, and ``s0`` is the dealiased
+    spectrum of u0.  u^m is interpolated from the values stored in ``prev``
+    (None is the zero iterate).  The padded lattice of u^m and G(u^m) depend
+    on tau alone, and k2 and k3 share t + dt/2 while one step's t_next is the
+    next step's t, so a memo of two taus makes two kernel calls per step; a
+    stage then costs one :func:`conv_spec`, two transforms at 2N."""
     if prev is None:
-        return lambda tau, vals: np.zeros_like(vals)
+        return lambda tau, w: np.zeros_like(w)
     frozen = _TimeInterpolant(prev)
     memo = {}
 
-    def rhs(tau, vals):
+    def rhs(tau, w):
         if tau not in memo:
             if len(memo) == 2:
                 del memo[next(iter(memo))]
-            sf = dealias_spec(rfft(frozen(tau)), grid)
-            memo[tau] = sf, _nonlinear_spec(sf, grid, params, advect=False)
-        sf, g = memo[tau]
-        svx = 1j * grid.k * dealias_spec(rfft(vals), grid)
+            uf, ufx = _padded_u_ux(rfft(frozen(tau)), grid, dealias=True)
+            # advect=False leaves uf as it is, so the stages reuse it
+            memo[tau] = uf, _flux_spec(uf, ufx, grid, params, dealias=True,
+                                       advect=False)
+        uf, g = memo[tau]
+        svx = 1j * grid.k * (s0 + w)
         svx[-1] = 0.0
-        advect = dealias_spec(conv_spec(sf, svx, grid), grid)
-        return irfft(g - advect, grid.n_points)
+        return g - dealias_spec(conv_spec(uf, svx, grid), grid)
 
     return rhs
 
@@ -302,17 +326,31 @@ def picard_iterate(u0: Field, params: ModelParams, cfg: SolverConfig,
     problem ``v_t + u^m v_x = G(u^m)`` from the same initial state, with
     ``u^m`` interpolated in time from its stored snapshots.  Returns the
     trajectories of iterates 1..m_iters, each stored at every step.
+
+    The march steps the dealiased spectrum of the increment w = v - u0 from
+    zero; the guard and the snapshots read the values u0 + w, so iterate 1
+    is u0 exactly.  A step of iterate m+1 costs 17 transforms: per new tau
+    one of the interpolated u^m and three in the kernel, per stage two at
+    2N, and one for the guard.
     """
     if m_iters < 1:
         raise InvalidParameterError("m_iters must be >= 1")
+    grid = u0.grid
+    s0 = dealias_spec(rfft(u0.values), grid)
     every_step = replace(cfg, snapshot_every=1)
     iterates: list[Trajectory] = []
     for _ in range(m_iters):
-        rhs = _frozen_rhs(iterates[-1] if iterates else None, u0.grid, params)
-        times, snaps = _rk4_march(
-            u0.values.copy(), every_step, rhs, snapshot=lambda u: u,
-            guard=lambda u, t, t_next: _check_state(u, t_last_good=t))
-        iterates.append(Trajectory(grid=u0.grid, params=params, times=times,
+        rhs = _frozen_rhs(iterates[-1] if iterates else None, s0, grid, params)
+        vals = u0.values
+
+        def to_lattice(w, t, t_next):
+            nonlocal vals
+            vals = u0.values + irfft(w, grid.n_points)
+            _check_state(vals, t_last_good=t)
+
+        times, snaps = _rk4_march(np.zeros_like(s0), every_step, rhs,
+                                  snapshot=lambda w: vals, guard=to_lattice)
+        iterates.append(Trajectory(grid=grid, params=params, times=times,
                                    states=np.asarray(snaps)))
         del snaps  # else the list lives through the next iterate's march
     return iterates

@@ -54,7 +54,8 @@ def initial_state(u0: Field) -> LagrangianState:
 def _check_monotone(y: np.ndarray, period: float, time=None) -> None:
     gaps = np.diff(y)
     seam = y[0] + period - y[-1]
-    if gaps.size and (np.min(gaps) <= 0.0 or seam <= 0.0):
+    # written so that a NaN gap or seam fails it too
+    if gaps.size and not (np.min(gaps) > 0.0 and seam > 0.0):
         raise DiffeomorphismError(
             "particle map lost strict monotonicity", time=time)
 
@@ -187,6 +188,9 @@ def lagrangian_solve(state0: LagrangianState, params: ModelParams,
     timestamp if monotonicity is nevertheless lost.
     """
     grid = state0.grid
+    # non-finite data is a blow-up at t = 0, not a crossing of the NaN
+    # positions its first stage would make
+    _check_state(state0.U, t_last_good=0.0)
     slope0 = np.max(np.abs(state0.U_xi / state0.y_xi))
     if slope0 * cfg.t_end >= 1.0:
         raise InvalidParameterError(

@@ -182,15 +182,17 @@ def project_values(vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return spec
 
 
-def conv_spec(sa: np.ndarray, sb: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+def conv_spec(ua: np.ndarray, sb: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Spectrum of the pointwise product, via an exact doubled-grid convolution.
 
-    Inputs and output are one-sided (rfft) spectra on ``grid``; the output is
-    the exact product projected onto the lattice modes, with no mask.
+    ``ua`` is the first factor sampled on the 2N-point lattice
+    (``pad_values(sa, grid, 2N)``), so a caller that multiplies one factor
+    many times pads it once; ``sb`` and the output are one-sided (rfft)
+    spectra on ``grid``.  The output is the exact product projected onto the
+    lattice modes, with no mask.  Costs two transforms at 2N.
     """
-    m = 2 * grid.n_points
-    prod = pad_values(sa, grid, m)
-    prod *= pad_values(sb, grid, m)
+    prod = pad_values(sb, grid, 2 * grid.n_points)
+    prod *= ua
     return project_values(prod, grid)
 
 
@@ -204,7 +206,7 @@ def product(f: Field, g: Field, dealias: bool = False) -> Field:
     sa, sb = rfft(f.values), rfft(g.values)
     if dealias:
         sa, sb = dealias_spec(sa, grid), dealias_spec(sb, grid)
-    spec = conv_spec(sa, sb, grid)
+    spec = conv_spec(pad_values(sa, grid, 2 * grid.n_points), sb, grid)
     if dealias:
         spec = dealias_spec(spec, grid)
     return Field(grid, irfft(spec, grid.n_points))

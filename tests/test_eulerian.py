@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.fft import irfft, rfft
 
-from rchlab import eulerian
+from rchlab import eulerian, spectral
 from rchlab.coefficients import ModelParams, derive_coefficients
 from rchlab.errors import BlowUpError, CFLError, InvalidParameterError
 from rchlab.eulerian import (SolverConfig, full_rhs, h1_integral,
@@ -16,7 +16,7 @@ from rchlab.initial_data import builtin_profile
 from rchlab.lagrangian import initial_state, lagrangian_solve
 from rchlab.littlewood_paley import (BesovIndex, besov_norm,
                                      build_filter_bank, lp_norm)
-from rchlab.spectral import Field, PeriodicGrid
+from rchlab.spectral import Field, PeriodicGrid, ddx, product
 
 GRID = PeriodicGrid(2.0 * np.pi, 256)
 P0 = derive_coefficients(0.0)
@@ -169,6 +169,58 @@ def test_picard_first_iterate_is_frozen_data():
     assert len(iters) == 1
     for i in range(len(iters[0].times)):
         assert np.array_equal(iters[0].states[i], u0.values)
+
+
+@pytest.mark.parametrize("m_iters", [1, 2, 4])
+def test_picard_transform_budget(monkeypatch, m_iters):
+    # one transform of u0, one guard transform per step, and per step of a
+    # later iterate 2 new taus x 4, 4 stages x 2 at 2N and the guard, plus
+    # the kernel call at tau = 0
+    count = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            count[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    u0 = builtin_profile("smoke", PeriodicGrid(64.0 * np.pi, 512))
+    p = derive_coefficients(1.0)
+    for module in (eulerian, spectral):
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    n_steps = 5
+    iters = picard_iterate(u0, p, SolverConfig(dt=0.02, t_end=0.1), m_iters)
+    assert len(iters[0].times) == n_steps + 1
+    assert count[0] == 1 + n_steps + (m_iters - 1) * (17 * n_steps + 4)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0, 2.5])
+def test_picard_second_iterate_matches_value_form_rk4(omega):
+    # iterate 1 is u0 at every time, so iterate 2 solves v_t = G(u0) - u0 v_x;
+    # march that in lattice values with library products as a reference
+    grid = PeriodicGrid(64.0 * np.pi, 2**10)
+    u0 = builtin_profile("smoke", grid)
+    p = derive_coefficients(omega)
+    dt, n_steps = 0.01, 10
+    g0 = rhs_g(u0, p).values
+
+    def rhs(v):
+        return g0 - product(u0, ddx(Field(grid, v)), dealias=True).values
+
+    v = u0.values
+    want = [v]
+    for _ in range(n_steps):
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * dt * k1)
+        k3 = rhs(v + 0.5 * dt * k2)
+        k4 = rhs(v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        want.append(v)
+    got = picard_iterate(u0, p, SolverConfig(dt=dt, t_end=dt * n_steps), 2)[1]
+    want = np.asarray(want)
+    assert got.states.shape == want.shape
+    assert np.max(np.abs(got.states - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_picard_validation():

@@ -132,6 +132,16 @@ def test_scan_rejects_too_wide_a_block():
         exp_scan_split(np.ones(16), grid.x, grid, "signed")
 
 
+def test_scan_rejects_a_nan_position():
+    # a NaN gap compares false both ways, so the monotonicity check must fail
+    # it rather than let the scan return NaNs
+    grid = PeriodicGrid(64.0 * np.pi, 1024)
+    y = grid.x.copy()
+    y[5] = np.nan
+    with pytest.raises(DiffeomorphismError):
+        exp_scan_split(np.ones(1024), y, grid, "signed")
+
+
 def test_unsigned_scan_is_kernel_convolution():
     # at the identity map the unsigned scan is the trapezoid sum of the
     # e^{-|x|} convolution, so it approaches twice the Helmholtz inverse
