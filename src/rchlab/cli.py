@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -300,6 +301,7 @@ def _add_campaign_flags(p, steps: int) -> None:
                    help="report directory (default reports/<name>)")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves a process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rchlab",

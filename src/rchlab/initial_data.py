@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import FrequencyOverflowError, InvalidParameterError
 from .littlewood_paley import (BesovIndex, DyadicFilterBank, besov_norm,
-                               besov_norms, build_filter_bank, lp_norm,
-                               smooth_plateau)
+                               besov_norms, block_profile, build_filter_bank,
+                               lp_norm, sequence_norm, smooth_plateau,
+                               weight_profile)
 from .spectral import Field, PeriodicGrid, ddx, product, synthesize
 
 PLATEAU_RADIUS = 0.25
@@ -183,6 +184,21 @@ def certification_tables(bump: BumpProfile, n_range, s: float, p: float,
     carrier_idx = {f"w0n_besov_{tag}": BesovIndex(theta, p, r) for theta, tag
                    in ((s - 1.0, "minus"), (s, "center"), (s + 1.0, "plus"))}
     psi2 = product(bump.field, bump.field)
+    # v0n = 2^{-n} fl(24/33) psi.  A power-of-two scale commutes with every
+    # rounding in the transforms, abs, sums and sqrt while no value nears the
+    # subnormal range (the least nonzero |v0n| is 9e-22 even at n = 11), so
+    # at p = 1, 2 or inf the profile of v0n is 2^{n_min - n} times that of
+    # v0(n_min), bit for bit.  At any other p, |v|^p rounds
+    # differently under a scale, and each member takes its own norm.
+    n_min = min(ns)
+    v_profile = (block_profile(bank, make_v0n(bump, n_min), p)
+                 if p in (1.0, 2.0, math.inf) else None)
+
+    def v0n_besov(n: int, v: Field) -> float:
+        if v_profile is None:
+            return besov_norm(bank, v, BesovIndex(s, p, r))
+        return sequence_norm(weight_profile(2.0 ** (n_min - n) * v_profile, s),
+                             r)
 
     def row(n: int) -> list[float]:
         w = make_w0n(bump, n, s)
@@ -190,7 +206,7 @@ def certification_tables(bump: BumpProfile, n_range, s: float, p: float,
         v = make_v0n(bump, n)
         k_n, _ = modulation_frequency(grid, n)
         return [*besov_norms(bank, w, carrier_idx.values()), lp_norm(dw, p),
-                besov_norm(bank, v, BesovIndex(s, p, r)),
+                v0n_besov(n, v),
                 lp_norm(Field(grid, psi2.values * np.cos(k_n * grid.x)), p),
                 _low_product_norm(bank, v, dw, s, p)]
 

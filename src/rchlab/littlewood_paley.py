@@ -94,6 +94,12 @@ class DyadicFilterBank:
         # top block absorbs everything the family no longer resolves
         phis.append(1.0 - chi_profile(k / 2.0 ** j_max))
         self.phi_values = phis
+        # [lo, hi) holding each filter's nonzeros, for j = -1 .. j_max
+        self.supports = []
+        for phi in (self.chi_values, *phis):
+            nz = np.flatnonzero(phi)
+            self.supports.append((int(nz[0]), int(nz[-1]) + 1) if nz.size
+                                 else (0, 0))
 
     def filter_for(self, j: int) -> np.ndarray:
         if j == -1:
@@ -130,6 +136,8 @@ def lp_norm(f: Field, p: float) -> float:
     if not p >= 1.0:
         raise InvalidParameterError(f"p must lie in [1, inf], got {p!r}")
     h = f.grid.spacing
+    if p == 1.0:  # numpy takes no fast path for ** 1.0: a pow per point
+        return float(h * np.sum(np.abs(f.values)))
     return float((h * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
 
 
@@ -151,8 +159,16 @@ def _block_lp_from_spec(spec: np.ndarray, grid: PeriodicGrid, p: float) -> float
 
 def _profile_from_spec(bank: DyadicFilterBank, spec: np.ndarray,
                        p: float) -> np.ndarray:
-    return np.array([_block_lp_from_spec(spec * bank.filter_for(j), bank.grid, p)
-                     for j in range(-1, bank.j_max + 1)])
+    # Each block spectrum is formed on its filter's support only.  Outside
+    # it a full product holds +-0 and the buffer +0: the block values agree
+    # up to the sign of zeros, which the norms' abs removes.
+    block = np.zeros_like(spec)
+    profile = []
+    for j, (lo, hi) in enumerate(bank.supports, start=-1):
+        np.multiply(spec[lo:hi], bank.filter_for(j)[lo:hi], out=block[lo:hi])
+        profile.append(_block_lp_from_spec(block, bank.grid, p))
+        block[lo:hi] = 0.0
+    return np.array(profile)
 
 
 def _spectrum(bank: DyadicFilterBank, f: Field) -> np.ndarray:

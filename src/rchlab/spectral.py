@@ -14,6 +14,7 @@ separate step that callers apply to inputs and results.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import struct
 import warnings
@@ -212,16 +213,31 @@ def product(f: Field, g: Field, dealias: bool = False) -> Field:
     return Field(grid, irfft(spec, grid.n_points))
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
+@functools.lru_cache(maxsize=1)
+def _csv_abscissae(length: float, n_points: int) -> tuple[str, ...]:
+    """``repr(x) + ","`` for every abscissa of a grid: the x column that
+    :func:`field_to_csv` writes, the same for every field on that grid."""
+    return tuple(f"{x!r}," for x in PeriodicGrid(length, n_points).x.tolist())
+
+
 def field_to_csv(f: Field, path) -> None:
     """Write (x, value) rows; full float64 round-trip precision.
 
-    Rows are streamed in the ``csv`` module's default dialect: ``repr`` of
-    each float, comma separated, CRLF line ends.
+    Rows are streamed, in blocks of 4096, in the ``csv`` module's default
+    dialect: ``repr`` of each float, comma separated, CRLF line ends.  The
+    formatted x column of the last grid written is cached.
     """
+    xs = _csv_abscissae(f.grid.length, f.grid.n_points)
+    vals = f.values.tolist()
     with open(path, "w", newline="") as fh:
         fh.write("x,value\r\n")
-        fh.writelines(f"{x!r},{v!r}\r\n"
-                      for x, v in zip(f.grid.x.tolist(), f.values.tolist()))
+        for i in range(0, len(vals), _CSV_BLOCK_ROWS):
+            rows = slice(i, i + _CSV_BLOCK_ROWS)
+            fh.write("".join([f"{x}{v}\r\n" for x, v
+                              in zip(xs[rows], map(repr, vals[rows]))]))
 
 
 def field_from_csv(path) -> Field:

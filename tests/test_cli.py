@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from rchlab import spectral
 from rchlab.cli import build_parser, main
 from rchlab.errors import InvalidParameterError
 from rchlab.littlewood_paley import (BesovIndex, besov_norm, block_norms,
@@ -96,6 +97,30 @@ def test_solve_writes_snapshots(tmp_path, capsys):
     lines = (out / "norms.csv").read_text().splitlines()
     assert lines[0] == "t,l2,linf,h1_integral,besov_2_2_2"
     assert len(lines) == 7
+
+
+def test_two_solves_in_one_process(tmp_path, capsys):
+    # the parser and the CSV x column are built once per process: the second
+    # run sees only its own --besov list, and its snapshots, written from a
+    # warm cache, equal the first run's, written from a cold one
+    spectral._csv_abscissae.cache_clear()
+    runs = {"a": ["2,2,2"], "b": ["1.5,1,1", "3,2,inf"]}
+    for name, triples in runs.items():
+        argv = ["solve", "--init", "smoke", "--tend", "0.02", "--dt", "0.01",
+                "--N", "2048", "--out", str(tmp_path / name)]
+        for triple in triples:
+            argv += ["--besov", triple]
+        assert main(argv) == 0
+    base = "t,l2,linf,h1_integral,"
+    headers = {name: (tmp_path / name / "norms.csv").read_text().splitlines()[0]
+               for name in runs}
+    assert headers == {"a": base + "besov_2_2_2",
+                       "b": base + "besov_1.5_1_1,besov_3_2_inf"}
+    snaps = sorted(p.name for p in (tmp_path / "a").glob("snap_*.csv"))
+    assert len(snaps) == 3
+    for snap in snaps:
+        assert ((tmp_path / "a" / snap).read_bytes()
+                == (tmp_path / "b" / snap).read_bytes()), snap
 
 
 def test_lagrangian_cross_check(tmp_path, capsys):

@@ -103,7 +103,8 @@ def test_family_transport_seed():
     assert fam.carrier == pytest.approx((33.0 / 24.0) * 32.0, abs=0.5)
 
 
-@pytest.mark.parametrize("p, r", [(2.0, 2.0), (1.0, 1.0), (1.0, math.inf)])
+@pytest.mark.parametrize("p, r", [(2.0, 2.0), (1.0, 1.0), (1.0, math.inf),
+                                  (math.inf, 2.0), (1.5, 2.0)])
 def test_certification_tables_match_separate_norms(p, r):
     # one pass that builds each member once must reproduce, bit for bit, a
     # separate computation of every table

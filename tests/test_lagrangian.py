@@ -10,7 +10,8 @@ from scipy.interpolate import PchipInterpolator
 
 from rchlab import lagrangian
 from rchlab.coefficients import derive_coefficients
-from rchlab.errors import DiffeomorphismError, InvalidParameterError
+from rchlab.errors import (BlowUpError, DiffeomorphismError,
+                           InvalidParameterError)
 from rchlab.eulerian import SolverConfig, rhs_g, solve
 from rchlab.initial_data import builtin_profile
 from rchlab.lagrangian import (LagrangianState, _one_sided_scan, _pchip,
@@ -454,3 +455,22 @@ def test_pullback_rejects_a_folded_map():
     state.y[10] = state.y[12]
     with pytest.raises(DiffeomorphismError):
         pullback_to_eulerian(state)
+
+
+@pytest.mark.parametrize("row", ["y_xi", "U_xi"])
+def test_nan_in_the_initial_state_blows_up_at_time_zero(row):
+    # a NaN stretching or slope is bad data, not a crossing of particles
+    grid = PeriodicGrid(64.0 * np.pi, 512)
+    state = initial_state(builtin_profile("smoke", grid))
+    getattr(state, row)[7] = np.nan
+    with pytest.raises(BlowUpError) as err:
+        lagrangian_solve(state, P1, SolverConfig(dt=0.01, t_end=0.05))
+    assert err.value.time == 0.0
+
+
+def test_rhs_rejects_a_nan_stretching():
+    state = initial_state(builtin_profile("smoke", PeriodicGrid(64.0 * np.pi,
+                                                                512)))
+    state.y_xi[7] = np.nan
+    with pytest.raises(DiffeomorphismError, match="y_xi"):
+        lagrangian_rhs(state, P1)

@@ -243,3 +243,33 @@ def test_tail_diagnostic_reuses_the_spectrum(caplog, monkeypatch):
     besov_norm(BANK, f, BesovIndex(1.0, 2.0, 2.0))
     assert calls == [1]
     assert [r.getMessage() for r in caplog.records] == [want]
+
+
+def test_supports_cover_every_nonzero():
+    for bank in (BANK, build_filter_bank(PeriodicGrid(64.0 * np.pi, 2**14))):
+        assert len(bank.supports) == bank.j_max + 2
+        for j, (lo, hi) in enumerate(bank.supports, start=-1):
+            phi = bank.filter_for(j)
+            assert np.flatnonzero(phi).tolist() == [
+                i for i in range(lo, hi) if phi[i] != 0.0], j
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+@pytest.mark.parametrize("band_limited", [False, True], ids=["random", "band"])
+def test_profile_on_supports_matches_full_products(p, band_limited):
+    # a block spectrum formed on its filter's support differs from the
+    # full-length product only in the sign of zeros, which no norm sees
+    if band_limited:  # the blocks above k = 100 are zero
+        f = random_band_limited(GRID, 100.0, seed=3)
+    else:
+        f = Field(GRID, np.random.default_rng(3).normal(size=GRID.n_points))
+    spec = lp._spectrum(BANK, f)
+    want = [lp._block_lp_from_spec(spec * BANK.filter_for(j), GRID, p)
+            for j in range(-1, BANK.j_max + 1)]
+    assert lp._profile_from_spec(BANK, spec, p).tolist() == want
+
+
+def test_lp_norm_at_p1_is_the_pow_formula():
+    f = Field(GRID, np.random.default_rng(4).normal(size=GRID.n_points))
+    want = (GRID.spacing * np.sum(np.abs(f.values) ** 1.0)) ** 1.0
+    assert lp_norm(f, 1.0) == want

@@ -247,6 +247,18 @@ def test_csv_bytes_match_csv_writer(tmp_path):
     assert np.array_equal(np.signbit(g.values), np.signbit(f.values))
 
 
+def test_csv_blocks_and_cached_abscissae(tmp_path):
+    # more rows than one block, and two grids of one size written in turn,
+    # so the cached x column of each grid is replaced by the other's
+    rng = np.random.default_rng(11)
+    grids = [PeriodicGrid(64.0 * np.pi, 2**13), PeriodicGrid(10.0, 2**13)]
+    for i, grid in enumerate(grids * 2):
+        f = Field(grid, rng.normal(size=grid.n_points))
+        path = tmp_path / f"f{i}.csv"
+        field_to_csv(f, path)
+        assert path.read_bytes() == _csv_writer_reference(f), i
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([16, 32, 128]).flatmap(
            lambda n: arrays(np.float64, n, elements=st.floats(
