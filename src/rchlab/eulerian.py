@@ -7,11 +7,11 @@ The equation integrated is ``u_t + u u_x = G(u)`` with
 the coefficients coming from :mod:`rchlab.coefficients`.  One kernel,
 :func:`_nonlinear_spec`, serves the solver, :func:`full_rhs`, :func:`rhs_g`
 and the Picard iterator: it samples u and u_x once on a padded lattice, forms
-the quartic flux and u u_x pointwise and projects each back once.  The lattice
-has 2N points under the 2/3-rule mask (a quartic of modes up to N/3 aliases
-only onto modes at or above 2N/3) and 3N without it (more than the 5N/2 an
-unmasked quartic needs).  Exact products followed by one projection keep the
-semi-discrete mass and H1 identities for every rotation.  The kernel is two
+the quartic flux and u u_x pointwise and projects each back once.  u is cut by
+the 2/3-rule mask and the lattice has 2N points: a quartic of modes up to N/3
+aliases only onto modes at or above 2N/3, which the mask removes from the
+result.  Exact products followed by one projection keep the semi-discrete
+mass and H1 identities for every rotation.  The kernel is two
 halves, :func:`_padded_u_ux` and :func:`_flux_spec`, so that Picard can keep
 the padded u it samples.
 
@@ -88,29 +88,27 @@ class Trajectory:
 
 
 def _nonlinear_spec(spec_u: np.ndarray, grid: PeriodicGrid, params: ModelParams,
-                    dealias: bool = True, advect: bool = True) -> np.ndarray:
+                    advect: bool = True) -> np.ndarray:
     """Spectrum of G(u) - u u_x, or of G(u) alone when ``advect`` is false.
 
-    ``spec_u`` is the one-sided spectrum of u on ``grid``; with ``dealias``
-    it and the result are cut by the 2/3 rule.
+    ``spec_u`` is the one-sided spectrum of u on ``grid``; it and the result
+    are cut by the 2/3 rule.
     """
-    u, ux = _padded_u_ux(spec_u, grid, dealias)
-    return _flux_spec(u, ux, grid, params, dealias, advect)
+    u, ux = _padded_u_ux(spec_u, grid)
+    return _flux_spec(u, ux, grid, params, advect)
 
 
-def _padded_u_ux(spec_u: np.ndarray, grid: PeriodicGrid, dealias: bool):
-    """Samples of u and u_x on the kernel's padded lattice: 2N points under
-    the 2/3-rule mask, 3N without it."""
-    m = (2 if dealias else 3) * grid.n_points
-    if dealias:
-        spec_u = dealias_spec(spec_u, grid)
+def _padded_u_ux(spec_u: np.ndarray, grid: PeriodicGrid):
+    """Samples of the masked u and its u_x on the kernel's 2N-point lattice."""
+    spec_u = dealias_spec(spec_u, grid)
     spec_ux = 1j * grid.k * spec_u
     spec_ux[-1] = 0.0
+    m = 2 * grid.n_points
     return pad_values(spec_u, grid, m), pad_values(spec_ux, grid, m)
 
 
 def _flux_spec(u: np.ndarray, ux: np.ndarray, grid: PeriodicGrid,
-               params: ModelParams, dealias: bool, advect: bool) -> np.ndarray:
+               params: ModelParams, advect: bool) -> np.ndarray:
     """:func:`_nonlinear_spec` from the padded lattices of u and u_x.  ``ux``
     is overwritten; ``u`` is too when ``advect`` is true."""
     k = grid.k
@@ -131,20 +129,18 @@ def _flux_spec(u: np.ndarray, ux: np.ndarray, grid: PeriodicGrid,
     out[-1] = 0.0
     if advect:
         out -= adv
-    if dealias:
-        out = dealias_spec(out, grid)
-    return out
+    return dealias_spec(out, grid)
 
 
-def rhs_g(u: Field, params: ModelParams, dealias: bool = True) -> Field:
+def rhs_g(u: Field, params: ModelParams) -> Field:
     """Nonlocal flux G(u); the advective term is not included."""
-    spec = _nonlinear_spec(rfft(u.values), u.grid, params, dealias, advect=False)
+    spec = _nonlinear_spec(rfft(u.values), u.grid, params, advect=False)
     return Field(u.grid, irfft(spec, u.grid.n_points))
 
 
-def full_rhs(u: Field, params: ModelParams, dealias: bool = True) -> Field:
+def full_rhs(u: Field, params: ModelParams) -> Field:
     """Complete right-hand side -u u_x + G(u) of the evolution."""
-    spec = _nonlinear_spec(rfft(u.values), u.grid, params, dealias)
+    spec = _nonlinear_spec(rfft(u.values), u.grid, params)
     return Field(u.grid, irfft(spec, u.grid.n_points))
 
 
@@ -192,26 +188,27 @@ def _step_times(dt: float, t_end: float) -> np.ndarray:
     return times
 
 
-def _rk4_march(state, cfg: SolverConfig, rhs, snapshot, guard, refuse=None):
+def _rk4_march(state, kept, cfg: SolverConfig, rhs, guard, refuse=None):
     """Classical RK4 over the step times of ``cfg``, shared by every integrator.
 
     Stages call ``rhs(tau, state)`` at exactly tau = t, t + dt/2 (twice) and
-    t_next.  ``refuse(state, t, dt)``, if given, may raise before a step and
-    ``guard(state, t, t_next)`` after it; a stage's rchlab error without a
-    time gets t.  ``snapshot(state)`` is kept at t = 0, every
-    ``cfg.snapshot_every`` steps and at the end; no state is written in
-    place, so it may keep them.  Returns (snapshot times, snapshots).
+    t_next.  ``guard(state, t, t_next)`` may raise after a step and returns
+    the value to keep for it, as ``kept`` is for the initial state; no state
+    is written in place, so that value may share its memory.
+    ``refuse(kept, t, dt)``, if given, may raise before a step.  A stage's
+    rchlab error without a time gets t.  Returns the times and kept values at
+    t = 0, every ``cfg.snapshot_every`` steps and at the end.
     """
     times = _step_times(cfg.dt, cfg.t_end)
     last = len(times) - 1
-    snaps = [snapshot(state)]
+    snaps = [kept]
     snap_times = [0.0]
     for i in range(last):
         t, t_next = times[i], times[i + 1]
         dt = t_next - t
         t_mid = t + 0.5 * dt
         if refuse is not None:
-            refuse(state, t, dt)
+            refuse(kept, t, dt)
         try:
             k1 = rhs(t, state)
             k2 = rhs(t_mid, state + 0.5 * dt * k1)
@@ -222,9 +219,9 @@ def _rk4_march(state, cfg: SolverConfig, rhs, snapshot, guard, refuse=None):
                 err.time = t
             raise
         state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        guard(state, t, t_next)
+        kept = guard(state, t, t_next)
         if (i + 1) % cfg.snapshot_every == 0 or i + 1 == last:
-            snaps.append(snapshot(state))
+            snaps.append(kept)
             snap_times.append(t_next)
     return np.asarray(snap_times), snaps
 
@@ -237,12 +234,8 @@ def solve(u0: Field, params: ModelParams, cfg: SolverConfig) -> Trajectory:
     threshold or loses finiteness; each carries a time as the march says.
     """
     grid = u0.grid
-    # the state steps in spectral form; the lattice values u feed only the
-    # guards and snapshots, since a round trip per step adds more rounding
-    # than the RK4 error of a small step
-    u = u0.values.copy()
 
-    def cfl(s, t, dt):
+    def cfl(u, t, dt):
         step_max = np.max(np.abs(u))
         if dt * step_max > CFL_FRACTION * grid.spacing:
             raise CFLError(
@@ -251,41 +244,36 @@ def solve(u0: Field, params: ModelParams, cfg: SolverConfig) -> Trajectory:
                 time=t)
 
     def to_lattice(s, t, t_next):
-        nonlocal u
         u = irfft(s, grid.n_points)
         _check_state(u, t_last_good=t)
+        return u
 
+    # the state steps in spectral form; the lattice values u feed only the
+    # guards and snapshots, since a round trip per step adds more rounding
+    # than the RK4 error of a small step
     times, snaps = _rk4_march(
-        rfft(u), cfg, lambda tau, s: _nonlinear_spec(s, grid, params),
-        snapshot=lambda s: u, guard=to_lattice, refuse=cfl)
+        rfft(u0.values), u0.values.copy(), cfg,
+        lambda tau, s: _nonlinear_spec(s, grid, params), to_lattice, cfl)
     return Trajectory(grid=grid, params=params, times=times,
                       states=np.asarray(snaps))
 
 
-class _TimeInterpolant:
-    """Cubic Lagrange interpolation over a trajectory's stored snapshots."""
-
-    def __init__(self, traj: Trajectory):
-        self.times = traj.times
-        self.states = traj.states
-
-    def __call__(self, t: float) -> np.ndarray:
-        times = self.times
-        n = len(times)
-        if n == 1:
-            return self.states[0]
-        i = int(np.searchsorted(times, t) - 1)
-        i = min(max(i, 0), n - 2)
-        lo = min(max(i - 1, 0), max(n - 4, 0))
-        stencil = range(lo, min(lo + 4, n))
-        out = np.zeros_like(self.states[0])
-        for a in stencil:
-            w = 1.0
-            for b in stencil:
-                if b != a:
-                    w *= (t - times[b]) / (times[a] - times[b])
-            out += w * self.states[a]
-        return out
+def _interpolate_in_time(traj: Trajectory, t: float) -> np.ndarray:
+    """Cubic Lagrange interpolation over a trajectory's stored snapshots, of
+    which a march stores at least two."""
+    times = traj.times
+    n = len(times)
+    i = min(max(int(np.searchsorted(times, t)) - 1, 0), n - 2)
+    lo = min(max(i - 1, 0), max(n - 4, 0))
+    stencil = range(lo, min(lo + 4, n))
+    out = np.zeros_like(traj.states[0])
+    for a in stencil:
+        w = 1.0
+        for b in stencil:
+            if b != a:
+                w *= (t - times[b]) / (times[a] - times[b])
+        out += w * traj.states[a]
+    return out
 
 
 def _frozen_rhs(prev: Trajectory | None, s0: np.ndarray, grid: PeriodicGrid,
@@ -299,17 +287,15 @@ def _frozen_rhs(prev: Trajectory | None, s0: np.ndarray, grid: PeriodicGrid,
     stage then costs one :func:`conv_spec`, two transforms at 2N."""
     if prev is None:
         return lambda tau, w: np.zeros_like(w)
-    frozen = _TimeInterpolant(prev)
     memo = {}
 
     def rhs(tau, w):
         if tau not in memo:
             if len(memo) == 2:
                 del memo[next(iter(memo))]
-            uf, ufx = _padded_u_ux(rfft(frozen(tau)), grid, dealias=True)
+            uf, ufx = _padded_u_ux(rfft(_interpolate_in_time(prev, tau)), grid)
             # advect=False leaves uf as it is, so the stages reuse it
-            memo[tau] = uf, _flux_spec(uf, ufx, grid, params, dealias=True,
-                                       advect=False)
+            memo[tau] = uf, _flux_spec(uf, ufx, grid, params, advect=False)
         uf, g = memo[tau]
         svx = 1j * grid.k * (s0 + w)
         svx[-1] = 0.0
@@ -338,18 +324,17 @@ def picard_iterate(u0: Field, params: ModelParams, cfg: SolverConfig,
     grid = u0.grid
     s0 = dealias_spec(rfft(u0.values), grid)
     every_step = replace(cfg, snapshot_every=1)
+
+    def to_lattice(w, t, t_next):
+        vals = u0.values + irfft(w, grid.n_points)
+        _check_state(vals, t_last_good=t)
+        return vals
+
     iterates: list[Trajectory] = []
     for _ in range(m_iters):
         rhs = _frozen_rhs(iterates[-1] if iterates else None, s0, grid, params)
-        vals = u0.values
-
-        def to_lattice(w, t, t_next):
-            nonlocal vals
-            vals = u0.values + irfft(w, grid.n_points)
-            _check_state(vals, t_last_good=t)
-
-        times, snaps = _rk4_march(np.zeros_like(s0), every_step, rhs,
-                                  snapshot=lambda w: vals, guard=to_lattice)
+        times, snaps = _rk4_march(np.zeros_like(s0), u0.values, every_step,
+                                  rhs, guard=to_lattice)
         iterates.append(Trajectory(grid=grid, params=params, times=times,
                                    states=np.asarray(snaps)))
         del snaps  # else the list lives through the next iterate's march

@@ -5,10 +5,8 @@ slope U_xi = y_xi * u_x(t, y).  The nonlocal terms are half-line convolutions
 with exp(-|y - x|) rewritten in label variables (Jacobian y_xi absorbed into
 the integrand), evaluated with trapezoidal weights by one O(N) two-sided
 exponential scan per right-hand side: the block exponentials exp(+-(y - y_ref))
-are computed once and serve both the left and the right sums.  The scan builds
-its carries on one lap of the circle from zero and keeps those of the next,
-so some node pairs get one periodic image and others two: the kernel is
-periodized only to within exp(-period), which is 1.9e-3 at period 2 pi.
+are computed once and serve both the left and the right sums.  The scan
+sums every periodic image of the kernel exactly.
 """
 
 from __future__ import annotations
@@ -63,17 +61,17 @@ def _check_monotone(y: np.ndarray, period: float, time=None) -> None:
 
 def _one_sided_scan(w: np.ndarray, y: np.ndarray,
                     period: float) -> tuple[np.ndarray, np.ndarray]:
-    """Both one-sided sums over one wrapped period, in one pass.
+    """Both one-sided sums over every periodic image, in one pass.
 
-    ``t_left[i]`` sums ``e^{-(y_i - y_j)} w_j`` over j strictly left of i plus
-    every node one period to the left; ``t_right[i]`` sums
-    ``e^{-(y_j - y_i)} w_j`` over j strictly right of i plus every node one
-    period to the right.  The nodes are cut into blocks, and exponents are
-    taken relative to each block's first node, so ``e^{rel}`` and ``e^{-rel}``
-    are computed once, serve both sides, and cannot overflow while a block
-    spans at most 700 (e^700 is just below the float64 overflow threshold).
-    Two scalar carries cross the blocks, one each way, over two laps of the
-    circle; the first lap only builds them.
+    ``t_left[i]`` sums ``e^{-|y_i - z|} w_j`` over every image
+    ``z = y_j + m period`` (m an integer) strictly left of ``y_i``;
+    ``t_right[i]`` sums the same over the images strictly right of it.  The
+    nodes are cut into blocks, and exponents are taken relative to each
+    block's first node, so ``e^{rel}`` and ``e^{-rel}`` are computed once,
+    serve both sides, and cannot overflow while a block spans at most 700
+    (e^700 is just below the float64 overflow threshold).  Two scalar carries
+    cross the blocks, one each way, over two laps of the circle; the first
+    builds them from zero, and the second keeps them.
     """
     n = len(y)
     block = min(n, 512)  # grid sizes are powers of two, so blocks tile
@@ -99,21 +97,25 @@ def _one_sided_scan(w: np.ndarray, y: np.ndarray,
     sums_right = (right[:, 0] + bw[:, 0]).tolist()
     # decay[b] carries a sum from block b's first node to block b + 1's
     decay = np.exp(ref - np.append(ref[1:], ref[0] + period)).tolist()
-    carry_left = [0.0] * n_blocks
-    carry_right = [0.0] * n_blocks
-    # k walks two laps of blocks; the carries of the second lap are kept
+    # a lap from zero leaves in block 0 the carry of each node's nearest
+    # image; a lap farther multiplies it by q = e^{-period}: divide by 1 - q
+    one_minus_q = -math.expm1(-period)
     c = 0.0
-    for k in range(2 * n_blocks):
-        b = k % n_blocks
-        if k >= n_blocks:
-            carry_left[b] = c
+    for b in range(n_blocks):
         c = decay[b] * (c + sums_left[b])
+    c /= one_minus_q
+    carry_left = [c] * n_blocks
+    for b in range(1, n_blocks):
+        c = decay[b - 1] * (c + sums_left[b - 1])
+        carry_left[b] = c
     c = 0.0
-    for k in range(2 * n_blocks - 2, -1, -1):
-        b = k % n_blocks
+    for b in range(n_blocks - 1, -1, -1):
         c = decay[b] * (c + sums_right[(b + 1) % n_blocks])
-        if k < n_blocks:
-            carry_right[b] = c
+    c /= one_minus_q
+    carry_right = [c] * n_blocks
+    for b in range(n_blocks - 1, 0, -1):
+        c = decay[b] * (c + sums_right[(b + 1) % n_blocks])
+        carry_right[b] = c
     left += np.array(carry_left)[:, None]
     left *= e_bwd
     right += np.array(carry_right)[:, None]
@@ -186,7 +188,7 @@ def lagrangian_solve(state0: LagrangianState, params: ModelParams,
 
     Requires ``max|u0_x| * t_end < 1`` so the stretching factor is guaranteed
     to stay positive over the run; raises :class:`DiffeomorphismError` with a
-    timestamp if monotonicity is nevertheless lost.
+    timestamp if y_xi is not positive at t = 0 or monotonicity is lost.
     """
     grid = state0.grid
     arr0 = _pack(state0)
@@ -196,6 +198,9 @@ def lagrangian_solve(state0: LagrangianState, params: ModelParams,
         raise BlowUpError("initial particle state holds a non-finite value",
                           time=0.0)
     _check_state(state0.U, t_last_good=0.0)
+    # before the slope guard, which would divide by a zero stretching
+    if not (np.min(state0.y_xi) > 0.0):
+        raise DiffeomorphismError("initial y_xi must be positive", time=0.0)
     slope0 = np.max(np.abs(state0.U_xi / state0.y_xi))
     if slope0 * cfg.t_end >= 1.0:
         raise InvalidParameterError(
@@ -207,11 +212,13 @@ def lagrangian_solve(state0: LagrangianState, params: ModelParams,
             raise DiffeomorphismError("y_xi went nonpositive", time=t_next)
         _check_monotone(arr[0], grid.length, time=t_next)
         _check_state(arr[2], t_last_good=t)
+        return arr
 
     times, snaps = _rk4_march(
-        arr0, cfg, lambda tau, arr: _rhs_packed(arr, grid, params),
-        snapshot=lambda arr: _unpack(grid, state0.labels, arr), guard=guard)
-    return LagrangianTrajectory(times=times, states=snaps, params=params)
+        arr0, arr0, cfg, lambda tau, arr: _rhs_packed(arr, grid, params),
+        guard=guard)
+    states = [_unpack(grid, state0.labels, arr) for arr in snaps]
+    return LagrangianTrajectory(times=times, states=states, params=params)
 
 
 def _pchip_end_slope(h0, h1, m0, m1) -> float:

@@ -87,28 +87,27 @@ class DyadicFilterBank:
                 f"grid too small to host a dyadic family: j_max={j_max} < 3")
         self.grid = grid
         self.j_max = j_max
-        self.chi_values = chi_profile(k)
-        phis = []
-        for j in range(j_max):
-            phis.append(chi_profile(k / 2.0 ** (j + 1)) - chi_profile(k / 2.0 ** j))
-        # top block absorbs everything the family no longer resolves
-        phis.append(1.0 - chi_profile(k / 2.0 ** j_max))
-        self.phi_values = phis
-        # [lo, hi) holding each filter's nonzeros, for j = -1 .. j_max
+        chis = [chi_profile(k / 2.0 ** j) for j in range(j_max + 1)]
+        # filters[j + 1] is block j, j = -1 .. j_max; the top block absorbs
+        # everything the family no longer resolves
+        self.filters = ([chis[0]] + [b - a for a, b in zip(chis, chis[1:])]
+                        + [1.0 - chis[-1]])
+        # [lo, hi) holding each filter's nonzeros
         self.supports = []
-        for phi in (self.chi_values, *phis):
+        for phi in self.filters:
             nz = np.flatnonzero(phi)
             self.supports.append((int(nz[0]), int(nz[-1]) + 1) if nz.size
                                  else (0, 0))
 
     def filter_for(self, j: int) -> np.ndarray:
-        if j == -1:
-            return self.chi_values
-        return self.phi_values[j]
+        if not -1 <= j <= self.j_max:
+            raise InvalidParameterError(
+                f"block {j} not resolvable on this grid (j_max={self.j_max})")
+        return self.filters[j + 1]
 
     def partition_values(self) -> np.ndarray:
         """Lattice sum of all filters; identically 1 up to rounding."""
-        return self.chi_values + np.sum(self.phi_values, axis=0)
+        return self.filters[0] + np.sum(self.filters[1:], axis=0)
 
 
 def build_filter_bank(grid: PeriodicGrid) -> DyadicFilterBank:
@@ -122,9 +121,6 @@ def dyadic_block(bank: DyadicFilterBank, f: Field, j: int) -> Field:
     n = f.grid.n_points
     if j <= -2:
         return Field(f.grid, np.zeros(n))
-    if j > bank.j_max:
-        raise InvalidParameterError(
-            f"block {j} not resolvable on this grid (j_max={bank.j_max})")
     spec = rfft(f.values) * bank.filter_for(j)
     return Field(f.grid, irfft(spec, n))
 
@@ -142,11 +138,10 @@ def lp_norm(f: Field, p: float) -> float:
 
 
 def _spectral_l2(spec: np.ndarray, grid: PeriodicGrid) -> float:
-    # Plancherel on the lattice: ||g||_2^2 = L sum |c_m|^2 over signed modes
-    n = grid.n_points
-    c2 = np.abs(spec) ** 2 / n**2
-    total = c2[0] + c2[-1] + 2.0 * np.sum(c2[1:-1])
-    return float(math.sqrt(grid.length * total))
+    # Plancherel on the lattice: ||g||_2^2 = L sum |c_m|^2 over signed modes;
+    # the energies double the paired modes, which doubles their sum exactly
+    e = _spectrum_energies(spec, grid.n_points)
+    return float(math.sqrt(grid.length * (e[0] + e[-1] + np.sum(e[1:-1]))))
 
 
 def _block_lp_from_spec(spec: np.ndarray, grid: PeriodicGrid, p: float) -> float:

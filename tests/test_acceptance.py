@@ -106,16 +106,12 @@ def test_ac2_dyadic_analysis():
 
 
 def _brute_left(w, y, period):
-    n = len(y)
-    out = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            if j < i:
-                acc += math.exp(-(y[i] - y[j])) * w[j]
-            acc += math.exp(-(y[i] - (y[j] - period))) * w[j]
-        out[i] = acc
-    return out
+    # every image y_j - m period strictly left of y_i: the nearest lies
+    # d = y_i - y_j away for j < i and d + period for j >= i, and the images
+    # of node j add up to e^{-d} w_j / (1 - e^{-period})
+    d = y[:, None] - y[None, :]
+    d[np.triu(np.ones(d.shape, dtype=bool))] += period
+    return np.exp(np.negative(d, out=d), out=d) @ w / -math.expm1(-period)
 
 
 def _brute_split(w, y, grid, kind):

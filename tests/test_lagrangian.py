@@ -25,18 +25,13 @@ P1 = derive_coefficients(1.0)
 
 
 def _brute_left(w, y, period):
-    # mirrors the scan's one-wrap periodization: every node contributes once
-    # directly (when strictly left) and once from the previous lap
-    n = len(y)
-    out = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            if j < i:
-                acc += math.exp(-(y[i] - y[j])) * w[j]
-            acc += math.exp(-(y[i] - (y[j] - period))) * w[j]
-        out[i] = acc
-    return out
+    # every image y_j - m period strictly left of y_i, in closed form: the
+    # nearest lies d = y_i - y_j away for j < i and d + period for j >= i,
+    # and each lap further multiplies its term by q = e^{-period}, so the
+    # images of node j add up to e^{-d} w_j / (1 - q)
+    d = y[:, None] - y[None, :]
+    d[np.triu(np.ones(d.shape, dtype=bool))] += period
+    return np.exp(np.negative(d, out=d), out=d) @ w / -math.expm1(-period)
 
 
 def _brute_sides(w, y, period):
@@ -110,6 +105,38 @@ def test_scan_blocked_carry_matches_brute():
         got = exp_scan_split(w, y, grid, kind)
         want = _combine(*sides, w, grid, kind)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), kind
+
+
+@pytest.mark.parametrize("length", [2.0 * np.pi, 4.0 * np.pi],
+                         ids=["2pi", "4pi"])
+def test_scan_sums_every_periodic_image(length):
+    # on a short period the images one lap away weigh e^{-L} (1.9e-3 at
+    # 2 pi): a scan that keeps some of them and drops others is off by that
+    grid = PeriodicGrid(length, 1024)
+    rng = np.random.default_rng(24)
+    y = _stretched_map(grid, rng)
+    w = rng.normal(size=1024)
+    for got, want in zip(_one_sided_scan(w, y, length),
+                         _brute_sides(w, y, length)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([16, 512, 1024, 2048]),
+       st.floats(2.0 * np.pi, 64.0 * np.pi), st.floats(0.0, 0.9),
+       st.floats(-100.0, 100.0), st.integers(0, 2**32 - 1))
+def test_scan_matches_image_sum_on_random_maps(n_points, period, jitter,
+                                               shift, seed):
+    # a random strictly increasing periodic map: positive gaps that fill one
+    # period, so every block of 512 nodes spans at most 64 pi < 700
+    rng = np.random.default_rng(seed)
+    gaps = 1.0 + jitter * rng.uniform(-1.0, 1.0, n_points)
+    gaps *= period / np.sum(gaps)
+    y = shift + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+    w = rng.normal(size=n_points)
+    for got, want in zip(_one_sided_scan(w, y, period),
+                         _brute_sides(w, y, period)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n_points", [16, 512, 2**14])
@@ -362,6 +389,20 @@ def test_rk4_order_away_from_rounding():
     assert all(abs(o - 4.0) <= 0.1 for o in orders), orders
 
 
+@pytest.mark.parametrize("length", [2.0 * np.pi, 4.0 * np.pi],
+                         ids=["2pi", "4pi"])
+def test_pullback_matches_solve_on_a_short_period(length):
+    # every particle travels a distance of about 1 while the kernel's
+    # periodic images weigh e^{-L}; the gap left is the RK4/PCHIP error
+    grid = PeriodicGrid(length, 512)
+    u0 = Field(grid, 1.0 + 0.001 * np.sin(2.0 * np.pi * grid.x / length))
+    cfg = SolverConfig(dt=0.0025, t_end=1.0, snapshot_every=400)
+    p0 = derive_coefficients(0.0)
+    lag = lagrangian_solve(initial_state(u0), p0, cfg)
+    back = pullback_to_eulerian(lag.states[-1]).values
+    assert np.max(np.abs(back - solve(u0, p0, cfg).final().values)) <= 1e-6
+
+
 def _scipy_pullback(state):
     """The pullback as scipy's PchipInterpolator computes it."""
     period = state.grid.length
@@ -474,3 +515,15 @@ def test_rhs_rejects_a_nan_stretching():
     state.y_xi[7] = np.nan
     with pytest.raises(DiffeomorphismError, match="y_xi"):
         lagrangian_rhs(state, P1)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_nonpositive_initial_stretching_fails_at_time_zero(value):
+    # checked before the slope guard, which would divide by a zero y_xi
+    state = initial_state(builtin_profile("smoke", PeriodicGrid(64.0 * np.pi,
+                                                                512)))
+    state.y_xi[7] = value
+    with np.errstate(all="raise"):
+        with pytest.raises(DiffeomorphismError, match="y_xi") as err:
+            lagrangian_solve(state, P1, SolverConfig(dt=0.01, t_end=0.05))
+    assert err.value.time == 0.0

@@ -121,6 +121,13 @@ def test_block_edge_cases():
         dyadic_block(BANK, other, 0)
 
 
+@pytest.mark.parametrize("j", [-3, -2, BANK.j_max + 1])
+def test_filter_outside_the_family_is_refused(j):
+    # a list index would wrap: block -2 would read the top filter
+    with pytest.raises(InvalidParameterError, match="not resolvable"):
+        BANK.filter_for(j)
+
+
 def test_grid_too_small_for_bank():
     with pytest.raises(InvalidParameterError):
         build_filter_bank(PeriodicGrid(64.0 * np.pi, 1024))
