@@ -19,7 +19,8 @@ A Picard iterate steps the dealiased spectrum of its increment w = v - u0
 from zero and reads the values u0 + w only in its guard, so iterate 1 is u0
 exactly.  Per stage time tau it keeps the padded lattice of the interpolated
 u^m(tau) next to G(u^m(tau)), and each stage's u^m v_x is then one
-:func:`conv_spec`, two transforms at 2N.
+:func:`conv_spec`, two transforms at 2N.  One stacked kernel call makes
+them for a block of upcoming stage times.
 
 Time stepping is classical RK4 with a fixed step in one march,
 :func:`_rk4_march`, shared by :func:`solve`, the Picard iterator for the
@@ -39,8 +40,9 @@ from scipy.fft import irfft, rfft
 
 from .coefficients import ModelParams
 from .errors import BlowUpError, CFLError, InvalidParameterError, RchlabError
-from .spectral import (Field, PeriodicGrid, conv_spec, dealias_spec, ddx,
-                       mode_energies, pad_values, project_values)
+from .spectral import (Field, PeriodicGrid, _stack_rows, conv_spec,
+                       dealias_spec, ddx, mode_energies, pad_values,
+                       project_values)
 
 CFL_FRACTION = 0.5
 BLOWUP_THRESHOLD = 1e8
@@ -102,7 +104,7 @@ def _padded_u_ux(spec_u: np.ndarray, grid: PeriodicGrid):
     """Samples of the masked u and its u_x on the kernel's 2N-point lattice."""
     spec_u = dealias_spec(spec_u, grid)
     spec_ux = 1j * grid.k * spec_u
-    spec_ux[-1] = 0.0
+    spec_ux[..., -1] = 0.0
     m = 2 * grid.n_points
     return pad_values(spec_u, grid, m), pad_values(spec_ux, grid, m)
 
@@ -126,7 +128,7 @@ def _flux_spec(u: np.ndarray, ux: np.ndarray, grid: PeriodicGrid,
         adv = project_values(u, grid)
     out = project_values(ux, grid)
     out *= -1j * k / (1.0 + k**2)
-    out[-1] = 0.0
+    out[..., -1] = 0.0
     if advect:
         out -= adv
     return dealias_spec(out, grid)
@@ -179,13 +181,15 @@ def _check_state(vals: np.ndarray, t_last_good: float) -> None:
             time=t_last_good)
 
 
-def _step_times(dt: float, t_end: float) -> np.ndarray:
-    n_full = int(np.floor(t_end / dt + 1e-9))
-    times = dt * np.arange(n_full + 1)
+def _stage_times(cfg: SolverConfig) -> list[tuple]:
+    """(t, t + dt/2, t_next) of each step: the floats the march's stages get."""
+    dt, t_end = cfg.dt, cfg.t_end
+    times = dt * np.arange(int(np.floor(t_end / dt + 1e-9)) + 1)
     if t_end - times[-1] > 1e-9 * max(1.0, t_end):
         times = np.append(times, t_end)
     times[-1] = t_end
-    return times
+    return [(t, t + 0.5 * (t_next - t), t_next)
+            for t, t_next in zip(times[:-1], times[1:])]
 
 
 def _rk4_march(state, kept, cfg: SolverConfig, rhs, guard, refuse=None):
@@ -199,14 +203,11 @@ def _rk4_march(state, kept, cfg: SolverConfig, rhs, guard, refuse=None):
     rchlab error without a time gets t.  Returns the times and kept values at
     t = 0, every ``cfg.snapshot_every`` steps and at the end.
     """
-    times = _step_times(cfg.dt, cfg.t_end)
-    last = len(times) - 1
+    steps = _stage_times(cfg)
     snaps = [kept]
     snap_times = [0.0]
-    for i in range(last):
-        t, t_next = times[i], times[i + 1]
+    for i, (t, t_mid, t_next) in enumerate(steps):
         dt = t_next - t
-        t_mid = t + 0.5 * dt
         if refuse is not None:
             refuse(kept, t, dt)
         try:
@@ -220,7 +221,7 @@ def _rk4_march(state, kept, cfg: SolverConfig, rhs, guard, refuse=None):
             raise
         state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         kept = guard(state, t, t_next)
-        if (i + 1) % cfg.snapshot_every == 0 or i + 1 == last:
+        if (i + 1) % cfg.snapshot_every == 0 or i + 1 == len(steps):
             snaps.append(kept)
             snap_times.append(t_next)
     return np.asarray(snap_times), snaps
@@ -277,25 +278,29 @@ def _interpolate_in_time(traj: Trajectory, t: float) -> np.ndarray:
 
 
 def _frozen_rhs(prev: Trajectory | None, s0: np.ndarray, grid: PeriodicGrid,
-                params: ModelParams):
+                params: ModelParams, taus: list):
     """RHS ``G(u^m) - u^m v_x`` of a Picard iterate in increment form: it
     takes and returns spectra of w = v - u0, and ``s0`` is the dealiased
     spectrum of u0.  u^m is interpolated from the values stored in ``prev``
     (None is the zero iterate).  The padded lattice of u^m and G(u^m) depend
-    on tau alone, and k2 and k3 share t + dt/2 while one step's t_next is the
-    next step's t, so a memo of two taus makes two kernel calls per step; a
-    stage then costs one :func:`conv_spec`, two transforms at 2N."""
+    on tau alone, so a miss makes them for the next block of ``taus``, the
+    march's distinct stage times in order, as rows of one stacked kernel
+    call; the memo holds that block, and a stage costs one :func:`conv_spec`,
+    two transforms at 2N."""
     if prev is None:
         return lambda tau, w: np.zeros_like(w)
+    rows = _stack_rows(2 * grid.n_points)
     memo = {}
 
     def rhs(tau, w):
         if tau not in memo:
-            if len(memo) == 2:
-                del memo[next(iter(memo))]
-            uf, ufx = _padded_u_ux(rfft(_interpolate_in_time(prev, tau)), grid)
+            block = taus[taus.index(tau):][:rows]
+            vals = np.array([_interpolate_in_time(prev, t) for t in block])
+            uf, ufx = _padded_u_ux(rfft(vals), grid)
             # advect=False leaves uf as it is, so the stages reuse it
-            memo[tau] = uf, _flux_spec(uf, ufx, grid, params, advect=False)
+            g = _flux_spec(uf, ufx, grid, params, advect=False)
+            memo.clear()
+            memo.update(zip(block, zip(uf, g)))
         uf, g = memo[tau]
         svx = 1j * grid.k * (s0 + w)
         svx[-1] = 0.0
@@ -324,6 +329,7 @@ def picard_iterate(u0: Field, params: ModelParams, cfg: SolverConfig,
     grid = u0.grid
     s0 = dealias_spec(rfft(u0.values), grid)
     every_step = replace(cfg, snapshot_every=1)
+    taus = list(dict.fromkeys(np.ravel(_stage_times(cfg))))
 
     def to_lattice(w, t, t_next):
         vals = u0.values + irfft(w, grid.n_points)
@@ -332,7 +338,8 @@ def picard_iterate(u0: Field, params: ModelParams, cfg: SolverConfig,
 
     iterates: list[Trajectory] = []
     for _ in range(m_iters):
-        rhs = _frozen_rhs(iterates[-1] if iterates else None, s0, grid, params)
+        rhs = _frozen_rhs(iterates[-1] if iterates else None, s0, grid, params,
+                          taus)
         times, snaps = _rk4_march(np.zeros_like(s0), u0.values, every_step,
                                   rhs, guard=to_lattice)
         iterates.append(Trajectory(grid=grid, params=params, times=times,

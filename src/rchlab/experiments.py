@@ -28,9 +28,10 @@ from .errors import InvalidParameterError
 from .eulerian import (KAPPA_DEFAULT, SolverConfig, full_rhs, kappa_horizon,
                        picard_iterate, solve)
 from .initial_data import _top_half, build_family, build_psi, builtin_profile
-from .littlewood_paley import (BesovIndex, DyadicFilterBank, besov_norm,
-                               besov_norms, build_filter_bank, lp_norm)
-from .spectral import Field, PeriodicGrid, ddx
+from .littlewood_paley import (BesovIndex, DyadicFilterBank, _besov_rows,
+                               besov_norm, besov_norms, build_filter_bank,
+                               lp_norm)
+from .spectral import Field, PeriodicGrid, _stack_rows, ddx
 
 DEFAULT_OMEGA = 1.0
 DEFAULT_LENGTH = 64.0 * np.pi
@@ -219,9 +220,12 @@ def _sweep_setup(idx: BesovIndex, n_list, length: float, steps: int,
 def _distances(bank: DyadicFilterBank, states, ref,
                idx: BesovIndex) -> list[float]:
     """Besov norm of ``states[i] - ref[i]`` at each snapshot i; a single
-    array (or scalar) ``ref`` serves every snapshot."""
-    return [besov_norm(bank, Field(bank.grid, a - b), idx)
-            for a, b in zip(states, np.broadcast_to(ref, np.shape(states)))]
+    array (or scalar) ``ref`` serves every snapshot.  The differences are
+    formed and measured a stacked block of snapshots at a time."""
+    ref = np.broadcast_to(ref, np.shape(states))
+    rows = _stack_rows(bank.grid.n_points)
+    return [d for i in range(0, len(states), rows) for d in _besov_rows(
+        bank, states[i:i + rows] - ref[i:i + rows], (idx,))[0]]
 
 
 def _top_half_slope(ns, values) -> Fit:

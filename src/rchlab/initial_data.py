@@ -11,6 +11,7 @@ the mode range, in one pass that builds each member once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,19 +103,23 @@ class DataFamily:
     w0n: Field
     v0n: Field
     u0n: Field
-    z0n: Field
     carrier: float
+
+    @functools.cached_property
+    def z0n(self) -> Field:
+        """Transport seed -u0n d_x u0n, formed on first read (few need it)."""
+        z = product(self.u0n, ddx(self.u0n), dealias=True)
+        z.values = -z.values
+        return z
 
 
 def build_family(bump: BumpProfile, n: int, s: float) -> DataFamily:
-    """Assemble w0n, v0n, their sum, and the transport seed -u0n d_x u0n."""
+    """Assemble w0n, v0n and their sum; z0n is formed on first read."""
     k_n, _ = modulation_frequency(bump.grid, n)
     w = make_w0n(bump, n, s)
     v = make_v0n(bump, n)
     u = Field(bump.grid, w.values + v.values)
-    z = product(u, ddx(u), dealias=True)
-    z.values = -z.values
-    return DataFamily(n=n, s=s, w0n=w, v0n=v, u0n=u, z0n=z, carrier=k_n)
+    return DataFamily(n=n, s=s, w0n=w, v0n=v, u0n=u, carrier=k_n)
 
 
 @dataclass

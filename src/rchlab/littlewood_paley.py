@@ -14,7 +14,8 @@ transform per block otherwise.  The profile does not depend on (s, r), so one
 profile serves every regularity: :func:`weight_profile` applies the weights
 2^{js} and :func:`sequence_norm` takes the l^r norm over j.
 :func:`besov_norms` measures one field at several indices from one forward
-transform and one profile per distinct p.
+transform and one profile per distinct p, as one row of a stacked
+:func:`_besov_rows`: the profiles reduce along the last axis.
 """
 
 from __future__ import annotations
@@ -127,29 +128,36 @@ def dyadic_block(bank: DyadicFilterBank, f: Field, j: int) -> Field:
 
 def lp_norm(f: Field, p: float) -> float:
     """Lattice L^p norm by the rectangle rule; p may be math.inf."""
-    if p == math.inf:
-        return float(np.max(np.abs(f.values)))
     if not p >= 1.0:
         raise InvalidParameterError(f"p must lie in [1, inf], got {p!r}")
-    h = f.grid.spacing
+    return float(_lp_rows(f.values, f.grid.spacing, p))
+
+
+def _lp_rows(vals: np.ndarray, h: float, p: float) -> np.ndarray:
+    """:func:`lp_norm` of each row of ``vals``, along the last axis."""
+    if p == math.inf:
+        return np.max(np.abs(vals), axis=-1)
     if p == 1.0:  # numpy takes no fast path for ** 1.0: a pow per point
-        return float(h * np.sum(np.abs(f.values)))
-    return float((h * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+        return h * np.sum(np.abs(vals), axis=-1)
+    # a scalar pow per row: numpy's vectorized pow differs in some last bits
+    return np.vectorize(lambda x: x ** (1.0 / p))(
+        h * np.sum(np.abs(vals) ** p, axis=-1))
 
 
-def _spectral_l2(spec: np.ndarray, grid: PeriodicGrid) -> float:
+def _spectral_l2(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     # Plancherel on the lattice: ||g||_2^2 = L sum |c_m|^2 over signed modes;
     # the energies double the paired modes, which doubles their sum exactly
     e = _spectrum_energies(spec, grid.n_points)
-    return float(math.sqrt(grid.length * (e[0] + e[-1] + np.sum(e[1:-1]))))
+    return np.sqrt(grid.length
+                   * (e[..., 0] + e[..., -1] + np.sum(e[..., 1:-1], axis=-1)))
 
 
-def _block_lp_from_spec(spec: np.ndarray, grid: PeriodicGrid, p: float) -> float:
+def _block_lp_from_spec(spec: np.ndarray, grid: PeriodicGrid, p: float):
     if p == 2.0:
         return _spectral_l2(spec, grid)
     if not np.any(spec):
-        return 0.0
-    return lp_norm(Field(grid, irfft(spec, grid.n_points)), p)
+        return np.zeros(spec.shape[:-1])
+    return _lp_rows(irfft(spec, grid.n_points), grid.spacing, p)
 
 
 def _profile_from_spec(bank: DyadicFilterBank, spec: np.ndarray,
@@ -160,10 +168,11 @@ def _profile_from_spec(bank: DyadicFilterBank, spec: np.ndarray,
     block = np.zeros_like(spec)
     profile = []
     for j, (lo, hi) in enumerate(bank.supports, start=-1):
-        np.multiply(spec[lo:hi], bank.filter_for(j)[lo:hi], out=block[lo:hi])
+        np.multiply(spec[..., lo:hi], bank.filter_for(j)[lo:hi],
+                    out=block[..., lo:hi])
         profile.append(_block_lp_from_spec(block, bank.grid, p))
-        block[lo:hi] = 0.0
-    return np.array(profile)
+        block[..., lo:hi] = 0.0
+    return np.stack(profile, axis=-1)
 
 
 def _spectrum(bank: DyadicFilterBank, f: Field) -> np.ndarray:
@@ -195,38 +204,45 @@ def block_norms(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> np.ndarray
     return weight_profile(block_profile(bank, f, idx.p), idx.s)
 
 
-def _tail_fraction(bank: DyadicFilterBank, spec: np.ndarray) -> float:
+def _tail_fraction(bank: DyadicFilterBank, spec: np.ndarray) -> np.ndarray:
     energies = _spectrum_energies(spec, bank.grid.n_points)
-    total = float(np.sum(energies))
-    if total == 0.0:
-        return 0.0
-    tail = float(np.sum(energies[bank.grid.k > (8.0 / 3.0) * 2.0 ** bank.j_max]))
-    return tail / total
+    total = np.sum(energies, axis=-1)
+    tail = np.sum(energies[..., bank.grid.k > (8.0 / 3.0) * 2.0 ** bank.j_max],
+                  axis=-1)
+    return np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
 
 
 def high_tail_fraction(bank: DyadicFilterBank, f: Field) -> float:
     """L^2 mass fraction beyond the top resolved annulus (8/3) 2^{j_max}."""
-    return _tail_fraction(bank, _spectrum(bank, f))
+    return float(_tail_fraction(bank, _spectrum(bank, f)))
 
 
-def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> list[float]:
-    """Besov norms of ``f`` at each index: l^r over j of the weighted block
-    norms, from one forward transform and one block profile per distinct p."""
-    spec = _spectrum(bank, f)
+def _besov_rows(bank: DyadicFilterBank, vals: np.ndarray,
+                indices) -> list[list[float]]:
+    """Besov norms at each index of each row of ``vals`` (1-D: one row), from
+    one stacked transform and one stacked block profile per distinct p."""
+    spec = rfft(vals)
     profiles: dict[float, np.ndarray] = {}
     norms = []
     for idx in indices:
         if idx.p not in profiles:
             profiles[idx.p] = _profile_from_spec(bank, spec, idx.p)
-        norms.append(sequence_norm(weight_profile(profiles[idx.p], idx.s),
-                                   idx.r))
+        norms.append([sequence_norm(weight_profile(profile, idx.s), idx.r)
+                      for profile in np.atleast_2d(profiles[idx.p])])
     if log.isEnabledFor(logging.DEBUG):
-        tail = _tail_fraction(bank, spec)
+        tail = float(np.max(_tail_fraction(bank, spec)))
         if tail > 1e-12:
             log.debug("besov_norm: %.3e of the L2 mass sits beyond the top "
                       "annulus and is carried by block j_max=%d", tail,
                       bank.j_max)
     return norms
+
+
+def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> list[float]:
+    """Besov norms of ``f`` at each index, as one row of :func:`_besov_rows`."""
+    if f.grid != bank.grid:
+        raise InvalidParameterError("field grid does not match filter bank grid")
+    return [norms[0] for norms in _besov_rows(bank, f.values, indices)]
 
 
 def besov_norm(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> float:

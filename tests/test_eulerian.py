@@ -175,13 +175,13 @@ def test_picard_first_iterate_is_frozen_data():
 def test_picard_transform_budget(monkeypatch, m_iters):
     # one transform of u0, one guard transform per step, and per step of a
     # later iterate 2 new taus x 4, 4 stages x 2 at 2N and the guard, plus
-    # the kernel call at tau = 0
+    # the kernel call at tau = 0; a stacked call counts one per row
     count = [0]
 
     def counted(fn):
-        def wrapper(*args, **kwargs):
-            count[0] += 1
-            return fn(*args, **kwargs)
+        def wrapper(x, *args, **kwargs):
+            count[0] += math.prod(np.shape(x)[:-1])
+            return fn(x, *args, **kwargs)
         return wrapper
 
     u0 = builtin_profile("smoke", PeriodicGrid(64.0 * np.pi, 512))
@@ -193,6 +193,77 @@ def test_picard_transform_budget(monkeypatch, m_iters):
     iters = picard_iterate(u0, p, SolverConfig(dt=0.02, t_end=0.1), m_iters)
     assert len(iters[0].times) == n_steps + 1
     assert count[0] == 1 + n_steps + (m_iters - 1) * (17 * n_steps + 4)
+
+
+def test_stage_times_are_the_taus_the_march_passes():
+    # 0.1 = 3 x 0.03 + a short last step of 0.01
+    cfg = SolverConfig(dt=0.03, t_end=0.1)
+    seen = []
+
+    def spy(tau, y):
+        seen.append(tau)
+        return y
+
+    eulerian._rk4_march(np.ones(1), 1.0, cfg, spy, guard=lambda y, t, tn: y)
+    stages = eulerian._stage_times(cfg)
+    assert seen == [tau for t, mid, tn in stages for tau in (t, mid, mid, tn)]
+    assert len(stages) == 4 and stages[-1][2] == 0.1
+    assert stages[-1][2] - stages[-1][0] == pytest.approx(0.01, abs=1e-15)
+
+
+def _per_tau_picard(u0, params, cfg, m_iters):
+    # the Picard iterator with one unstacked kernel call per tau and a memo
+    # of the last two taus, as it ran before the stage times were stacked
+    grid = u0.grid
+    s0 = eulerian.dealias_spec(eulerian.rfft(u0.values), grid)
+    every_step = SolverConfig(dt=cfg.dt, t_end=cfg.t_end)
+
+    def frozen(prev):
+        memo = {}
+
+        def rhs(tau, w):
+            if tau not in memo:
+                if len(memo) == 2:
+                    del memo[next(iter(memo))]
+                vals = eulerian._interpolate_in_time(prev, tau)
+                uf, ufx = eulerian._padded_u_ux(eulerian.rfft(vals), grid)
+                memo[tau] = uf, eulerian._flux_spec(uf, ufx, grid, params,
+                                                    advect=False)
+            uf, g = memo[tau]
+            svx = 1j * grid.k * (s0 + w)
+            svx[-1] = 0.0
+            return g - eulerian.dealias_spec(
+                eulerian.conv_spec(uf, svx, grid), grid)
+
+        return rhs
+
+    def to_lattice(w, t, t_next):
+        return u0.values + eulerian.irfft(w, grid.n_points)
+
+    iterates = []
+    for _ in range(m_iters):
+        rhs = (frozen(iterates[-1]) if iterates
+               else lambda tau, w: np.zeros_like(w))
+        times, snaps = eulerian._rk4_march(np.zeros_like(s0), u0.values,
+                                           every_step, rhs, guard=to_lattice)
+        iterates.append(eulerian.Trajectory(grid, params, times,
+                                            np.asarray(snaps)))
+    return iterates
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0, 2.5])
+def test_stacked_picard_matches_the_per_tau_memo(omega):
+    # N = 2^10 stacks 16 taus to a call; 11 steps with a short last one
+    # make 23 taus, so a full block and a remainder
+    u0 = builtin_profile("smoke", PeriodicGrid(64.0 * np.pi, 2**10))
+    p = derive_coefficients(omega)
+    cfg = SolverConfig(dt=0.01, t_end=0.105)
+    assert eulerian._stack_rows(2 * 2**10) == 16
+    got = picard_iterate(u0, p, cfg, 4)
+    want = _per_tau_picard(u0, p, cfg, 4)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.states, b.states)
 
 
 @pytest.mark.parametrize("omega", [0.0, 1.0, 2.5])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from rchlab.errors import InvalidParameterError
-from rchlab.experiments import (ExperimentReport, Fit, Verdict, _time_stepping,
-                                fit_line, grid_for_block,
+from rchlab.experiments import (ExperimentReport, Fit, Verdict, _distances,
+                                _time_stepping, fit_line, grid_for_block,
                                 run_continuous_dependence,
                                 run_critical_expansion,
                                 run_decomposition_rates,
@@ -16,7 +16,8 @@ from rchlab.experiments import (ExperimentReport, Fit, Verdict, _time_stepping,
                                 run_nonuniform_supercritical,
                                 run_picard_convergence, write_report)
 from rchlab.initial_data import _top_half, builtin_profile
-from rchlab.spectral import PeriodicGrid
+from rchlab.littlewood_paley import BesovIndex, besov_norm, build_filter_bank
+from rchlab.spectral import Field, PeriodicGrid, _stack_rows
 
 
 def test_fit_line_exact():
@@ -25,6 +26,22 @@ def test_fit_line_exact():
     assert fit.slope == pytest.approx(-0.5, abs=1e-13)
     assert fit.stderr <= 1e-13
     assert fit.window == [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_stacked_distances_match_per_snapshot_norms(p):
+    # N = 2^12 stacks 8 snapshots to a block, so 11 make a remainder of 3
+    grid = PeriodicGrid(64.0 * np.pi, 2**12)
+    assert _stack_rows(grid.n_points) == 8
+    bank = build_filter_bank(grid)
+    rng = np.random.default_rng(31)
+    states = rng.normal(size=(11, grid.n_points))
+    refs = rng.normal(size=(11, grid.n_points))
+    idx = BesovIndex(1.5, p, 2.0)
+    for ref in (refs, refs[0], 0.0):
+        want = [besov_norm(bank, Field(grid, a - b), idx) for a, b
+                in zip(states, np.broadcast_to(ref, states.shape))]
+        assert _distances(bank, states, ref, idx) == want
 
 
 def test_fit_line_two_points_has_zero_stderr():

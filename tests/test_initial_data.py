@@ -103,6 +103,14 @@ def test_family_transport_seed():
     assert fam.carrier == pytest.approx((33.0 / 24.0) * 32.0, abs=0.5)
 
 
+def test_transport_seed_is_formed_on_first_read():
+    fam = build_family(BUMP, 6, 2.0)
+    assert "z0n" not in vars(fam)
+    want = product(fam.u0n, ddx(fam.u0n), dealias=True).values
+    assert np.array_equal(fam.z0n.values, -want)
+    assert fam.z0n is fam.z0n
+
+
 @pytest.mark.parametrize("p, r", [(2.0, 2.0), (1.0, 1.0), (1.0, math.inf),
                                   (math.inf, 2.0), (1.5, 2.0)])
 def test_certification_tables_match_separate_norms(p, r):

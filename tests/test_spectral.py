@@ -15,8 +15,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.fft import irfft, rfft
 
 from rchlab.errors import GridMismatchError, InvalidParameterError
-from rchlab.spectral import (Field, PeriodicGrid, ddx, dealias, dealias_spec,
-                             field_from_binary, field_from_csv,
+from rchlab.spectral import (Field, PeriodicGrid, _spectrum_energies,
+                             _stack_rows, conv_spec, ddx, dealias,
+                             dealias_spec, field_from_binary, field_from_csv,
                              field_to_binary, field_to_csv, grad_p_conv,
                              helmholtz_inverse, mode_amplitudes, mode_energies,
                              pad_values, product, project_values, synthesize)
@@ -161,6 +162,33 @@ def test_product_is_pad_times_pad_then_project(masked):
         spec = dealias_spec(spec, GRID)
     want = irfft(spec, 256)
     assert np.array_equal(product(f, g, dealias=masked).values, want)
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(11, 18)])
+def test_stacked_transforms_match_row_by_row(n):
+    # every grid the workloads use, 2^11..2^16 and the 2^17 of the
+    # certification sweep, with its 2N kernel lattice: a stack is worth
+    # taking only if each row comes out bit for bit as it does alone
+    grid = PeriodicGrid(64.0 * np.pi, n)
+    rows = max(2, _stack_rows(n))
+    vals = np.random.default_rng(n).normal(size=(rows, n))
+    spec = rfft(vals)
+    padded = pad_values(spec, grid, 2 * n)
+    stacked = (spec, irfft(spec, n), padded, project_values(padded, grid),
+               conv_spec(padded, spec, grid), _spectrum_energies(spec, n))
+    for i in range(rows):
+        row = rfft(vals[i])
+        row_padded = pad_values(row, grid, 2 * n)
+        alone = (row, irfft(row, n), row_padded,
+                 project_values(row_padded, grid),
+                 conv_spec(row_padded, row, grid), _spectrum_energies(row, n))
+        for got, want in zip(stacked, alone):
+            assert np.array_equal(got[i], want)
+
+
+def test_stack_rows_caps_the_points_of_one_call():
+    assert [_stack_rows(2**k) for k in (10, 12, 13, 15, 16, 20)] == \
+        [32, 8, 4, 1, 1, 1]
 
 
 def test_dealias_idempotent():
