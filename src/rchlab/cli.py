@@ -30,7 +30,7 @@ from .experiments import DEFAULT_LENGTH
 from .initial_data import (build_family, build_psi, builtin_profile,
                            certification_tables)
 from .lagrangian import initial_state, lagrangian_solve, pullback_to_eulerian
-from .littlewood_paley import (BesovIndex, besov_norms, block_norms,
+from .littlewood_paley import (BesovIndex, _distances, block_norms,
                                build_filter_bank, lp_norm, sequence_norm)
 from .spectral import (Field, PeriodicGrid, field_from_binary, field_from_csv,
                        field_to_binary, field_to_csv)
@@ -103,15 +103,15 @@ def _cmd_besov(args) -> int:
 
 
 def _write_norm_table(path, traj, bank, indices) -> None:
+    besov = _distances(bank, traj.states, 0.0, indices)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "l2", "linf", "h1_integral"]
                         + [f"besov_{i.s:g}_{i.p:g}_{i.r:g}" for i in indices])
-        for i in range(len(traj.times)):
+        for i, (t, *norms) in enumerate(zip(traj.times, *besov)):
             f = traj.field_at(i)
-            row = [float(traj.times[i]), lp_norm(f, 2.0),
-                   lp_norm(f, math.inf), h1_integral(f)]
-            row += besov_norms(bank, f, indices)
+            row = [float(t), lp_norm(f, 2.0), lp_norm(f, math.inf),
+                   h1_integral(f), *norms]
             writer.writerow([repr(float(v)) for v in row])
 
 
@@ -160,20 +160,16 @@ def _cmd_lagrangian(args) -> int:
           f"{len(traj.states)} snapshots -> {out}")
     if not args.cross_check:
         return 0
-    eul = solve(u0, params, SolverConfig(dt=dt, t_end=args.tend,
-                                         snapshot_every=1))
-    rows = []
-    for i, t in enumerate(traj.times):
-        j = eul.index_of_time(float(t))
-        diff = pullback_to_eulerian(traj.states[i]).values - eul.states[j]
-        rows.append((float(t), float(np.max(np.abs(diff)))))
+    # the same cfg makes the same march, so the snapshots pair up in order
+    eul = solve(u0, params, cfg)
+    gaps = [float(np.max(np.abs(pullback_to_eulerian(state).values - vals)))
+            for state, vals in zip(traj.states, eul.states)]
     with open(out / "cross_check.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "linf_gap"])
-        for t, gap in rows:
-            writer.writerow([repr(t), repr(gap)])
-    worst = max(gap for _, gap in rows)
-    print(f"cross-check vs grid solver: max linf gap {worst:.3e}")
+        writer.writerows([repr(float(t)), repr(gap)]
+                         for t, gap in zip(traj.times, gaps))
+    print(f"cross-check vs grid solver: max linf gap {max(gaps):.3e}")
     return 0
 
 

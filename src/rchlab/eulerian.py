@@ -259,21 +259,23 @@ def solve(u0: Field, params: ModelParams, cfg: SolverConfig) -> Trajectory:
                       states=np.asarray(snaps))
 
 
-def _interpolate_in_time(traj: Trajectory, t: float) -> np.ndarray:
+def _interpolate_in_time(traj: Trajectory, taus) -> np.ndarray:
     """Cubic Lagrange interpolation over a trajectory's stored snapshots, of
-    which a march stores at least two."""
+    which a march stores at least two: one row per time in ``taus``, each
+    summed from zeros into its row of one array."""
     times = traj.times
     n = len(times)
-    i = min(max(int(np.searchsorted(times, t)) - 1, 0), n - 2)
-    lo = min(max(i - 1, 0), max(n - 4, 0))
-    stencil = range(lo, min(lo + 4, n))
-    out = np.zeros_like(traj.states[0])
-    for a in stencil:
-        w = 1.0
-        for b in stencil:
-            if b != a:
-                w *= (t - times[b]) / (times[a] - times[b])
-        out += w * traj.states[a]
+    out = np.zeros((len(taus), traj.states.shape[1]))
+    for row, t in zip(out, taus):
+        i = min(max(int(np.searchsorted(times, t)) - 1, 0), n - 2)
+        lo = min(max(i - 1, 0), max(n - 4, 0))
+        stencil = range(lo, min(lo + 4, n))
+        for a in stencil:
+            w = 1.0
+            for b in stencil:
+                if b != a:
+                    w *= (t - times[b]) / (times[a] - times[b])
+            row += w * traj.states[a]
     return out
 
 
@@ -295,8 +297,8 @@ def _frozen_rhs(prev: Trajectory | None, s0: np.ndarray, grid: PeriodicGrid,
     def rhs(tau, w):
         if tau not in memo:
             block = taus[taus.index(tau):][:rows]
-            vals = np.array([_interpolate_in_time(prev, t) for t in block])
-            uf, ufx = _padded_u_ux(rfft(vals), grid)
+            uf, ufx = _padded_u_ux(rfft(_interpolate_in_time(prev, block)),
+                                   grid)
             # advect=False leaves uf as it is, so the stages reuse it
             g = _flux_spec(uf, ufx, grid, params, advect=False)
             memo.clear()

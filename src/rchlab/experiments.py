@@ -7,10 +7,10 @@ half of the sweep range, and emits a report with explicit pass/fail verdicts.
 Reports are bit-for-bit reproducible: evaluation order is fixed and nothing
 draws randomness.
 
-Every campaign measures its per-snapshot Besov distances through
-:func:`_distances`.  The three mode-index sweeps share one skeleton:
-:func:`_sweep_setup`, and one helper each for the top-half slope, the
-first-order residual rows and their late-t exponent.
+Every campaign measures its per-snapshot Besov norms through
+:func:`littlewood_paley._distances`.  The three mode-index sweeps share one
+skeleton: :func:`_sweep_setup`, and one helper each for the top-half slope,
+the first-order residual rows and their late-t exponent.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from .errors import InvalidParameterError
 from .eulerian import (KAPPA_DEFAULT, SolverConfig, full_rhs, kappa_horizon,
                        picard_iterate, solve)
 from .initial_data import _top_half, build_family, build_psi, builtin_profile
-from .littlewood_paley import (BesovIndex, DyadicFilterBank, _besov_rows,
+from .littlewood_paley import (BesovIndex, DyadicFilterBank, _distances,
                                besov_norm, besov_norms, build_filter_bank,
                                lp_norm)
-from .spectral import Field, PeriodicGrid, _stack_rows, ddx
+from .spectral import Field, PeriodicGrid, ddx
 
 DEFAULT_OMEGA = 1.0
 DEFAULT_LENGTH = 64.0 * np.pi
@@ -109,11 +109,7 @@ def write_report(report: ExperimentReport, outdir) -> None:
                "verdicts": {k: _jsonable(asdict(v))
                             for k, v in report.verdicts.items()}}
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
-    columns: list[str] = []
-    for row in report.table:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = list(dict.fromkeys(key for row in report.table for key in row))
     with open(out / "table.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, restval="")
         writer.writeheader()
@@ -217,17 +213,6 @@ def _sweep_setup(idx: BesovIndex, n_list, length: float, steps: int,
                                         snapshot_every=snapshot_every)
 
 
-def _distances(bank: DyadicFilterBank, states, ref,
-               idx: BesovIndex) -> list[float]:
-    """Besov norm of ``states[i] - ref[i]`` at each snapshot i; a single
-    array (or scalar) ``ref`` serves every snapshot.  The differences are
-    formed and measured a stacked block of snapshots at a time."""
-    ref = np.broadcast_to(ref, np.shape(states))
-    rows = _stack_rows(bank.grid.n_points)
-    return [d for i in range(0, len(states), rows) for d in _besov_rows(
-        bank, states[i:i + rows] - ref[i:i + rows], (idx,))[0]]
-
-
 def _top_half_slope(ns, values) -> Fit:
     """Slope of log2 ``values`` against n over the top half of the sweep."""
     return fit_line(_top_half(ns), np.log2(_top_half(values)))
@@ -237,14 +222,13 @@ def _residual_rows(table: list[dict], n: int, st: _FamilySetup, traj, h: Field,
                    idx: BesovIndex, key: str) -> list[int]:
     """Append a row ``key`` = ||u(t) - u0n - t h|| for every sampled t > 0 of
     ``traj``, the solution from u0n; return the new row indices."""
-    rows = []
-    for i, t in enumerate(traj.times.tolist()):
-        if t <= 0.0:
-            continue
-        resid = Field(traj.grid, traj.states[i] - st.fam.u0n.values - t * h.values)
-        table.append({"n": n, "t": t, key: besov_norm(st.bank, resid, idx)})
-        rows.append(len(table) - 1)
-    return rows
+    late = traj.times > 0.0
+    t = traj.times[late]
+    # rounded as (u(t) - u0n) - t h
+    resids = _distances(st.bank, traj.states[late] - st.fam.u0n.values,
+                        t[:, None] * h.values, (idx,))[0]
+    table.extend({"n": n, "t": tt, key: r} for tt, r in zip(t.tolist(), resids))
+    return list(range(len(table) - len(resids), len(table)))
 
 
 def _late_exponent(table: list[dict], rows: list[int], key: str) -> Fit:
@@ -268,7 +252,7 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
         traj_u = solve(s.fam.u0n, params, cfg)
         traj_w = solve(s.fam.w0n, params, cfg)
         curve_rows[n] = []
-        dists = _distances(s.bank, traj_u.states, traj_w.states, idx)
+        dists = _distances(s.bank, traj_u.states, traj_w.states, (idx,))[0]
         for t, dist in zip(traj_u.times.tolist(), dists):
             table.append({"n": n, "t": t, "distance": dist,
                           "ratio": dist / t if t > 0 else float("nan"),
@@ -377,11 +361,10 @@ def run_decomposition_rates(s: float, p: float, r: float, n_list, *,
     for n in n_list:
         st = setups[n]
         traj_w = solve(st.fam.w0n, params, cfg)
-        sup_up, sup_down = np.max(
-            [besov_norms(st.bank, traj_w.field_at(i), (idx_up, idx_down))
-             for i in range(len(traj_w.times))], axis=0)
+        sup_up, sup_down = np.max(_distances(st.bank, traj_w.states, 0.0,
+                                             (idx_up, idx_down)), axis=1)
         sup_dist = max(_distances(st.bank, traj_w.states, st.fam.w0n.values,
-                                  idx))
+                                  (idx,))[0])
         table.append({"n": n, "sup_distance": sup_dist,
                       "sideband_up": sup_up / 2.0**n,
                       "sideband_down": sup_down * 2.0**n,
@@ -516,7 +499,7 @@ def run_continuous_dependence(s: float, p: float, r: float, eps_list,
     for eps in eps_list:
         traj = solve(Field(grid, u0.values + eps * pert.values), params, cfg)
         table.append({"eps": eps, "sup_distance": max(
-            _distances(bank, traj.states, base.states, idx))})
+            _distances(bank, traj.states, base.states, (idx,))[0])})
     dists = [row["sup_distance"] for row in table]
     strictly_decreasing = all(b < a for a, b in zip(dists, dists[1:]))
     cont_fit = fit_line(np.log(eps_list), np.log(dists))
@@ -556,7 +539,7 @@ def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
 
     # iters[j] is iterate j+1; iterate zero vanishes identically, so the
     # first gap is just the sup-t norm of iterate one.
-    gaps = [max(_distances(bank, cur.states, prev, idx_gap))
+    gaps = [max(_distances(bank, cur.states, prev, (idx_gap,))[0])
             for cur, prev in zip(iters, [0.0] + [it.states for it in iters])]
     table: list[dict] = [{"m": m, "iterate_gap": gap}
                          for m, gap in enumerate(gaps, start=1)]

@@ -16,6 +16,8 @@ profile serves every regularity: :func:`weight_profile` applies the weights
 :func:`besov_norms` measures one field at several indices from one forward
 transform and one profile per distinct p, as one row of a stacked
 :func:`_besov_rows`: the profiles reduce along the last axis.
+:func:`_distances` measures every per-snapshot norm of the campaigns and of
+``norms.csv``, a stacked block of ``_stack_rows(N)`` rows per call.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 from scipy.fft import irfft, rfft
 
 from .errors import InvalidParameterError
-from .spectral import (Field, PeriodicGrid, _spectrum_energies, ddx,
-                       mode_energies)
+from .spectral import (Field, PeriodicGrid, _spectrum_energies, _stack_rows,
+                       ddx, mode_energies)
 
 log = logging.getLogger(__name__)
 
@@ -155,8 +157,6 @@ def _spectral_l2(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 def _block_lp_from_spec(spec: np.ndarray, grid: PeriodicGrid, p: float):
     if p == 2.0:
         return _spectral_l2(spec, grid)
-    if not np.any(spec):
-        return np.zeros(spec.shape[:-1])
     return _lp_rows(irfft(spec, grid.n_points), grid.spacing, p)
 
 
@@ -236,6 +236,18 @@ def _besov_rows(bank: DyadicFilterBank, vals: np.ndarray,
                       "annulus and is carried by block j_max=%d", tail,
                       bank.j_max)
     return norms
+
+
+def _distances(bank: DyadicFilterBank, states, ref,
+               indices) -> list[list[float]]:
+    """Besov norms of ``states[i] - ref[i]`` for each row i, one list per
+    index (one array or scalar ``ref`` serves every row), formed and measured
+    ``_stack_rows(N)`` rows at a time, never all rows at once."""
+    ref = np.broadcast_to(ref, np.shape(states))
+    rows = _stack_rows(bank.grid.n_points)
+    blocks = [_besov_rows(bank, states[i:i + rows] - ref[i:i + rows], indices)
+              for i in range(0, len(states), rows)]
+    return [sum(col, []) for col in zip(*blocks)]
 
 
 def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> list[float]:

@@ -63,6 +63,8 @@ class PeriodicGrid:
         self.k = (2.0 * np.pi / self.length) * np.arange(self.n_points // 2 + 1)
         self.k_nyquist = np.pi / self.spacing
         self.dealias_cap = TWO_THIRDS * self.k_nyquist
+        # k increases with the index: the modes above the cap start here
+        self._dealias_from = int(np.sum(self.k <= self.dealias_cap))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PeriodicGrid)
@@ -157,7 +159,9 @@ def _spectrum_energies(spec: np.ndarray, n_points: int) -> np.ndarray:
 
 def dealias_spec(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Copy of a one-sided spectrum with the modes above the 2/3-rule cap zeroed."""
-    return np.where(grid.k > grid.dealias_cap, 0.0, spec)
+    out = spec.copy()
+    out[..., grid._dealias_from:] = 0.0
+    return out
 
 
 def dealias(f: Field) -> Field:

@@ -7,14 +7,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rchlab import spectral
-from rchlab.cli import build_parser, main
+from rchlab.cli import _write_norm_table, build_parser, main
+from rchlab.coefficients import derive_coefficients
 from rchlab.errors import InvalidParameterError
-from rchlab.littlewood_paley import (BesovIndex, besov_norm, block_norms,
-                                     build_filter_bank)
-from rchlab.spectral import field_from_csv
+from rchlab.eulerian import SolverConfig, Trajectory, solve
+from rchlab.experiments import DEFAULT_LENGTH
+from rchlab.initial_data import builtin_profile
+from rchlab.lagrangian import (initial_state, lagrangian_solve,
+                               pullback_to_eulerian)
+from rchlab.littlewood_paley import (BesovIndex, besov_norm, besov_norms,
+                                     block_norms, build_filter_bank)
+from rchlab.spectral import PeriodicGrid, field_from_csv
 
 
 def test_coeffs_json(capsys):
@@ -133,6 +140,43 @@ def test_lagrangian_cross_check(tmp_path, capsys):
     rows = (out / "cross_check.csv").read_text().splitlines()[1:]
     gaps = [float(r.split(",")[1]) for r in rows]
     assert max(gaps) <= 1e-4
+
+
+def test_cross_check_pairs_the_flow_snapshots(tmp_path, capsys):
+    # 5 steps kept every 2: the flow and the check hold t = 0, 2, 4, 5 steps
+    out = tmp_path / "lag"
+    assert main(["lagrangian", "--init", "smoke", "--tend", "0.05",
+                 "--dt", "0.01", "--N", "2048", "--snapshot-every", "2",
+                 "--out", str(out), "--cross-check"]) == 0
+    u0 = builtin_profile("smoke", PeriodicGrid(DEFAULT_LENGTH, 2048))
+    cfg = SolverConfig(dt=0.01, t_end=0.05, snapshot_every=2)
+    flow = lagrangian_solve(initial_state(u0), derive_coefficients(1.0), cfg)
+    eul = solve(u0, derive_coefficients(1.0), cfg)
+    rows = [r.split(",") for r in
+            (out / "cross_check.csv").read_text().splitlines()[1:]]
+    assert len(sorted(out.glob("flow_*.csv"))) == len(flow.times) == 4
+    assert [float(t) for t, _ in rows] == flow.times.tolist()
+    assert [float(gap) for _, gap in rows] == [
+        float(np.max(np.abs(pullback_to_eulerian(state).values - vals)))
+        for state, vals in zip(flow.states, eul.states)]
+
+
+def test_norm_table_matches_per_row_besov_norms(tmp_path):
+    # 11 snapshots at N = 2^12: a block of 8 rows and a remainder of 3
+    grid = PeriodicGrid(64.0 * np.pi, 2**12)
+    assert spectral._stack_rows(grid.n_points) == 8
+    rng = np.random.default_rng(23)
+    traj = Trajectory(grid, derive_coefficients(1.0), 0.01 * np.arange(11.0),
+                      rng.normal(size=(11, grid.n_points)))
+    bank = build_filter_bank(grid)
+    indices = [BesovIndex(1.5, 1.0, 1.0), BesovIndex(2.0, 2.0, 2.0),
+               BesovIndex(2.0, 1.0, math.inf)]
+    _write_norm_table(tmp_path / "norms.csv", traj, bank, indices)
+    rows = (tmp_path / "norms.csv").read_text().splitlines()[1:]
+    assert len(rows) == 11
+    for i, row in enumerate(rows):
+        want = besov_norms(bank, traj.field_at(i), indices)
+        assert row.split(",")[4:] == [repr(v) for v in want]
 
 
 def test_data_certify(tmp_path, capsys):

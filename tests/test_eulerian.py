@@ -211,6 +211,39 @@ def test_stage_times_are_the_taus_the_march_passes():
     assert stages[-1][2] - stages[-1][0] == pytest.approx(0.01, abs=1e-15)
 
 
+def _scalar_interpolate(traj, t):
+    # the cubic Lagrange interpolation as it ran before, one tau per call
+    times = traj.times
+    n = len(times)
+    i = min(max(int(np.searchsorted(times, t)) - 1, 0), n - 2)
+    lo = min(max(i - 1, 0), max(n - 4, 0))
+    stencil = range(lo, min(lo + 4, n))
+    out = np.zeros_like(traj.states[0])
+    for a in stencil:
+        w = 1.0
+        for b in stencil:
+            if b != a:
+                w *= (t - times[b]) / (times[a] - times[b])
+        out += w * traj.states[a]
+    return out
+
+
+@pytest.mark.parametrize("n_snaps", [2, 3, 4, 5, 51])
+def test_block_interpolation_matches_the_scalar_loop(n_snaps):
+    rng = np.random.default_rng(n_snaps)
+    times = 0.01 * np.arange(float(n_snaps))
+    times[-1] -= 0.004  # a short last step
+    traj = eulerian.Trajectory(GRID, P0, times,
+                               rng.normal(size=(n_snaps, GRID.n_points)))
+    stages = np.ravel([(t, t + 0.5 * (tn - t), tn)
+                       for t, tn in zip(times[:-1], times[1:])])
+    taus = list(dict.fromkeys(stages)) + [-0.003, times[-1] + 0.002]
+    got = eulerian._interpolate_in_time(traj, taus)
+    want = np.array([_scalar_interpolate(traj, t) for t in taus])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def _per_tau_picard(u0, params, cfg, m_iters):
     # the Picard iterator with one unstacked kernel call per tau and a memo
     # of the last two taus, as it ran before the stage times were stacked
@@ -225,7 +258,7 @@ def _per_tau_picard(u0, params, cfg, m_iters):
             if tau not in memo:
                 if len(memo) == 2:
                     del memo[next(iter(memo))]
-                vals = eulerian._interpolate_in_time(prev, tau)
+                vals = eulerian._interpolate_in_time(prev, [tau])[0]
                 uf, ufx = eulerian._padded_u_ux(eulerian.rfft(vals), grid)
                 memo[tau] = uf, eulerian._flux_spec(uf, ufx, grid, params,
                                                     advect=False)

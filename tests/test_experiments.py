@@ -2,13 +2,17 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from rchlab.coefficients import derive_coefficients
 from rchlab.errors import InvalidParameterError
-from rchlab.experiments import (ExperimentReport, Fit, Verdict, _distances,
-                                _time_stepping, fit_line, grid_for_block,
+from rchlab.eulerian import Trajectory
+from rchlab.experiments import (ExperimentReport, Fit, Verdict, _FamilySetup,
+                                _residual_rows, _time_stepping, fit_line,
+                                grid_for_block,
                                 run_continuous_dependence,
                                 run_critical_expansion,
                                 run_decomposition_rates,
@@ -17,7 +21,7 @@ from rchlab.experiments import (ExperimentReport, Fit, Verdict, _distances,
                                 run_picard_convergence, write_report)
 from rchlab.initial_data import _top_half, builtin_profile
 from rchlab.littlewood_paley import BesovIndex, besov_norm, build_filter_bank
-from rchlab.spectral import Field, PeriodicGrid, _stack_rows
+from rchlab.spectral import Field, PeriodicGrid
 
 
 def test_fit_line_exact():
@@ -29,19 +33,26 @@ def test_fit_line_exact():
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
-def test_stacked_distances_match_per_snapshot_norms(p):
-    # N = 2^12 stacks 8 snapshots to a block, so 11 make a remainder of 3
+def test_residual_rows_match_a_per_snapshot_loop(p):
+    # 11 snapshots at N = 2^12: 10 with t > 0, a block of 8 and a remainder
     grid = PeriodicGrid(64.0 * np.pi, 2**12)
-    assert _stack_rows(grid.n_points) == 8
     bank = build_filter_bank(grid)
-    rng = np.random.default_rng(31)
-    states = rng.normal(size=(11, grid.n_points))
-    refs = rng.normal(size=(11, grid.n_points))
-    idx = BesovIndex(1.5, p, 2.0)
-    for ref in (refs, refs[0], 0.0):
-        want = [besov_norm(bank, Field(grid, a - b), idx) for a, b
-                in zip(states, np.broadcast_to(ref, states.shape))]
-        assert _distances(bank, states, ref, idx) == want
+    idx = BesovIndex(2.0, p, 1.0)
+    rng = np.random.default_rng(17)
+    u0 = Field(grid, rng.normal(size=grid.n_points))
+    h = Field(grid, rng.normal(size=grid.n_points))
+    times = 0.01 * np.arange(11.0)
+    traj = Trajectory(grid, derive_coefficients(1.0), times,
+                      rng.normal(size=(11, grid.n_points)))
+    st = _FamilySetup(fam=SimpleNamespace(u0n=u0), bank=bank, idx=idx)
+    table = [{"n": 4}]
+    rows = _residual_rows(table, 5, st, traj, h, idx, "resid")
+    want = [{"n": 5, "t": t, "resid": besov_norm(
+                bank, Field(grid, traj.states[i] - u0.values - t * h.values),
+                idx)}
+            for i, t in enumerate(times.tolist()) if t > 0.0]
+    assert rows == list(range(1, 11))
+    assert table[1:] == want
 
 
 def test_fit_line_two_points_has_zero_stderr():

@@ -280,3 +280,36 @@ def test_lp_norm_at_p1_is_the_pow_formula():
     f = Field(GRID, np.random.default_rng(4).normal(size=GRID.n_points))
     want = (GRID.spacing * np.sum(np.abs(f.values) ** 1.0)) ** 1.0
     assert lp_norm(f, 1.0) == want
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_stacked_distances_match_per_snapshot_norms(p):
+    # N = 2^12 stacks 8 snapshots to a block, so 11 make a remainder of 3
+    grid = PeriodicGrid(64.0 * np.pi, 2**12)
+    assert spectral._stack_rows(grid.n_points) == 8
+    bank = build_filter_bank(grid)
+    rng = np.random.default_rng(31)
+    states = rng.normal(size=(11, grid.n_points))
+    refs = rng.normal(size=(11, grid.n_points))
+    t = 0.01 * np.arange(11.0)
+    idx = BesovIndex(1.5, p, 2.0)
+    # per-snapshot, single-array, scalar and row-wise t h references
+    for ref in (refs, refs[0], 0.0, t[:, None] * refs[0]):
+        want = [besov_norm(bank, Field(grid, a - b), idx) for a, b
+                in zip(states, np.broadcast_to(ref, states.shape))]
+        assert lp._distances(bank, states, ref, (idx,)) == [want]
+    # two indices, one call: a list of norms per index
+    pair = (idx, BesovIndex(2.0, 1.0 if p == 2.0 else 2.0, 1.0))
+    want = [besov_norms(bank, Field(grid, a - refs[0]), pair) for a in states]
+    assert lp._distances(bank, states, refs[0], pair) == [
+        [row[0] for row in want], [row[1] for row in want]]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+def test_zero_field_has_besov_norm_exactly_zero(p):
+    idx = BesovIndex(2.0, p, 1.0)
+    assert besov_norm(BANK, Field(GRID, np.zeros(GRID.n_points)), idx) == 0.0
+    f = random_band_limited(GRID, 200.0, seed=3).values
+    norms = lp._besov_rows(BANK, np.stack([f, 0.0 * f, 2.0 * f]), (idx,))[0]
+    assert norms[1] == 0.0
+    assert norms[0] > 0.0 and norms[2] > 0.0

@@ -191,6 +191,24 @@ def test_stack_rows_caps_the_points_of_one_call():
         [32, 8, 4, 1, 1, 1]
 
 
+@pytest.mark.parametrize("length", [2.0 * np.pi, 64.0 * np.pi, 1000.0])
+def test_dealias_suffix_is_the_mask_bit_for_bit(length):
+    # the modes above the cap are a suffix of the one-sided lattice
+    rng = np.random.default_rng(11)
+    for e in range(4, 18):
+        grid = PeriodicGrid(length, 2**e)
+        spec = rfft(rng.normal(size=(2, grid.n_points)))
+        spec[:, -1] = np.nan  # the Nyquist mode lies above the cap
+        spec[1, 1] = np.nan
+        for s in (spec, spec[0]):
+            before = s.copy()
+            got = dealias_spec(s, grid)
+            want = np.where(grid.k > grid.dealias_cap, 0.0, s)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), grid
+            assert before.tobytes() == s.tobytes()  # the input is not written
+
+
 def test_dealias_idempotent():
     # idempotent up to transform roundoff
     rng = np.random.default_rng(5)
