@@ -13,14 +13,17 @@ aliases only onto modes at or above 2N/3, which the mask removes from the
 result.  Exact products followed by one projection keep the semi-discrete
 mass and H1 identities for every rotation.  The kernel is two
 halves, :func:`_padded_u_ux` and :func:`_flux_spec`, so that Picard can keep
-the padded u it samples.
+samples of the padded u.
 
 A Picard iterate steps the dealiased spectrum of its increment w = v - u0
 from zero and reads the values u0 + w only in its guard, so iterate 1 is u0
-exactly.  Per stage time tau it keeps the padded lattice of the interpolated
-u^m(tau) next to G(u^m(tau)), and each stage's u^m v_x is then one
-:func:`conv_spec`, two transforms at 2N.  One stacked kernel call makes
-them for a block of upcoming stage times.
+exactly.  Per stage time tau it keeps the interpolated u^m(tau) on the N-point
+lattice, the even samples of the kernel's 2N lattice, next to G(u^m(tau)).
+Both factors of a stage's u^m v_x and its result are masked, so the 2/3 rule
+makes the N-point lattice exact below the cap, and the product is one
+:func:`conv_spec`, two transforms at N.  One stacked kernel call makes u^m and
+G(u^m) for a block of upcoming stage times, so a step costs 11 transforms at
+N and 6 at 2N.
 
 Time stepping is classical RK4 with a fixed step in one march,
 :func:`_rk4_march`, shared by :func:`solve`, the Picard iterator for the
@@ -287,8 +290,8 @@ def _frozen_rhs(prev: Trajectory | None, s0: np.ndarray, grid: PeriodicGrid,
     (None is the zero iterate).  The padded lattice of u^m and G(u^m) depend
     on tau alone, so a miss makes them for the next block of ``taus``, the
     march's distinct stage times in order, as rows of one stacked kernel
-    call; the memo holds that block, and a stage costs one :func:`conv_spec`,
-    two transforms at 2N."""
+    call; the memo holds that block with u^m on the N-point lattice, and a
+    stage costs one :func:`conv_spec`, two transforms at N."""
     if prev is None:
         return lambda tau, w: np.zeros_like(w)
     rows = _stack_rows(2 * grid.n_points)
@@ -299,14 +302,17 @@ def _frozen_rhs(prev: Trajectory | None, s0: np.ndarray, grid: PeriodicGrid,
             block = taus[taus.index(tau):][:rows]
             uf, ufx = _padded_u_ux(rfft(_interpolate_in_time(prev, block)),
                                    grid)
-            # advect=False leaves uf as it is, so the stages reuse it
+            # advect=False leaves uf as it is; its even samples are u^m on
+            # the N-point lattice, all the masked stage product needs
             g = _flux_spec(uf, ufx, grid, params, advect=False)
+            un = np.ascontiguousarray(uf[..., ::2])
+            del uf, ufx
             memo.clear()
-            memo.update(zip(block, zip(uf, g)))
-        uf, g = memo[tau]
+            memo.update(zip(block, zip(un, g)))
+        un, g = memo[tau]
         svx = 1j * grid.k * (s0 + w)
         svx[-1] = 0.0
-        return g - dealias_spec(conv_spec(uf, svx, grid), grid)
+        return g - dealias_spec(conv_spec(un, svx, grid), grid)
 
     return rhs
 
@@ -322,9 +328,9 @@ def picard_iterate(u0: Field, params: ModelParams, cfg: SolverConfig,
 
     The march steps the dealiased spectrum of the increment w = v - u0 from
     zero; the guard and the snapshots read the values u0 + w, so iterate 1
-    is u0 exactly.  A step of iterate m+1 costs 17 transforms: per new tau
-    one of the interpolated u^m and three in the kernel, per stage two at
-    2N, and one for the guard.
+    is u0 exactly.  A step of iterate m+1 costs 17 transforms, 11 at N and
+    6 at 2N: per new tau one of the interpolated u^m at N and three at 2N in
+    the kernel, per stage two at N, and one at N for the guard.
     """
     if m_iters < 1:
         raise InvalidParameterError("m_iters must be >= 1")

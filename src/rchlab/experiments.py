@@ -8,9 +8,11 @@ Reports are bit-for-bit reproducible: evaluation order is fixed and nothing
 draws randomness.
 
 Every campaign measures its per-snapshot Besov norms through
-:func:`littlewood_paley._distances`.  The three mode-index sweeps share one
-skeleton: :func:`_sweep_setup`, and one helper each for the top-half slope,
-the first-order residual rows and their late-t exponent.
+:func:`littlewood_paley._distances`, and the first-order residuals through
+the chunk loop beneath it, :func:`littlewood_paley._chunked_norms`.  The
+three mode-index sweeps share one skeleton: :func:`_sweep_setup`, and one
+helper each for the top-half slope, the first-order residual rows and their
+late-t exponent.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .errors import InvalidParameterError
 from .eulerian import (KAPPA_DEFAULT, SolverConfig, full_rhs, kappa_horizon,
                        picard_iterate, solve)
 from .initial_data import _top_half, build_family, build_psi, builtin_profile
-from .littlewood_paley import (BesovIndex, DyadicFilterBank, _distances,
-                               besov_norm, besov_norms, build_filter_bank,
-                               lp_norm)
+from .littlewood_paley import (BesovIndex, DyadicFilterBank, _chunked_norms,
+                               _distances, besov_norm, besov_norms,
+                               build_filter_bank, lp_norm)
 from .spectral import Field, PeriodicGrid, ddx
 
 DEFAULT_OMEGA = 1.0
@@ -222,11 +224,14 @@ def _residual_rows(table: list[dict], n: int, st: _FamilySetup, traj, h: Field,
                    idx: BesovIndex, key: str) -> list[int]:
     """Append a row ``key`` = ||u(t) - u0n - t h|| for every sampled t > 0 of
     ``traj``, the solution from u0n; return the new row indices."""
-    late = traj.times > 0.0
+    late = np.flatnonzero(traj.times > 0.0)
     t = traj.times[late]
-    # rounded as (u(t) - u0n) - t h
-    resids = _distances(st.bank, traj.states[late] - st.fam.u0n.values,
-                        t[:, None] * h.values, (idx,))[0]
+
+    def residuals(rows):  # rounded as (u(t) - u0n) - t h
+        return ((traj.states[late[rows]] - st.fam.u0n.values)
+                - t[rows, None] * h.values)
+
+    resids = _chunked_norms(st.bank, len(late), residuals, (idx,))[0]
     table.extend({"n": n, "t": tt, key: r} for tt, r in zip(t.tolist(), resids))
     return list(range(len(table) - len(resids), len(table)))
 

@@ -17,7 +17,9 @@ profile serves every regularity: :func:`weight_profile` applies the weights
 transform and one profile per distinct p, as one row of a stacked
 :func:`_besov_rows`: the profiles reduce along the last axis.
 :func:`_distances` measures every per-snapshot norm of the campaigns and of
-``norms.csv``, a stacked block of ``_stack_rows(N)`` rows per call.
+``norms.csv``, a stacked block of ``_stack_rows(N)`` rows per call, through
+:func:`_chunked_norms`, which forms each block's rows only when it measures
+them.
 """
 
 from __future__ import annotations
@@ -244,9 +246,17 @@ def _distances(bank: DyadicFilterBank, states, ref,
     index (one array or scalar ``ref`` serves every row), formed and measured
     ``_stack_rows(N)`` rows at a time, never all rows at once."""
     ref = np.broadcast_to(ref, np.shape(states))
-    rows = _stack_rows(bank.grid.n_points)
-    blocks = [_besov_rows(bank, states[i:i + rows] - ref[i:i + rows], indices)
-              for i in range(0, len(states), rows)]
+    return _chunked_norms(bank, len(states),
+                          lambda rows: states[rows] - ref[rows], indices)
+
+
+def _chunked_norms(bank: DyadicFilterBank, n_rows: int, make_rows,
+                   indices) -> list[list[float]]:
+    """Besov norms of ``n_rows`` rows, one list per index; ``make_rows(s)``
+    forms the rows of slice ``s``, one block of ``_stack_rows(N)`` at a time."""
+    step = _stack_rows(bank.grid.n_points)
+    blocks = [_besov_rows(bank, make_rows(slice(i, i + step)), indices)
+              for i in range(0, n_rows, step)]
     return [sum(col, []) for col in zip(*blocks)]
 
 

@@ -174,25 +174,53 @@ def test_picard_first_iterate_is_frozen_data():
 @pytest.mark.parametrize("m_iters", [1, 2, 4])
 def test_picard_transform_budget(monkeypatch, m_iters):
     # one transform of u0, one guard transform per step, and per step of a
-    # later iterate 2 new taus x 4, 4 stages x 2 at 2N and the guard, plus
-    # the kernel call at tau = 0; a stacked call counts one per row
-    count = [0]
+    # later iterate 2 new taus x (1 at N + 3 at 2N), 4 stages x 2 at N and
+    # the guard at N, plus the kernel call at tau = 0; a stacked call counts
+    # one per row, and its points are the transform length times the rows
+    count = [0, 0]
 
-    def counted(fn):
+    def counted(fn, inverse):
         def wrapper(x, *args, **kwargs):
-            count[0] += math.prod(np.shape(x)[:-1])
+            rows = math.prod(np.shape(x)[:-1])
+            count[0] += rows
+            # every irfft here passes its length
+            count[1] += rows * (args[0] if inverse else np.shape(x)[-1])
             return fn(x, *args, **kwargs)
         return wrapper
 
-    u0 = builtin_profile("smoke", PeriodicGrid(64.0 * np.pi, 512))
+    n = 512
+    u0 = builtin_profile("smoke", PeriodicGrid(64.0 * np.pi, n))
     p = derive_coefficients(1.0)
     for module in (eulerian, spectral):
         for name in ("rfft", "irfft"):
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+            monkeypatch.setattr(module, name, counted(getattr(module, name),
+                                                      name == "irfft"))
     n_steps = 5
     iters = picard_iterate(u0, p, SolverConfig(dt=0.02, t_end=0.1), m_iters)
     assert len(iters[0].times) == n_steps + 1
     assert count[0] == 1 + n_steps + (m_iters - 1) * (17 * n_steps + 4)
+    per_step, at_zero = 11 * n + 6 * 2 * n, n + 3 * 2 * n
+    assert count[1] == (1 + n_steps) * n + (m_iters - 1) * (
+        per_step * n_steps + at_zero)
+
+
+@pytest.mark.parametrize("m_iters", [1, 3])
+def test_picard_stage_products_run_on_the_n_point_lattice(monkeypatch,
+                                                          m_iters):
+    # every stage of a later iterate makes one product through the module's
+    # conv_spec binding, with u^m on the N-point lattice
+    first_factors = []
+
+    def counting(ua, sb, grid):
+        first_factors.append(np.shape(ua))
+        return spectral.conv_spec(ua, sb, grid)
+
+    monkeypatch.setattr(eulerian, "conv_spec", counting)
+    n, n_steps = 512, 5
+    u0 = builtin_profile("smoke", PeriodicGrid(64.0 * np.pi, n))
+    picard_iterate(u0, derive_coefficients(1.0),
+                   SolverConfig(dt=0.02, t_end=0.1), m_iters)
+    assert first_factors == [(n,)] * (4 * n_steps * (m_iters - 1))
 
 
 def test_stage_times_are_the_taus_the_march_passes():
@@ -260,13 +288,13 @@ def _per_tau_picard(u0, params, cfg, m_iters):
                     del memo[next(iter(memo))]
                 vals = eulerian._interpolate_in_time(prev, [tau])[0]
                 uf, ufx = eulerian._padded_u_ux(eulerian.rfft(vals), grid)
-                memo[tau] = uf, eulerian._flux_spec(uf, ufx, grid, params,
-                                                    advect=False)
-            uf, g = memo[tau]
+                g = eulerian._flux_spec(uf, ufx, grid, params, advect=False)
+                memo[tau] = np.ascontiguousarray(uf[::2]), g
+            un, g = memo[tau]
             svx = 1j * grid.k * (s0 + w)
             svx[-1] = 0.0
             return g - eulerian.dealias_spec(
-                eulerian.conv_spec(uf, svx, grid), grid)
+                eulerian.conv_spec(un, svx, grid), grid)
 
         return rhs
 
