@@ -7,11 +7,11 @@ samples a spectrum there, any polynomial of the samples is formed pointwise,
 and :func:`project_values` keeps the first N modes, folding the paired mode
 N/2 onto the unpaired Nyquist mode.  No alias of a product of degree p enters
 the kept modes when M exceeds (p + 1) N / 2, so M = 2N makes one product
-(:func:`conv_spec`) exact.  The 2/3-rule mask (:func:`dealias_spec`) is a
+(:func:`product`) exact.  The 2/3-rule mask (:func:`dealias_spec`) is a
 separate step that callers apply to inputs and results.  For one product of
 two masked factors whose result is masked, M = N suffices: every alias of
-the product lands above the cap, so :func:`conv_spec` also takes its first
-factor on the N-point lattice.
+the product lands above the cap, so :func:`conv_spec` forms such a product
+on the N-point lattice itself.
 These helpers take a leading row axis, so that independent rows share one
 transform call; ``scipy.fft`` transforms each row as it would alone.
 """
@@ -199,36 +199,24 @@ def project_values(vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 
 
 def conv_spec(ua: np.ndarray, sb: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Spectrum of the pointwise product of ``ua`` and the field of ``sb``.
+    """Spectrum of the pointwise product of ``ua`` and the field of ``sb``,
+    formed on the N-point lattice at two transforms of N.
 
-    ``ua`` is the first factor sampled on a lattice, so a caller that
+    ``ua`` is the first factor sampled on the lattice, so a caller that
     multiplies one factor many times samples it once; ``sb`` and the output
     are one-sided (rfft) spectra on ``grid``, with no mask applied.  The
-    lattice is read from ``ua``'s last axis:
-
-    * 2N points (``pad_values(sa, grid, 2N)``): the exact product projected
-      onto the lattice modes, at two transforms of 2N.
-    * N points: the product sampled on the lattice itself, at two transforms
-      of N.  It aliases, but when both factors are cut by the 2/3 rule no
-      alias reaches a mode the mask keeps, so it is exact there once the
-      caller masks the result.
+    product aliases, but when both factors are cut by the 2/3 rule no alias
+    reaches a mode the mask keeps, so it is exact there once the caller
+    masks the result.
     """
-    n = grid.n_points
-    if ua.shape[-1] == 2 * n:
-        prod = pad_values(sb, grid, 2 * n)
-        prod *= ua
-        return project_values(prod, grid)
-    if ua.shape[-1] == n:
-        prod = irfft(sb, n)
-        prod *= ua
-        return rfft(prod)
-    raise InvalidParameterError(
-        f"conv_spec: first factor has {ua.shape[-1]} points, expected "
-        f"{n} or {2 * n}")
+    prod = irfft(sb, grid.n_points)
+    prod *= ua
+    return rfft(prod)
 
 
 def product(f: Field, g: Field, dealias: bool = False) -> Field:
-    """Pointwise product computed as an exact spectral convolution.
+    """Pointwise product computed as an exact spectral convolution on the
+    2N-point lattice.
 
     With ``dealias=True`` both inputs and the output are truncated by the
     2/3 rule.
@@ -237,7 +225,9 @@ def product(f: Field, g: Field, dealias: bool = False) -> Field:
     sa, sb = rfft(f.values), rfft(g.values)
     if dealias:
         sa, sb = dealias_spec(sa, grid), dealias_spec(sb, grid)
-    spec = conv_spec(pad_values(sa, grid, 2 * grid.n_points), sb, grid)
+    prod = pad_values(sb, grid, 2 * grid.n_points)
+    prod *= pad_values(sa, grid, 2 * grid.n_points)
+    spec = project_values(prod, grid)
     if dealias:
         spec = dealias_spec(spec, grid)
     return Field(grid, irfft(spec, grid.n_points))

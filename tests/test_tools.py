@@ -33,31 +33,32 @@ def test_compare_outputs_reports_each_file(tmp_path):
         **common, "a/report.json": json.dumps(report),
         "a/table.csv": "m,gap,note\r\n1,0.25,x\r\n2,0.5,\r\n",
         "a/plot.gp": "plot 1\n", "b/keys.json": '{"a": 1}',
-        "gone.csv": "x\r\n"})
+        "b/nan.json": '{"a": 1.5, "b": 0.5}', "gone.csv": "x\r\n"})
     new = _write(tmp_path / "new", {
         **common, "a/report.json": json.dumps(moved),
         "a/table.csv": "m,gap,note\r\n1,0.25,x\r\n2,0.75,\r\n",
         "a/plot.gp": "plot 2\n", "b/keys.json": '{"b": 1}',
-        "c/new.json": "{}"})
+        "b/nan.json": '{"a": 1.5, "b": NaN}', "c/new.json": "{}"})
     code, lines = _compare(old, new)
     assert code == 1
     assert lines == [
         "a/plot.gp: differs (neither JSON nor CSV)",
         "a/report.json: max relative difference 0.2 at "
         ".verdicts.contraction.value (2 of 5 numeric leaves differ)",
+        "    .table[1].gap: 0.5 -> 0.5000000000000004 (8.9e-16)",
+        "    .verdicts.contraction.value: 0.5 -> 0.4 (0.2)",
         "a/table.csv: max relative difference 0.33 at row 3, gap "
         "(1 of 4 numeric leaves differ)",
+        "    row 3, gap: 0.5 -> 0.75 (0.33)",
         "b/keys.json: differs (keys differ at .)",
+        # a number turning into NaN is the regression to catch
+        "b/nan.json: max relative difference inf at .b "
+        "(1 of 2 numeric leaves differ)",
+        "    .b: 0.5 -> nan (inf)",
         "c/new.json: only in NEW",
         "gone.csv: only in OLD",
         "run.stdout: identical",
-        "6 file(s) differ"]
-    code, lines = _compare("--leaves", old / "a", new / "a")
-    assert lines[1:4] == [
-        "report.json: max relative difference 0.2 at "
-        ".verdicts.contraction.value (2 of 5 numeric leaves differ)",
-        "    .table[1].gap: 0.5 -> 0.5000000000000004 (8.9e-16)",
-        "    .verdicts.contraction.value: 0.5 -> 0.4 (0.2)"]
+        "7 file(s) differ"]
 
 
 def test_compare_outputs_identical_trees_exit_zero(tmp_path):

@@ -2,16 +2,17 @@
 
 Usage::
 
-    python tools/compare_outputs.py [--leaves] OLD_DIR NEW_DIR
+    python tools/compare_outputs.py OLD_DIR NEW_DIR
 
 For every file under either directory, in sorted order, prints one line:
 ``identical`` when the bytes agree, otherwise the largest relative
 difference |a - b| / max(|a|, |b|) over the numeric leaves of the file's
-JSON or CSV and where it sits.  A file that is neither, whose non-numeric
-content differs, or whose shape differs (keys, lengths, rows) is reported as
-such, and a file present on one side only as ``only in OLD``/``only in NEW``.
-``--leaves`` also lists every numeric leaf that differs.  The exit status is
-0 when every file is identical and 1 otherwise.
+JSON or CSV and where it sits, followed by one indented line per numeric
+leaf that differs.  A leaf that is NaN on one side only counts as an
+infinite difference.  A file that is neither, whose non-numeric content
+differs, or whose shape differs (keys, lengths, rows) is reported as such,
+and a file present on one side only as ``only in OLD``/``only in NEW``.
+The exit status is 0 when every file is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ class ShapeMismatch(Exception):
 def relative_difference(a: float, b: float) -> float:
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
     scale = max(abs(a), abs(b))
-    if math.isnan(scale) or math.isinf(scale):
+    if math.isinf(scale):
         return math.inf
     return abs(a - b) / scale
 
@@ -84,7 +87,7 @@ def csv_leaves(old: str, new: str):
                 raise ShapeMismatch(f"text differs in row {i}, {name}")
 
 
-def compare_file(old: Path, new: Path, leaves: bool = False) -> list[str]:
+def compare_file(old: Path, new: Path) -> list[str]:
     """Report lines for one pair of files, the first naming the outcome."""
     a, b = old.read_bytes(), new.read_bytes()
     if a == b:
@@ -110,10 +113,10 @@ def compare_file(old: Path, new: Path, leaves: bool = False) -> list[str]:
         return [f"numerically equal over {count} numeric leaves"]
     head = (f"max relative difference {worst:.2g} at {at} "
             f"({len(differing)} of {count} numeric leaves differ)")
-    return [head] + (differing if leaves else [])
+    return [head] + differing
 
 
-def compare_dirs(old_dir: Path, new_dir: Path, leaves: bool = False):
+def compare_dirs(old_dir: Path, new_dir: Path):
     """Yield (relative path, report lines) for every file under either dir."""
     def files(root: Path) -> set[str]:
         return {p.relative_to(root).as_posix()
@@ -126,17 +129,15 @@ def compare_dirs(old_dir: Path, new_dir: Path, leaves: bool = False):
         elif rel not in old_files:
             yield rel, ["only in NEW"]
         else:
-            yield rel, compare_file(old_dir / rel, new_dir / rel, leaves)
+            yield rel, compare_file(old_dir / rel, new_dir / rel)
 
 
 def main(argv: list[str]) -> int:
-    leaves = "--leaves" in argv
-    args = [a for a in argv if a != "--leaves"]
-    if len(args) != 2 or not all(Path(a).is_dir() for a in args):
+    if len(argv) != 2 or not all(Path(a).is_dir() for a in argv):
         print(__doc__, file=sys.stderr)
         return 2
     changed = 0
-    for rel, lines in compare_dirs(Path(args[0]), Path(args[1]), leaves):
+    for rel, lines in compare_dirs(Path(argv[0]), Path(argv[1])):
         changed += lines[0] != "identical"
         print(f"{rel}: {lines[0]}")
         for line in lines[1:]:
