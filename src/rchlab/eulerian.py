@@ -6,14 +6,18 @@ The equation integrated is ``u_t + u u_x = G(u)`` with
 
 the coefficients coming from :mod:`rchlab.coefficients`.  One kernel,
 :func:`_nonlinear_spec`, serves the solver, :func:`full_rhs`, :func:`rhs_g`
-and the Picard iterator: it samples u and u_x once on a padded lattice, forms
-the quartic flux and u u_x pointwise and projects each back once.  u is cut by
-the 2/3-rule mask and the lattice has 2N points: a quartic of modes up to N/3
-aliases only onto modes at or above 2N/3, which the mask removes from the
-result.  Exact products followed by one projection keep the semi-discrete
-mass and H1 identities for every rotation.  The kernel is two
-halves, :func:`_padded_u_ux` and :func:`_flux_spec`, so that Picard can keep
-samples of the padded u.
+and the Picard iterator.  u is cut by the 2/3-rule mask, so it has no modes
+above N/3.  The kernel samples u once on a padded 2N-point lattice, where
+c2 u^3 + c3 u^4 is formed pointwise and projected back: a quartic of modes up
+to N/3 aliases only onto modes at or above 2N/3, which the mask removes from
+the result.  The quadratic terms (1/2) u_x^2 + c1 u^2 and u u_x are formed on
+the N-point lattice, from u_x sampled there and from u's even samples on the
+2N lattice: a product of two masked factors reaches mode 2N/3 at most, so its
+aliases land above the cap too.  An RHS costs two transforms at 2N and three
+at N.  Exact products followed by one projection keep the semi-discrete mass
+and H1 identities for every rotation.  The kernel is two halves,
+:func:`_padded_u_ux` and :func:`_flux_spec`, so that Picard can keep samples
+of the padded u.
 
 A Picard iterate steps the dealiased spectrum of its increment w = v - u0
 from zero and reads the values u0 + w only in its guard, so iterate 1 is u0
@@ -22,8 +26,8 @@ lattice, the even samples of the kernel's 2N lattice, next to G(u^m(tau)).
 Both factors of a stage's u^m v_x and its result are masked, so the 2/3 rule
 makes the N-point lattice exact below the cap, and the product is one
 :func:`conv_spec`, two transforms at N.  One stacked kernel call makes u^m and
-G(u^m) for a block of upcoming stage times, so a step costs 11 transforms at
-N and 6 at 2N.
+G(u^m) for a block of upcoming stage times, so a step costs 19 transforms, 15
+at N and 4 at 2N.
 
 Time stepping is classical RK4 with a fixed step in one march,
 :func:`_rk4_march`, shared by :func:`solve`, the Picard iterator for the
@@ -104,32 +108,37 @@ def _nonlinear_spec(spec_u: np.ndarray, grid: PeriodicGrid, params: ModelParams,
 
 
 def _padded_u_ux(spec_u: np.ndarray, grid: PeriodicGrid):
-    """Samples of the masked u and its u_x on the kernel's 2N-point lattice."""
+    """Samples of the masked u on the kernel's 2N-point lattice and of its
+    u_x on the N-point lattice."""
     spec_u = dealias_spec(spec_u, grid)
     spec_ux = 1j * grid.k * spec_u
     spec_ux[..., -1] = 0.0
-    m = 2 * grid.n_points
-    return pad_values(spec_u, grid, m), pad_values(spec_ux, grid, m)
+    return (pad_values(spec_u, grid, 2 * grid.n_points),
+            irfft(spec_ux, grid.n_points))
 
 
 def _flux_spec(u: np.ndarray, ux: np.ndarray, grid: PeriodicGrid,
                params: ModelParams, advect: bool) -> np.ndarray:
-    """:func:`_nonlinear_spec` from the padded lattices of u and u_x.  ``ux``
-    is overwritten; ``u`` is too when ``advect`` is true."""
+    """:func:`_nonlinear_spec` from u on the 2N lattice and u_x on the N
+    lattice, as :func:`_padded_u_ux` samples them.  ``ux`` is overwritten;
+    ``u`` is left as it is."""
     k = grid.k
-    # the flux (1/2) u_x^2 + u^2 (c1 + u (c2 + c3 u)) and u u_x are formed in
-    # place in ux and u, so that at most three M-point arrays are alive at
-    # once, the caller's two lattices included
-    q = params.quartic(u)
+    # c2 u^3 + c3 u^4 needs the 2N lattice; the quadratic terms and u u_x
+    # take u on the N lattice, the even samples of the 2N one
+    q = u * params.c3
+    q += params.c2
+    q *= u
+    q *= u
+    q *= u
+    out = project_values(q, grid)
+    del q
+    un = u[..., ::2]
     if advect:
-        u *= ux  # u u_x
+        adv = rfft(un * ux)
     ux *= ux
     ux *= 0.5
-    ux += q
-    del q
-    if advect:
-        adv = project_values(u, grid)
-    out = project_values(ux, grid)
+    ux += params.c1 * un * un
+    out += rfft(ux)
     out *= -1j * k / (1.0 + k**2)
     out[..., -1] = 0.0
     if advect:
@@ -302,7 +311,7 @@ def _frozen_rhs(prev: Trajectory | None, s0: np.ndarray, grid: PeriodicGrid,
             block = taus[taus.index(tau):][:rows]
             uf, ufx = _padded_u_ux(rfft(_interpolate_in_time(prev, block)),
                                    grid)
-            # advect=False leaves uf as it is; its even samples are u^m on
+            # _flux_spec leaves uf as it is; its even samples are u^m on
             # the N-point lattice, all the masked stage product needs
             g = _flux_spec(uf, ufx, grid, params, advect=False)
             un = np.ascontiguousarray(uf[..., ::2])
@@ -328,9 +337,9 @@ def picard_iterate(u0: Field, params: ModelParams, cfg: SolverConfig,
 
     The march steps the dealiased spectrum of the increment w = v - u0 from
     zero; the guard and the snapshots read the values u0 + w, so iterate 1
-    is u0 exactly.  A step of iterate m+1 costs 17 transforms, 11 at N and
-    6 at 2N: per new tau one of the interpolated u^m at N and three at 2N in
-    the kernel, per stage two at N, and one at N for the guard.
+    is u0 exactly.  A step of iterate m+1 costs 19 transforms, 15 at N and
+    4 at 2N: per new tau one of the interpolated u^m at N, and two at N and
+    two at 2N in the kernel; per stage two at N, and one at N for the guard.
     """
     if m_iters < 1:
         raise InvalidParameterError("m_iters must be >= 1")

@@ -10,8 +10,9 @@ the kept modes when M exceeds (p + 1) N / 2, so M = 2N makes one product
 (:func:`product`) exact.  The 2/3-rule mask (:func:`dealias_spec`) is a
 separate step that callers apply to inputs and results.  For one product of
 two masked factors whose result is masked, M = N suffices: every alias of
-the product lands above the cap, so :func:`conv_spec` forms such a product
-on the N-point lattice itself.
+the product lands above the cap, so :func:`conv_spec` and the quadratic
+terms of the nonlinear kernel in :mod:`rchlab.eulerian` are formed on the
+N-point lattice itself; the kernel keeps M = 2N for its cubic and quartic.
 These helpers take a leading row axis, so that independent rows share one
 transform call; ``scipy.fft`` transforms each row as it would alone.
 """

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.fft import irfft, rfft
 
 from rchlab import eulerian, spectral
@@ -171,37 +173,56 @@ def test_picard_first_iterate_is_frozen_data():
         assert np.array_equal(iters[0].states[i], u0.values)
 
 
-@pytest.mark.parametrize("m_iters", [1, 2, 4])
-def test_picard_transform_budget(monkeypatch, m_iters):
-    # one transform of u0, one guard transform per step, and per step of a
-    # later iterate 2 new taus x (1 at N + 3 at 2N), 4 stages x 2 at N and
-    # the guard at N, plus the kernel call at tau = 0; a stacked call counts
-    # one per row, and its points are the transform length times the rows
-    count = [0, 0]
+def _count_transforms(monkeypatch):
+    # rows and points of every rfft/irfft of the two modules, per lattice
+    # size: a stacked call counts one per row, and its points are the
+    # transform length times the rows
+    rows = {}
 
     def counted(fn, inverse):
         def wrapper(x, *args, **kwargs):
-            rows = math.prod(np.shape(x)[:-1])
-            count[0] += rows
             # every irfft here passes its length
-            count[1] += rows * (args[0] if inverse else np.shape(x)[-1])
+            m = args[0] if inverse else np.shape(x)[-1]
+            rows[m] = rows.get(m, 0) + math.prod(np.shape(x)[:-1])
             return fn(x, *args, **kwargs)
         return wrapper
 
-    n = 512
-    u0 = builtin_profile("smoke", PeriodicGrid(64.0 * np.pi, n))
-    p = derive_coefficients(1.0)
     for module in (eulerian, spectral):
         for name in ("rfft", "irfft"):
             monkeypatch.setattr(module, name, counted(getattr(module, name),
                                                       name == "irfft"))
+    return rows
+
+
+@pytest.mark.parametrize("advect", [True, False])
+def test_kernel_transform_budget(monkeypatch, advect):
+    # u at 2N and the projection of the cubic and quartic at 2N; u_x and the
+    # quadratic flux at N, and u u_x at N when it is wanted
+    n = 512
+    u = builtin_profile("smoke", PeriodicGrid(64.0 * np.pi, n))
+    spec = rfft(u.values)
+    rows = _count_transforms(monkeypatch)
+    eulerian._nonlinear_spec(spec, u.grid, derive_coefficients(1.0), advect)
+    assert rows == {2 * n: 2, n: 3 if advect else 2}
+
+
+@pytest.mark.parametrize("m_iters", [1, 2, 4])
+def test_picard_transform_budget(monkeypatch, m_iters):
+    # one transform of u0, one guard transform per step, and per step of a
+    # later iterate 2 new taus x (3 at N + 2 at 2N), 4 stages x 2 at N and
+    # the guard at N, plus the kernel call at tau = 0
+    n = 512
+    u0 = builtin_profile("smoke", PeriodicGrid(64.0 * np.pi, n))
+    p = derive_coefficients(1.0)
+    rows = _count_transforms(monkeypatch)
     n_steps = 5
     iters = picard_iterate(u0, p, SolverConfig(dt=0.02, t_end=0.1), m_iters)
     assert len(iters[0].times) == n_steps + 1
-    assert count[0] == 1 + n_steps + (m_iters - 1) * (17 * n_steps + 4)
-    per_step, at_zero = 11 * n + 6 * 2 * n, n + 3 * 2 * n
-    assert count[1] == (1 + n_steps) * n + (m_iters - 1) * (
-        per_step * n_steps + at_zero)
+    assert sum(rows.values()) == 1 + n_steps + (m_iters - 1) * (
+        19 * n_steps + 5)
+    per_step, at_zero = 15 * n + 4 * 2 * n, 3 * n + 2 * 2 * n
+    assert sum(m * r for m, r in rows.items()) == (1 + n_steps) * n + (
+        m_iters - 1) * (per_step * n_steps + at_zero)
 
 
 @pytest.mark.parametrize("m_iters", [1, 3])
@@ -425,6 +446,48 @@ def test_rhs_matches_oversampled_evaluation():
         want = _oversampled_rhs(u_vals, p, advect)
         want[GRID.k[:-1] > GRID.dealias_cap] = 0.0
         # the unpaired Nyquist mode carries a convention, not a value
+        got = rfft(fn(u, p).values)[:-1]
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, fn.__name__
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-2.0, 2.0), st.integers(1, 31), st.floats(0.3, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_mass_and_h1_conserved_at_every_omega(omega, top_mode, scale, seed):
+    # random data on modes 0..top_mode, some above the 2/3 cap, with the
+    # speed |u| + |F'(u)| of F = c1 u^2 + c2 u^3 + c3 u^4 at most 2
+    grid = PeriodicGrid(2.0 * np.pi, 64)
+    p = derive_coefficients(omega)
+    rng = np.random.default_rng(seed)
+    m = np.arange(top_mode + 1)
+    spec = ((rng.normal(size=m.size) + 1j * rng.normal(size=m.size))
+            * np.exp(-m / 8.0))
+    spec[0] = spec[0].real
+    vals = irfft(spec, grid.n_points)
+    amp = 2.0 / (1.0 + 2.0 * abs(p.c1) + 3.0 * abs(p.c2) + 4.0 * abs(p.c3))
+    u0 = Field(grid, scale * amp * vals / np.max(np.abs(vals)))
+    traj = solve(u0, p, SolverConfig(dt=1.0 / 512.0, t_end=0.5,
+                                     snapshot_every=32))
+    h0 = h1_integral(u0)
+    m0 = np.mean(u0.values)
+    for i in range(len(traj.times)):
+        f = traj.field_at(i)
+        assert abs(h1_integral(f) - h0) / h0 <= 1e-9
+        assert abs(np.mean(f.values) - m0) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-2.0, 2.0), st.integers(1, GRID.n_points // 3),
+       st.integers(0, 2**32 - 1))
+def test_rhs_matches_oversampled_evaluation_at_every_omega(omega, top_mode,
+                                                           seed):
+    p = derive_coefficients(omega)
+    u_vals = _random_band(top_mode, seed)
+    u = Field(GRID, u_vals)
+    for fn, advect in ((rhs_g, False), (full_rhs, True)):
+        want = _oversampled_rhs(u_vals, p, advect)
+        want[GRID.k[:-1] > GRID.dealias_cap] = 0.0
         got = rfft(fn(u, p).values)[:-1]
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, fn.__name__

@@ -32,11 +32,13 @@ def test_compare_outputs_reports_each_file(tmp_path):
     old = _write(tmp_path / "old", {
         **common, "a/report.json": json.dumps(report),
         "a/table.csv": "m,gap,note\r\n1,0.25,x\r\n2,0.5,\r\n",
+        "a/snap.csv": "x,value,w\r\n0,1e-12,1\r\n1,4.0,0.5\r\n",
         "a/plot.gp": "plot 1\n", "b/keys.json": '{"a": 1}',
         "b/nan.json": '{"a": 1.5, "b": 0.5}', "gone.csv": "x\r\n"})
     new = _write(tmp_path / "new", {
         **common, "a/report.json": json.dumps(moved),
         "a/table.csv": "m,gap,note\r\n1,0.25,x\r\n2,0.75,\r\n",
+        "a/snap.csv": "x,value,w\r\n0,2e-12,1\r\n1,4.0,NaN\r\n",
         "a/plot.gp": "plot 2\n", "b/keys.json": '{"b": 1}',
         "b/nan.json": '{"a": 1.5, "b": NaN}', "c/new.json": "{}"})
     code, lines = _compare(old, new)
@@ -47,8 +49,19 @@ def test_compare_outputs_reports_each_file(tmp_path):
         ".verdicts.contraction.value (2 of 5 numeric leaves differ)",
         "    .table[1].gap: 0.5 -> 0.5000000000000004 (8.9e-16)",
         "    .verdicts.contraction.value: 0.5 -> 0.4 (0.2)",
+        # a leaf near zero moves by half its size, but by 2.5e-13 of its
+        # column's largest value; a column turning NaN reads inf
+        "a/snap.csv: max relative difference inf at row 3, w "
+        "(2 of 6 numeric leaves differ)",
+        "    column x: largest |a - b| / largest |a| = 0",
+        "    column value: largest |a - b| / largest |a| = 2.5e-13",
+        "    column w: largest |a - b| / largest |a| = inf",
+        "    row 2, value: 1e-12 -> 2e-12 (0.5)",
+        "    row 3, w: 0.5 -> nan (inf)",
         "a/table.csv: max relative difference 0.33 at row 3, gap "
         "(1 of 4 numeric leaves differ)",
+        "    column m: largest |a - b| / largest |a| = 0",
+        "    column gap: largest |a - b| / largest |a| = 0.5",
         "    row 3, gap: 0.5 -> 0.75 (0.33)",
         "b/keys.json: differs (keys differ at .)",
         # a number turning into NaN is the regression to catch
@@ -58,7 +71,7 @@ def test_compare_outputs_reports_each_file(tmp_path):
         "c/new.json: only in NEW",
         "gone.csv: only in OLD",
         "run.stdout: identical",
-        "7 file(s) differ"]
+        "8 file(s) differ"]
 
 
 def test_compare_outputs_identical_trees_exit_zero(tmp_path):

@@ -7,9 +7,11 @@ Usage::
 For every file under either directory, in sorted order, prints one line:
 ``identical`` when the bytes agree, otherwise the largest relative
 difference |a - b| / max(|a|, |b|) over the numeric leaves of the file's
-JSON or CSV and where it sits, followed by one indented line per numeric
-leaf that differs.  A leaf that is NaN on one side only counts as an
-infinite difference.  A file that is neither, whose non-numeric content
+JSON or CSV and where it sits.  For a CSV, one indented line per numeric
+column follows with the column's largest |a - b| over its largest |a|, so
+that a change near a zero of a field reads against the field's size.  Then
+comes one indented line per numeric leaf that differs.  A leaf that is NaN
+on one side only counts as an infinite difference.  A file that is neither, whose non-numeric content
 differs, or whose shape differs (keys, lengths, rows) is reported as such,
 and a file present on one side only as ``only in OLD``/``only in NEW``.
 The exit status is 0 when every file is identical and 1 otherwise.
@@ -37,6 +39,14 @@ def relative_difference(a: float, b: float) -> float:
     if math.isinf(scale):
         return math.inf
     return abs(a - b) / scale
+
+
+def absolute_difference(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
+    return abs(a - b)
 
 
 def _is_number(value) -> bool:
@@ -69,7 +79,8 @@ def _float_or_none(cell: str):
 
 
 def csv_leaves(old: str, new: str):
-    """Yield (location, old, new) for each numeric cell of two CSV texts."""
+    """Yield ((row, column name), old, new) for each numeric cell of two CSV
+    texts."""
     rows_old = list(csv.reader(old.splitlines()))
     rows_new = list(csv.reader(new.splitlines()))
     if len(rows_old) != len(rows_new):
@@ -82,7 +93,7 @@ def csv_leaves(old: str, new: str):
             fa, fb = _float_or_none(a), _float_or_none(b)
             name = header[j] if j < len(header) else str(j + 1)
             if fa is not None and fb is not None:
-                yield f"row {i}, {name}", fa, fb
+                yield (i, name), fa, fb
             elif a != b:
                 raise ShapeMismatch(f"text differs in row {i}, {name}")
 
@@ -99,8 +110,14 @@ def compare_file(old: Path, new: Path) -> list[str]:
     else:
         return ["differs (neither JSON nor CSV)"]
     worst, at, count, differing = 0.0, None, 0, []
+    columns = {}  # CSV column name -> [largest |a - b|, largest |a|]
     try:
         for where, x, y in pairs:
+            if isinstance(where, tuple):
+                col = columns.setdefault(where[1], [0.0, 0.0])
+                col[0] = max(col[0], absolute_difference(x, y))
+                col[1] = max(col[1], abs(x))
+                where = f"row {where[0]}, {where[1]}"
             count += 1
             rel = relative_difference(x, y)
             if rel > 0.0:
@@ -113,7 +130,10 @@ def compare_file(old: Path, new: Path) -> list[str]:
         return [f"numerically equal over {count} numeric leaves"]
     head = (f"max relative difference {worst:.2g} at {at} "
             f"({len(differing)} of {count} numeric leaves differ)")
-    return [head] + differing
+    scaled = [f"    column {name}: largest |a - b| / largest |a| = "
+              f"{diff / top if top else (math.inf if diff else 0.0):.2g}"
+              for name, (diff, top) in columns.items()]
+    return [head] + scaled + differing
 
 
 def compare_dirs(old_dir: Path, new_dir: Path):
