@@ -11,9 +11,10 @@ JSON or CSV and where it sits.  For a CSV, one indented line per numeric
 column follows with the column's largest |a - b| over its largest |a|, so
 that a change near a zero of a field reads against the field's size.  Then
 comes one indented line per numeric leaf that differs.  A leaf that is NaN
-on one side only counts as an infinite difference.  A file that is neither, whose non-numeric content
-differs, or whose shape differs (keys, lengths, rows) is reported as such,
-and a file present on one side only as ``only in OLD``/``only in NEW``.
+on one side only counts as an infinite difference.  A file that is neither,
+whose non-numeric content differs, or whose shape differs (keys, lengths,
+rows) is reported as such, and a file present on one side only as
+``only in OLD``/``only in NEW``.
 The exit status is 0 when every file is identical and 1 otherwise.
 """
 
@@ -30,23 +31,19 @@ class ShapeMismatch(Exception):
     """The two files differ in something other than a numeric value."""
 
 
-def relative_difference(a: float, b: float) -> float:
-    if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
-    if math.isnan(a) or math.isnan(b):
-        return math.inf
-    scale = max(abs(a), abs(b))
-    if math.isinf(scale):
-        return math.inf
-    return abs(a - b) / scale
-
-
 def absolute_difference(a: float, b: float) -> float:
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if math.isnan(a) or math.isnan(b):
         return math.inf
     return abs(a - b)
+
+
+def relative_difference(a: float, b: float) -> float:
+    diff = absolute_difference(a, b)
+    if diff in (0.0, math.inf):
+        return diff
+    return diff / max(abs(a), abs(b))
 
 
 def _is_number(value) -> bool:
@@ -113,7 +110,7 @@ def compare_file(old: Path, new: Path) -> list[str]:
     columns = {}  # CSV column name -> [largest |a - b|, largest |a|]
     try:
         for where, x, y in pairs:
-            if isinstance(where, tuple):
+            if isinstance(where, tuple):  # a CSV cell: (row, column name)
                 col = columns.setdefault(where[1], [0.0, 0.0])
                 col[0] = max(col[0], absolute_difference(x, y))
                 col[1] = max(col[1], abs(x))
