@@ -102,17 +102,21 @@ def _cmd_besov(args) -> int:
     return 0
 
 
-def _write_norm_table(path, traj, bank, indices) -> None:
-    besov = _distances(bank, traj.states, 0.0, indices)
+def _write_csv(path, header, rows) -> None:
+    """Write ``header``, then each row's numbers as ``repr`` of a float."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "l2", "linf", "h1_integral"]
-                        + [f"besov_{i.s:g}_{i.p:g}_{i.r:g}" for i in indices])
-        for i, (t, *norms) in enumerate(zip(traj.times, *besov)):
-            f = traj.field_at(i)
-            row = [float(t), lp_norm(f, 2.0), lp_norm(f, math.inf),
-                   h1_integral(f), *norms]
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in rows)
+
+
+def _write_norm_table(path, traj, bank, indices) -> None:
+    besov = _distances(bank, traj.states, 0.0, indices)
+    fields = map(traj.field_at, range(len(traj.times)))
+    _write_csv(path, ["t", "l2", "linf", "h1_integral"]
+               + [f"besov_{i.s:g}_{i.p:g}_{i.r:g}" for i in indices],
+               [(t, lp_norm(f, 2.0), lp_norm(f, math.inf), h1_integral(f),
+                 *norms) for f, t, *norms in zip(fields, traj.times, *besov)])
 
 
 def _cmd_solve(args) -> int:
@@ -150,12 +154,8 @@ def _cmd_lagrangian(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, state in enumerate(traj.states):
-        with open(out / f"flow_{i:04d}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["xi", "y", "y_xi", "U", "U_xi"])
-            for vals in zip(state.labels, state.y, state.y_xi,
-                            state.U, state.U_xi):
-                writer.writerow([repr(float(v)) for v in vals])
+        _write_csv(out / f"flow_{i:04d}.csv", ["xi", "y", "y_xi", "U", "U_xi"],
+                   zip(state.labels, state.y, state.y_xi, state.U, state.U_xi))
     print(f"integrated particle system to t={traj.times[-1]:g}, "
           f"{len(traj.states)} snapshots -> {out}")
     if not args.cross_check:
@@ -164,11 +164,8 @@ def _cmd_lagrangian(args) -> int:
     eul = solve(u0, params, cfg)
     gaps = [float(np.max(np.abs(pullback_to_eulerian(state).values - vals)))
             for state, vals in zip(traj.states, eul.states)]
-    with open(out / "cross_check.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "linf_gap"])
-        writer.writerows([repr(float(t)), repr(gap)]
-                         for t, gap in zip(traj.times, gaps))
+    _write_csv(out / "cross_check.csv", ["t", "linf_gap"],
+               zip(traj.times, gaps))
     print(f"cross-check vs grid solver: max linf gap {max(gaps):.3e}")
     return 0
 
@@ -220,8 +217,8 @@ def _cmd_data(args) -> int:
     return 0
 
 
-def _finish_campaign(report, args, name: str) -> int:
-    out = Path(args.out) if args.out else Path("reports") / name
+def _finish_campaign(report, args) -> int:
+    out = Path(args.out) if args.out else Path("reports") / args.command
     experiments.write_report(report, out)
     for key, v in report.verdicts.items():
         tag = "PASS" if v.passed else "FAIL"
@@ -238,28 +235,28 @@ def _cmd_nonuniform_super(args) -> int:
     rep = experiments.run_nonuniform_supercritical(
         args.s, args.p, args.r, _n_list(args), omega=args.omega,
         length=args.L, steps=args.steps, dt=args.dt)
-    return _finish_campaign(rep, args, "nonuniform-super")
+    return _finish_campaign(rep, args)
 
 
 def _cmd_nonuniform_critical(args) -> int:
     rep = experiments.run_nonuniform_critical(
         args.p, _n_list(args), omega=args.omega, length=args.L,
         steps=args.steps, dt=args.dt)
-    return _finish_campaign(rep, args, "nonuniform-critical")
+    return _finish_campaign(rep, args)
 
 
 def _cmd_decomp_rates(args) -> int:
     rep = experiments.run_decomposition_rates(
         args.s, args.p, args.r, _n_list(args), omega=args.omega,
         length=args.L, steps=args.steps, dt=args.dt)
-    return _finish_campaign(rep, args, "decomp-rates")
+    return _finish_campaign(rep, args)
 
 
 def _cmd_critical_expansion(args) -> int:
     rep = experiments.run_critical_expansion(
         args.p, _n_list(args), omega=args.omega, length=args.L,
         steps=args.steps, dt=args.dt)
-    return _finish_campaign(rep, args, "critical-expansion")
+    return _finish_campaign(rep, args)
 
 
 def _cmd_continuity(args) -> int:
@@ -267,7 +264,7 @@ def _cmd_continuity(args) -> int:
         args.s, args.p, args.r, args.eps, args.tend, omega=args.omega,
         length=args.L, n_points=args.N or DEFAULT_POINTS, steps=args.steps,
         dt=args.dt)
-    return _finish_campaign(rep, args, "continuity")
+    return _finish_campaign(rep, args)
 
 
 def _cmd_picard(args) -> int:
@@ -275,7 +272,7 @@ def _cmd_picard(args) -> int:
     rep = experiments.run_picard_convergence(
         u0, args.omega, args.m_max, s=args.s, p=args.p, r=args.r,
         steps=args.steps, t_end=args.tend, dt=args.dt)
-    return _finish_campaign(rep, args, "picard")
+    return _finish_campaign(rep, args)
 
 
 def _add_grid_flags(p, with_points: bool = True) -> None:
@@ -294,7 +291,7 @@ def _add_campaign_flags(p, steps: int) -> None:
     p.add_argument("--steps", type=int, default=steps,
                    help=f"time steps (default {steps})")
     p.add_argument("--out", default=None,
-                   help="report directory (default reports/<name>)")
+                   help="report directory (default reports/<subcommand>)")
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves a process

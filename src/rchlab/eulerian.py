@@ -15,14 +15,13 @@ the N-point lattice, from u_x sampled there and from u's even samples on the
 2N lattice: a product of two masked factors reaches mode 2N/3 at most, so its
 aliases land above the cap too.  An RHS costs two transforms at 2N and three
 at N.  Exact products followed by one projection keep the semi-discrete mass
-and H1 identities for every rotation.  The kernel is two halves,
-:func:`_padded_u_ux` and :func:`_flux_spec`, so that Picard can keep samples
-of the padded u.
+and H1 identities for every rotation.  The kernel also returns those even
+samples, u on the N-point lattice, which Picard keeps.
 
 A Picard iterate steps the dealiased spectrum of its increment w = v - u0
 from zero and reads the values u0 + w only in its guard, so iterate 1 is u0
-exactly.  Per stage time tau it keeps the interpolated u^m(tau) on the N-point
-lattice, the even samples of the kernel's 2N lattice, next to G(u^m(tau)).
+exactly.  Per stage time tau it calls the kernel on the interpolated u^m(tau)
+and keeps the u^m on the N-point lattice that it returns next to G(u^m(tau)).
 Both factors of a stage's u^m v_x and its result are masked, so the 2/3 rule
 makes the N-point lattice exact below the cap, and the product is one
 :func:`conv_spec`, two transforms at N.  One stacked kernel call makes u^m and
@@ -47,8 +46,8 @@ from scipy.fft import irfft, rfft
 
 from .coefficients import ModelParams
 from .errors import BlowUpError, CFLError, InvalidParameterError, RchlabError
-from .spectral import (Field, PeriodicGrid, _stack_rows, conv_spec,
-                       dealias_spec, ddx, mode_energies, pad_values,
+from .spectral import (Field, PeriodicGrid, _dx_symbol, _stack_rows,
+                       conv_spec, dealias_spec, ddx, mode_energies, pad_values,
                        project_values)
 
 CFL_FRACTION = 0.5
@@ -97,32 +96,18 @@ class Trajectory:
 
 
 def _nonlinear_spec(spec_u: np.ndarray, grid: PeriodicGrid, params: ModelParams,
-                    advect: bool = True) -> np.ndarray:
-    """Spectrum of G(u) - u u_x, or of G(u) alone when ``advect`` is false.
+                    advect: bool = True):
+    """Spectrum of G(u) - u u_x, or of G(u) alone when ``advect`` is false,
+    and the masked u on the N-point lattice.
 
-    ``spec_u`` is the one-sided spectrum of u on ``grid``; it and the result
-    are cut by the 2/3 rule.
+    ``spec_u`` is the one-sided spectrum of u on ``grid``; it and the
+    returned spectrum are cut by the 2/3 rule.  The samples of u are a view
+    of the even samples of the kernel's 2N lattice, which it keeps alive.
     """
-    u, ux = _padded_u_ux(spec_u, grid)
-    return _flux_spec(u, ux, grid, params, advect)
-
-
-def _padded_u_ux(spec_u: np.ndarray, grid: PeriodicGrid):
-    """Samples of the masked u on the kernel's 2N-point lattice and of its
-    u_x on the N-point lattice."""
     spec_u = dealias_spec(spec_u, grid)
-    spec_ux = 1j * grid.k * spec_u
-    spec_ux[..., -1] = 0.0
-    return (pad_values(spec_u, grid, 2 * grid.n_points),
-            irfft(spec_ux, grid.n_points))
-
-
-def _flux_spec(u: np.ndarray, ux: np.ndarray, grid: PeriodicGrid,
-               params: ModelParams, advect: bool) -> np.ndarray:
-    """:func:`_nonlinear_spec` from u on the 2N lattice and u_x on the N
-    lattice, as :func:`_padded_u_ux` samples them.  ``ux`` is overwritten;
-    ``u`` is left as it is."""
-    k = grid.k
+    u = pad_values(spec_u, grid)
+    ux = irfft(_dx_symbol(grid) * spec_u, grid.n_points)
+    del spec_u  # the masked copy is not held through the 2N products
     # c2 u^3 + c3 u^4 needs the 2N lattice; the quadratic terms and u u_x
     # take u on the N lattice, the even samples of the 2N one
     q = u * params.c3
@@ -139,22 +124,21 @@ def _flux_spec(u: np.ndarray, ux: np.ndarray, grid: PeriodicGrid,
     ux *= 0.5
     ux += params.c1 * un * un
     out += rfft(ux)
-    out *= -1j * k / (1.0 + k**2)
-    out[..., -1] = 0.0
+    out *= -_dx_symbol(grid) / (1.0 + grid.k**2)
     if advect:
         out -= adv
-    return dealias_spec(out, grid)
+    return dealias_spec(out, grid), un
 
 
 def rhs_g(u: Field, params: ModelParams) -> Field:
     """Nonlocal flux G(u); the advective term is not included."""
-    spec = _nonlinear_spec(rfft(u.values), u.grid, params, advect=False)
+    spec = _nonlinear_spec(rfft(u.values), u.grid, params, advect=False)[0]
     return Field(u.grid, irfft(spec, u.grid.n_points))
 
 
 def full_rhs(u: Field, params: ModelParams) -> Field:
     """Complete right-hand side -u u_x + G(u) of the evolution."""
-    spec = _nonlinear_spec(rfft(u.values), u.grid, params)
+    spec = _nonlinear_spec(rfft(u.values), u.grid, params)[0]
     return Field(u.grid, irfft(spec, u.grid.n_points))
 
 
@@ -173,8 +157,8 @@ def kappa_horizon(u0_norm: float, kappa: float = KAPPA_DEFAULT) -> float:
 
 def h1_integral(f: Field) -> float:
     """The conserved quadratic integral: sum of lattice L2 masses of u and u_x."""
-    sym = 1.0 + f.grid.k**2
-    sym[-1] = 1.0  # derivative loses the unpaired Nyquist mode
+    # the weight of u_x is |i k|^2, zero at the unpaired Nyquist mode it loses
+    sym = 1.0 + np.abs(_dx_symbol(f.grid)) ** 2
     return float(f.grid.length * np.sum(sym * mode_energies(f)))
 
 
@@ -266,7 +250,7 @@ def solve(u0: Field, params: ModelParams, cfg: SolverConfig) -> Trajectory:
     # than the RK4 error of a small step
     times, snaps = _rk4_march(
         rfft(u0.values), u0.values.copy(), cfg,
-        lambda tau, s: _nonlinear_spec(s, grid, params), to_lattice, cfl)
+        lambda tau, s: _nonlinear_spec(s, grid, params)[0], to_lattice, cfl)
     return Trajectory(grid=grid, params=params, times=times,
                       states=np.asarray(snaps))
 
@@ -296,11 +280,11 @@ def _frozen_rhs(prev: Trajectory | None, s0: np.ndarray, grid: PeriodicGrid,
     """RHS ``G(u^m) - u^m v_x`` of a Picard iterate in increment form: it
     takes and returns spectra of w = v - u0, and ``s0`` is the dealiased
     spectrum of u0.  u^m is interpolated from the values stored in ``prev``
-    (None is the zero iterate).  The padded lattice of u^m and G(u^m) depend
-    on tau alone, so a miss makes them for the next block of ``taus``, the
-    march's distinct stage times in order, as rows of one stacked kernel
-    call; the memo holds that block with u^m on the N-point lattice, and a
-    stage costs one :func:`conv_spec`, two transforms at N."""
+    (None is the zero iterate).  u^m and G(u^m) depend on tau alone, so a
+    miss makes them for the next block of ``taus``, the march's distinct
+    stage times in order, as rows of one stacked kernel call; the memo holds
+    that block with the kernel's u^m on the N-point lattice, and a stage
+    costs one :func:`conv_spec`, two transforms at N."""
     if prev is None:
         return lambda tau, w: np.zeros_like(w)
     rows = _stack_rows(2 * grid.n_points)
@@ -309,18 +293,14 @@ def _frozen_rhs(prev: Trajectory | None, s0: np.ndarray, grid: PeriodicGrid,
     def rhs(tau, w):
         if tau not in memo:
             block = taus[taus.index(tau):][:rows]
-            uf, ufx = _padded_u_ux(rfft(_interpolate_in_time(prev, block)),
-                                   grid)
-            # _flux_spec leaves uf as it is; its even samples are u^m on
-            # the N-point lattice, all the masked stage product needs
-            g = _flux_spec(uf, ufx, grid, params, advect=False)
-            un = np.ascontiguousarray(uf[..., ::2])
-            del uf, ufx
+            g, un = _nonlinear_spec(rfft(_interpolate_in_time(prev, block)),
+                                    grid, params, advect=False)
+            # a copy of the view, so that the kernel's 2N samples are freed
+            un = np.ascontiguousarray(un)
             memo.clear()
             memo.update(zip(block, zip(un, g)))
         un, g = memo[tau]
-        svx = 1j * grid.k * (s0 + w)
-        svx[-1] = 0.0
+        svx = _dx_symbol(grid) * (s0 + w)
         return g - dealias_spec(conv_spec(un, svx, grid), grid)
 
     return rhs

@@ -121,13 +121,11 @@ def build_filter_bank(grid: PeriodicGrid) -> DyadicFilterBank:
 
 def dyadic_block(bank: DyadicFilterBank, f: Field, j: int) -> Field:
     """Project ``f`` onto dyadic block ``j`` (zero field for j <= -2)."""
-    if f.grid != bank.grid:
-        raise InvalidParameterError("field grid does not match filter bank grid")
+    spec = _spectrum(bank, f)
     n = f.grid.n_points
     if j <= -2:
         return Field(f.grid, np.zeros(n))
-    spec = rfft(f.values) * bank.filter_for(j)
-    return Field(f.grid, irfft(spec, n))
+    return Field(f.grid, irfft(spec * bank.filter_for(j), n))
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -178,6 +176,7 @@ def _profile_from_spec(bank: DyadicFilterBank, spec: np.ndarray,
 
 
 def _spectrum(bank: DyadicFilterBank, f: Field) -> np.ndarray:
+    """One-sided spectrum of ``f``, which must lie on the bank's grid."""
     if f.grid != bank.grid:
         raise InvalidParameterError("field grid does not match filter bank grid")
     return rfft(f.values)
@@ -219,11 +218,10 @@ def high_tail_fraction(bank: DyadicFilterBank, f: Field) -> float:
     return float(_tail_fraction(bank, _spectrum(bank, f)))
 
 
-def _besov_rows(bank: DyadicFilterBank, vals: np.ndarray,
+def _besov_rows(bank: DyadicFilterBank, spec: np.ndarray,
                 indices) -> list[list[float]]:
-    """Besov norms at each index of each row of ``vals`` (1-D: one row), from
-    one stacked transform and one stacked block profile per distinct p."""
-    spec = rfft(vals)
+    """Besov norms at each index of each row of the one-sided spectra
+    ``spec`` (1-D: one row), from one stacked block profile per distinct p."""
     profiles: dict[float, np.ndarray] = {}
     norms = []
     for idx in indices:
@@ -255,16 +253,15 @@ def _chunked_norms(bank: DyadicFilterBank, n_rows: int, make_rows,
     """Besov norms of ``n_rows`` rows, one list per index; ``make_rows(s)``
     forms the rows of slice ``s``, one block of ``_stack_rows(N)`` at a time."""
     step = _stack_rows(bank.grid.n_points)
-    blocks = [_besov_rows(bank, make_rows(slice(i, i + step)), indices)
+    blocks = [_besov_rows(bank, rfft(make_rows(slice(i, i + step))), indices)
               for i in range(0, n_rows, step)]
     return [sum(col, []) for col in zip(*blocks)]
 
 
 def besov_norms(bank: DyadicFilterBank, f: Field, indices) -> list[float]:
     """Besov norms of ``f`` at each index, as one row of :func:`_besov_rows`."""
-    if f.grid != bank.grid:
-        raise InvalidParameterError("field grid does not match filter bank grid")
-    return [norms[0] for norms in _besov_rows(bank, f.values, indices)]
+    return [norms[0] for norms in _besov_rows(bank, _spectrum(bank, f),
+                                              indices)]
 
 
 def besov_norm(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> float:

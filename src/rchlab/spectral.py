@@ -2,19 +2,22 @@
 
 All fields live on ``x_j = -L/2 + j*h`` with ``h = L/N`` and are transformed
 with real FFTs; lattice wavenumbers are ``k_m = 2*pi*m/L``.  Nonlinear terms
-are evaluated on a zero-padded lattice of M > N points: :func:`pad_values`
+are evaluated on one zero-padded lattice of 2N points: :func:`pad_values`
 samples a spectrum there, any polynomial of the samples is formed pointwise,
 and :func:`project_values` keeps the first N modes, folding the paired mode
 N/2 onto the unpaired Nyquist mode.  No alias of a product of degree p enters
-the kept modes when M exceeds (p + 1) N / 2, so M = 2N makes one product
-(:func:`product`) exact.  The 2/3-rule mask (:func:`dealias_spec`) is a
-separate step that callers apply to inputs and results.  For one product of
-two masked factors whose result is masked, M = N suffices: every alias of
-the product lands above the cap, so :func:`conv_spec` and the quadratic
-terms of the nonlinear kernel in :mod:`rchlab.eulerian` are formed on the
-N-point lattice itself; the kernel keeps M = 2N for its cubic and quartic.
-These helpers take a leading row axis, so that independent rows share one
-transform call; ``scipy.fft`` transforms each row as it would alone.
+the kept modes when the lattice exceeds (p + 1) N / 2 points, so 2N makes one
+product (:func:`product`) exact, and the kernel's quartic of masked factors,
+which needs more than 5N/3 points, exact below the cap.  The 2/3-rule mask
+(:func:`dealias_spec`) is a separate step that callers apply to inputs and
+results.  For one product of two masked factors whose result is masked, the
+N-point lattice suffices: every alias of the product lands above the cap, so
+:func:`conv_spec` and the quadratic terms of the nonlinear kernel in
+:mod:`rchlab.eulerian` are formed on the lattice itself.  Every derivative
+multiplies by one symbol, :func:`_dx_symbol`, i k with the unpaired Nyquist
+mode dropped.  These helpers take a leading row axis, so that independent
+rows share one transform call; ``scipy.fft`` transforms each row as it would
+alone.
 """
 
 from __future__ import annotations
@@ -125,27 +128,33 @@ def synthesize(grid: PeriodicGrid, transform) -> Field:
     return Field(grid, irfft(spec.astype(np.complex128), grid.n_points))
 
 
-def _fourier_multiplier(f: Field, symbol: np.ndarray, odd: bool) -> Field:
+def _dx_symbol(grid: PeriodicGrid) -> np.ndarray:
+    """The derivative's symbol i k on the one-sided spectrum, zero at the
+    unpaired Nyquist mode, where an odd multiplier is ambiguous."""
+    sym = 1j * grid.k
+    sym[-1] = 0.0
+    return sym
+
+
+def _fourier_multiplier(f: Field, symbol: np.ndarray) -> Field:
     spec = rfft(f.values)
     spec *= symbol
-    if odd:  # an odd multiplier is ambiguous at the unpaired Nyquist mode
-        spec[-1] = 0.0
     return Field(f.grid, irfft(spec, f.grid.n_points))
 
 
 def ddx(f: Field) -> Field:
     """Spectral derivative; exact for lattice-resolved bands."""
-    return _fourier_multiplier(f, 1j * f.grid.k, odd=True)
+    return _fourier_multiplier(f, _dx_symbol(f.grid))
 
 
 def helmholtz_inverse(f: Field) -> Field:
     """Apply (1 - d_xx)^{-1}, i.e. convolution with the kernel exp(-|x|)/2."""
-    return _fourier_multiplier(f, 1.0 / (1.0 + f.grid.k**2), odd=False)
+    return _fourier_multiplier(f, 1.0 / (1.0 + f.grid.k**2))
 
 
 def grad_p_conv(f: Field) -> Field:
     """Apply d_x (1 - d_xx)^{-1}, the derivative of the kernel convolution."""
-    return _fourier_multiplier(f, 1j * f.grid.k / (1.0 + f.grid.k**2), odd=True)
+    return _fourier_multiplier(f, _dx_symbol(f.grid) / (1.0 + f.grid.k**2))
 
 
 def mode_energies(f: Field) -> np.ndarray:
@@ -174,16 +183,17 @@ def dealias(f: Field) -> Field:
                                f.grid.n_points))
 
 
-def pad_values(spec: np.ndarray, grid: PeriodicGrid, m: int) -> np.ndarray:
-    """Samples on the ``m``-point lattice (m > N) of the field whose one-sided
-    spectrum on ``grid`` is ``spec``; the unpaired Nyquist mode is split
-    evenly between the paired modes +-N/2."""
-    half = grid.n_points // 2
-    padded = np.zeros(spec.shape[:-1] + (m // 2 + 1,), dtype=np.complex128)
+def pad_values(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Samples on the 2N-point lattice of the field whose one-sided spectrum
+    on ``grid`` is ``spec``; the unpaired Nyquist mode is split evenly
+    between the paired modes +-N/2."""
+    n = grid.n_points
+    half = n // 2
+    padded = np.zeros(spec.shape[:-1] + (n + 1,), dtype=np.complex128)
     padded[..., :half] = spec[..., :half]
     padded[..., half] = 0.5 * spec[..., half]
-    vals = irfft(padded, m)
-    vals *= m / grid.n_points
+    vals = irfft(padded, 2 * n)
+    vals *= 2.0
     return vals
 
 
@@ -226,8 +236,8 @@ def product(f: Field, g: Field, dealias: bool = False) -> Field:
     sa, sb = rfft(f.values), rfft(g.values)
     if dealias:
         sa, sb = dealias_spec(sa, grid), dealias_spec(sb, grid)
-    prod = pad_values(sb, grid, 2 * grid.n_points)
-    prod *= pad_values(sa, grid, 2 * grid.n_points)
+    prod = pad_values(sb, grid)
+    prod *= pad_values(sa, grid)
     spec = project_values(prod, grid)
     if dealias:
         spec = dealias_spec(spec, grid)

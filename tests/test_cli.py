@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from rchlab import spectral
+from rchlab import experiments, spectral
 from rchlab.cli import _write_norm_table, build_parser, main
 from rchlab.coefficients import derive_coefficients
 from rchlab.errors import InvalidParameterError
@@ -81,6 +82,20 @@ def test_campaign_defaults(command):
     assert args.steps == CAMPAIGN_STEPS[command]
     assert (args.omega, args.dt, args.out, args.N) == (1.0, None, None, None)
     assert parser.parse_args([command, "--steps", "7"]).steps == 7
+
+
+@pytest.mark.parametrize("command", sorted(CAMPAIGN_STEPS))
+def test_campaign_report_defaults_to_reports_subcommand(monkeypatch, capsys,
+                                                         command):
+    report = SimpleNamespace(verdicts={}, all_passed=lambda: True)
+    for name in dir(experiments):
+        if name.startswith("run_"):
+            monkeypatch.setattr(experiments, name, lambda *a, **kw: report)
+    written = []
+    monkeypatch.setattr(experiments, "write_report",
+                        lambda rep, out: written.append(out))
+    assert main([command]) == 0
+    assert written == [Path("reports") / command]
 
 
 @pytest.mark.parametrize("command", ["nonuniform-super", "nonuniform-critical",

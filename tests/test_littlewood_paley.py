@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import rfft
 
 import rchlab.littlewood_paley as lp
 import rchlab.spectral as spectral
@@ -310,6 +311,7 @@ def test_zero_field_has_besov_norm_exactly_zero(p):
     idx = BesovIndex(2.0, p, 1.0)
     assert besov_norm(BANK, Field(GRID, np.zeros(GRID.n_points)), idx) == 0.0
     f = random_band_limited(GRID, 200.0, seed=3).values
-    norms = lp._besov_rows(BANK, np.stack([f, 0.0 * f, 2.0 * f]), (idx,))[0]
+    norms = lp._besov_rows(BANK, rfft(np.stack([f, 0.0 * f, 2.0 * f])),
+                           (idx,))[0]
     assert norms[1] == 0.0
     assert norms[0] > 0.0 and norms[2] > 0.0

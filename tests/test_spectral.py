@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.fft import irfft, rfft
 
 from rchlab.errors import GridMismatchError, InvalidParameterError
+from rchlab.eulerian import h1_integral
 from rchlab.spectral import (Field, PeriodicGrid, _spectrum_energies,
                              _stack_rows, conv_spec, ddx, dealias,
                              dealias_spec, field_from_binary, field_from_csv,
@@ -74,6 +75,18 @@ def test_grad_p_matches_composition():
     a = grad_p_conv(f).values
     b = ddx(helmholtz_inverse(f)).values
     assert np.max(np.abs(a - b)) <= 1e-13
+
+
+@pytest.mark.parametrize("grid", [GRID, PeriodicGrid(64.0 * np.pi, 2**12)])
+def test_derivative_drops_the_unpaired_nyquist_mode(grid):
+    # cos(pi x / h) is (-1)^j, the unpaired Nyquist mode alone: an odd
+    # multiplier cannot tell its +-N/2 halves apart, so the derivative is 0
+    # and the H1 integral is the squared L2 norm, with no derivative part
+    f = Field(grid, np.cos(np.pi * grid.x / grid.spacing))
+    assert np.all(ddx(f).values == 0.0)
+    assert np.all(grad_p_conv(f).values == 0.0)
+    l2_squared = grid.spacing * np.sum(f.values**2)
+    assert h1_integral(f) == pytest.approx(l2_squared, rel=1e-14)
 
 
 def test_kernel_self_adjoint():
@@ -156,7 +169,7 @@ def test_product_is_pad_times_pad_then_project(masked):
     sa, sb = rfft(f.values), rfft(g.values)
     if masked:
         sa, sb = dealias_spec(sa, GRID), dealias_spec(sb, GRID)
-    spec = project_values(pad_values(sa, GRID, 512) * pad_values(sb, GRID, 512),
+    spec = project_values(pad_values(sa, GRID) * pad_values(sb, GRID),
                           GRID)
     if masked:
         spec = dealias_spec(spec, GRID)
@@ -173,12 +186,12 @@ def test_stacked_transforms_match_row_by_row(n):
     rows = max(2, _stack_rows(n))
     vals = np.random.default_rng(n).normal(size=(rows, n))
     spec = rfft(vals)
-    padded = pad_values(spec, grid, 2 * n)
+    padded = pad_values(spec, grid)
     stacked = (spec, irfft(spec, n), padded, project_values(padded, grid),
                conv_spec(vals, spec, grid), _spectrum_energies(spec, n))
     for i in range(rows):
         row = rfft(vals[i])
-        row_padded = pad_values(row, grid, 2 * n)
+        row_padded = pad_values(row, grid)
         alone = (row, irfft(row, n), row_padded,
                  project_values(row_padded, grid),
                  conv_spec(vals[i], row, grid), _spectrum_energies(row, n))
@@ -187,9 +200,7 @@ def test_stacked_transforms_match_row_by_row(n):
 
 
 def _exact_product(sa, sb, grid):
-    m = 2 * grid.n_points
-    return project_values(pad_values(sa, grid, m) * pad_values(sb, grid, m),
-                          grid)
+    return project_values(pad_values(sa, grid) * pad_values(sb, grid), grid)
 
 
 def _masked_pair(n, seed):

@@ -1,6 +1,7 @@
 """Repository tools run as scripts: the output comparison."""
 
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,29 @@ def test_compare_outputs_reports_each_file(tmp_path):
         "gone.csv: only in OLD",
         "run.stdout: identical",
         "8 file(s) differ"]
+
+
+def test_compare_outputs_reads_binary_fields(tmp_path):
+    # an (L, N) header, then N little-endian float64 values
+    def field(*values):
+        return struct.pack(f"<dd{len(values)}d", 8.0, len(values), *values)
+
+    old_bin, new_bin = field(1.0, -4.0, 1e-12), field(1.0, -4.0, 2e-12)
+    for side, files in (("old", {"a.bin": old_bin, "cut.bin": old_bin}),
+                        ("new", {"a.bin": new_bin, "cut.bin": old_bin[:-3]})):
+        (tmp_path / side).mkdir()
+        for rel, data in files.items():
+            (tmp_path / side / rel).write_bytes(data)
+    code, lines = _compare(tmp_path / "old", tmp_path / "new")
+    assert code == 1
+    assert lines == [
+        "a.bin: max relative difference 0.5 at point 2 "
+        "(1 of 5 numeric leaves differ)",
+        "    column value: largest |a - b| / largest |a| = 2.5e-13",
+        "    point 2: 1e-12 -> 2e-12 (0.5)",
+        "cut.bin: differs (NEW holds 21 payload bytes, but its header names "
+        "3.0 points)",
+        "2 file(s) differ"]
 
 
 def test_compare_outputs_identical_trees_exit_zero(tmp_path):

@@ -7,14 +7,17 @@ Usage::
 For every file under either directory, in sorted order, prints one line:
 ``identical`` when the bytes agree, otherwise the largest relative
 difference |a - b| / max(|a|, |b|) over the numeric leaves of the file's
-JSON or CSV and where it sits.  For a CSV, one indented line per numeric
-column follows with the column's largest |a - b| over its largest |a|, so
-that a change near a zero of a field reads against the field's size.  Then
-comes one indented line per numeric leaf that differs.  A leaf that is NaN
-on one side only counts as an infinite difference.  A file that is neither,
-whose non-numeric content differs, or whose shape differs (keys, lengths,
-rows) is reported as such, and a file present on one side only as
-``only in OLD``/``only in NEW``.
+JSON, CSV or binary field and where it sits.  A binary field (``.bin``) is
+the little-endian float64 (L, N) header followed by N little-endian float64
+values.  For a CSV, one indented line per numeric column follows with the
+column's largest |a - b| over its largest |a|, so that a change near a zero
+of a field reads against the field's size; the values of a binary field get
+the same line as one column.  Then comes one indented line per numeric leaf
+that differs.  A leaf that is NaN on one side only counts as an infinite
+difference.  A file of another kind, whose non-numeric content differs, or
+whose shape differs (keys, lengths, rows, a binary field truncated or whose
+header does not match its payload) is reported as such, and a file present
+on one side only as ``only in OLD``/``only in NEW``.
 The exit status is 0 when every file is identical and 1 otherwise.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import struct
 import sys
 from pathlib import Path
 
@@ -76,8 +80,8 @@ def _float_or_none(cell: str):
 
 
 def csv_leaves(old: str, new: str):
-    """Yield ((row, column name), old, new) for each numeric cell of two CSV
-    texts."""
+    """Yield ((location, column name), old, new) for each numeric cell of two
+    CSV texts."""
     rows_old = list(csv.reader(old.splitlines()))
     rows_new = list(csv.reader(new.splitlines()))
     if len(rows_old) != len(rows_new):
@@ -90,9 +94,39 @@ def csv_leaves(old: str, new: str):
             fa, fb = _float_or_none(a), _float_or_none(b)
             name = header[j] if j < len(header) else str(j + 1)
             if fa is not None and fb is not None:
-                yield (i, name), fa, fb
+                yield (f"row {i}, {name}", name), fa, fb
             elif a != b:
                 raise ShapeMismatch(f"text differs in row {i}, {name}")
+
+
+_BIN_HEADER = struct.Struct("<dd")  # a binary field's length and point count
+
+
+def _field_numbers(data: bytes, side: str) -> tuple:
+    """(L, N, values) of a binary field; ShapeMismatch, naming ``side``, if it
+    is truncated or its header does not name a whole number of points that
+    matches its payload."""
+    if len(data) < _BIN_HEADER.size:
+        raise ShapeMismatch(f"{side} is shorter than a binary field header")
+    length, n = _BIN_HEADER.unpack_from(data)
+    payload = len(data) - _BIN_HEADER.size
+    if not (n.is_integer() and payload == 8 * n):
+        raise ShapeMismatch(f"{side} holds {payload} payload bytes, but its "
+                            f"header names {n!r} points")
+    return length, n, struct.unpack_from(f"<{int(n)}d", data, _BIN_HEADER.size)
+
+
+def bin_leaves(old: bytes, new: bytes):
+    """Yield (location, old, new) for the header of two binary fields, then
+    ((location, "value"), old, new) for each value."""
+    la, na, va = _field_numbers(old, "OLD")
+    lb, nb, vb = _field_numbers(new, "NEW")
+    yield "header L", la, lb
+    yield "header N", na, nb
+    if na != nb:
+        raise ShapeMismatch("point counts differ")
+    for i, (a, b) in enumerate(zip(va, vb)):
+        yield (f"point {i}", "value"), a, b
 
 
 def compare_file(old: Path, new: Path) -> list[str]:
@@ -104,17 +138,19 @@ def compare_file(old: Path, new: Path) -> list[str]:
         pairs = json_leaves(json.loads(a), json.loads(b))
     elif old.suffix == ".csv":
         pairs = csv_leaves(a.decode(), b.decode())
+    elif old.suffix == ".bin":
+        pairs = bin_leaves(a, b)
     else:
         return ["differs (neither JSON nor CSV)"]
     worst, at, count, differing = 0.0, None, 0, []
-    columns = {}  # CSV column name -> [largest |a - b|, largest |a|]
+    columns = {}  # column name -> [largest |a - b|, largest |a|]
     try:
         for where, x, y in pairs:
-            if isinstance(where, tuple):  # a CSV cell: (row, column name)
-                col = columns.setdefault(where[1], [0.0, 0.0])
+            if isinstance(where, tuple):  # in a column: (location, name)
+                where, name = where
+                col = columns.setdefault(name, [0.0, 0.0])
                 col[0] = max(col[0], absolute_difference(x, y))
                 col[1] = max(col[1], abs(x))
-                where = f"row {where[0]}, {where[1]}"
             count += 1
             rel = relative_difference(x, y)
             if rel > 0.0:
