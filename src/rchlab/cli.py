@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -122,9 +122,10 @@ def _write_norm_table(path, traj, bank, indices) -> None:
 def _cmd_solve(args) -> int:
     params = derive_coefficients(args.omega)
     u0 = _load_field(args.init, args.L, args.N)
-    steps = max(1, round(args.tend / args.dt))
-    snap = args.snapshot_every or max(1, steps // 16)
-    cfg = SolverConfig(dt=args.dt, t_end=args.tend, snapshot_every=snap)
+    # the given dt sets the march, so the step count passed is never used
+    cfg = SolverConfig.sampled(args.tend, 1, 16, args.dt)
+    if args.snapshot_every is not None:
+        cfg = replace(cfg, snapshot_every=args.snapshot_every)
     traj = solve(u0, params, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -146,10 +147,9 @@ def _cmd_solve(args) -> int:
 def _cmd_lagrangian(args) -> int:
     params = derive_coefficients(args.omega)
     u0 = _load_field(args.init, args.L, args.N)
-    dt = args.dt or args.tend / 64.0
-    steps = max(1, round(args.tend / dt))
-    snap = args.snapshot_every or max(1, steps // 8)
-    cfg = SolverConfig(dt=dt, t_end=args.tend, snapshot_every=snap)
+    cfg = SolverConfig.sampled(args.tend, 64, 8, args.dt)
+    if args.snapshot_every is not None:
+        cfg = replace(cfg, snapshot_every=args.snapshot_every)
     traj = lagrangian_solve(initial_state(u0), params, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,9 +261,9 @@ def _cmd_critical_expansion(args) -> int:
 
 def _cmd_continuity(args) -> int:
     rep = experiments.run_continuous_dependence(
-        args.s, args.p, args.r, args.eps, args.tend, omega=args.omega,
-        length=args.L, n_points=args.N or DEFAULT_POINTS, steps=args.steps,
-        dt=args.dt)
+        args.s, args.p, args.r, args.eps or [1e-2, 1e-3, 1e-4], args.tend,
+        omega=args.omega, length=args.L, n_points=args.N or DEFAULT_POINTS,
+        steps=args.steps, dt=args.dt)
     return _finish_campaign(rep, args)
 
 
@@ -422,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "eps", None) is None and args.command == "continuity":
-        args.eps = [1e-2, 1e-3, 1e-4]
     return args.func(args)
 
 

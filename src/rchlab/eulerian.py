@@ -57,13 +57,17 @@ KAPPA_DEFAULT = 0.1
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-step RK4 configuration."""
+    """Fixed-step RK4 configuration, the one home of the time grid: only
+    :func:`_stage_times` cuts its positive, finite ``t_end`` into steps."""
 
     dt: float
     t_end: float
     snapshot_every: int = 1
 
     def __post_init__(self):
+        if not 0.0 < self.t_end < math.inf:
+            raise InvalidParameterError(
+                f"t_end must be positive and finite, got {self.t_end!r}")
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise InvalidParameterError(f"dt must be positive, got {self.dt!r}")
         if not (self.t_end >= self.dt):
@@ -71,6 +75,19 @@ class SolverConfig:
                 f"t_end must be at least dt, got t_end={self.t_end!r} dt={self.dt!r}")
         if self.snapshot_every < 1:
             raise InvalidParameterError("snapshot_every must be >= 1")
+
+    @classmethod
+    def sampled(cls, t_end: float, steps: int, samples: int,
+                dt: float | None = None) -> SolverConfig:
+        """``t_end`` in ``steps`` steps, or in steps of ``dt`` if it is given,
+        keeping about ``samples`` snapshots: one every n // samples of the
+        march's n steps."""
+        if steps < 1 or samples < 1:
+            raise InvalidParameterError(
+                f"steps and samples must be >= 1, got {steps!r} and {samples!r}")
+        cfg = cls(dt=t_end / steps if dt is None else float(dt), t_end=t_end)
+        return replace(cfg, snapshot_every=max(1, len(_stage_times(cfg))
+                                               // samples))
 
 
 @dataclass

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -152,22 +152,6 @@ def fit_line(x, y) -> Fit:
     return Fit(slope=slope, stderr=stderr, window=[float(v) for v in x])
 
 
-def _time_stepping(t_end: float, steps: int, samples: int,
-                   dt: float | None) -> tuple[float, int]:
-    """Step size and snapshot cadence; an explicit dt overrides the count."""
-    if steps < 1 or samples < 1:
-        raise InvalidParameterError(
-            f"steps and samples must be >= 1, got {steps!r} and {samples!r}")
-    if dt is not None:
-        dt = float(dt)
-        if not 0.0 < dt <= t_end:
-            raise InvalidParameterError(f"dt must lie in (0, {t_end:g}]")
-        steps = max(1, math.ceil(t_end / dt - 1e-12))
-    else:
-        dt = t_end / steps
-    return dt, max(1, steps // samples)
-
-
 def grid_for_block(n_block: int, length: float = DEFAULT_LENGTH) -> PeriodicGrid:
     """Smallest power-of-two grid whose dyadic family resolves block n."""
     need = (8.0 / 3.0) * 2.0**n_block * length / math.pi
@@ -210,9 +194,8 @@ def _sweep_setup(idx: BesovIndex, n_list, length: float, steps: int,
                                  idx=idx)
     t_end = 0.5 * min(kappa_horizon(st.norm(horizon))
                       for st in setups.values())
-    dt, snapshot_every = _time_stepping(t_end, steps, DEFAULT_SAMPLES, dt)
-    return n_list, setups, SolverConfig(dt=dt, t_end=t_end,
-                                        snapshot_every=snapshot_every)
+    cfg = SolverConfig.sampled(t_end, steps, DEFAULT_SAMPLES, dt)
+    return n_list, setups, cfg
 
 
 def _top_half_slope(ns, values) -> Fit:
@@ -325,6 +308,13 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
                 detail="distance at t=0 equals the initial gap exactly")})
 
 
+def _critical_index(p: float) -> BesovIndex:
+    """The critical index s = 1 + 1/p, r = 1, for p in [1, 2]."""
+    if not (1.0 <= p <= 2.0):
+        raise InvalidParameterError(f"critical run needs p in [1, 2], got {p}")
+    return BesovIndex(1.0 + 1.0 / p, p, 1.0)
+
+
 def run_nonuniform_supercritical(s: float, p: float, r: float, n_list, *,
                                  omega: float = DEFAULT_OMEGA,
                                  length: float = DEFAULT_LENGTH,
@@ -343,9 +333,7 @@ def run_nonuniform_critical(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
                             steps: int = DEFAULT_STEPS,
                             dt: float | None = None) -> ExperimentReport:
     """Gap persistence on the critical line s = 1 + 1/p, r = 1, p in [1, 2]."""
-    if not (1.0 <= p <= 2.0):
-        raise InvalidParameterError(f"critical run needs p in [1, 2], got {p}")
-    return _nonuniform_core("nonuniform_critical", BesovIndex(1.0 + 1.0 / p, p, 1.0),
+    return _nonuniform_core("nonuniform_critical", _critical_index(p),
                             n_list, omega, length, steps, dt)
 
 
@@ -422,10 +410,7 @@ def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
                            dt: float | None = None) -> ExperimentReport:
     """Quadratic-in-time control of the full first-order expansion on the
     critical line, with the boundedness diagnostic of the data family."""
-    if not (1.0 <= p <= 2.0):
-        raise InvalidParameterError(f"critical run needs p in [1, 2], got {p}")
-    s = 1.0 + 1.0 / p
-    idx = BesovIndex(s, p, 1.0)
+    idx = _critical_index(p)
     params = derive_coefficients(omega)
     n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, dt,
                                        min_indices=2, horizon="u0n")
@@ -456,7 +441,7 @@ def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
     res_fit = _late_exponent(table, res_rows, "expansion_residual")
     return ExperimentReport(
         name="critical_expansion",
-        parameters={"p": p, "s": s, "n_list": n_list, "omega": omega,
+        parameters={"p": p, "s": idx.s, "n_list": n_list, "omega": omega,
                     "length": length, "kappa": KAPPA_DEFAULT,
                     "t_end": cfg.t_end, "dt": cfg.dt,
                     "residual_mode_index": n_big,
@@ -497,8 +482,7 @@ def run_continuous_dependence(s: float, p: float, r: float, eps_list,
     bank = build_filter_bank(grid)
     if t_end is None:
         t_end = 0.5 * kappa_horizon(besov_norm(bank, u0, idx))
-    dt, snapshot_every = _time_stepping(t_end, steps, DEFAULT_SAMPLES, dt)
-    cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_every=snapshot_every)
+    cfg = SolverConfig.sampled(t_end, steps, DEFAULT_SAMPLES, dt)
     base = solve(u0, params, cfg)
     table: list[dict] = []
     for eps in eps_list:
@@ -512,7 +496,7 @@ def run_continuous_dependence(s: float, p: float, r: float, eps_list,
         name="continuous_dependence",
         parameters={"s": s, "p": p, "r": r, "eps_list": eps_list,
                     "omega": omega, "length": length, "n_points": n_points,
-                    "t_end": t_end, "dt": dt,
+                    "t_end": t_end, "dt": cfg.dt,
                     "plot": {"x": "eps", "y": "sup_distance",
                              "logscale": "xy"}},
         table=table,
@@ -537,8 +521,8 @@ def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
     bank = build_filter_bank(u0.grid)
     if t_end is None:
         t_end = kappa_horizon(besov_norm(bank, u0, idx))
-    dt, _ = _time_stepping(t_end, steps, 1, dt)
-    cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_every=1)
+    # every step: the terminal gap pairs the iterate's states with the solver's
+    cfg = replace(SolverConfig.sampled(t_end, steps, 1, dt), snapshot_every=1)
     iters = picard_iterate(u0, params, cfg, m_max)
     reference = solve(u0, params, cfg)
 
@@ -561,7 +545,7 @@ def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
     return ExperimentReport(
         name="picard_convergence",
         parameters={"omega": omega, "m_max": m_max, "s": s, "p": p, "r": r,
-                    "t_end": t_end, "dt": dt,
+                    "t_end": t_end, "dt": cfg.dt,
                     "grid_points": u0.grid.n_points, "length": u0.grid.length,
                     "plot": {"x": "m", "y": "iterate_gap", "logscale": "y"}},
         table=table,

@@ -282,8 +282,27 @@ def test_cli_import_leaves_scipy_interpolate_out():
      "BlowUpError: state norm", " t=0.06"),
     (["solve", "--init", "nope.csv", "--dt", "1", "--tend", "2", "--out", "x"],
      "error: no field file nope.csv", ""),
+    (["solve", "--init", "smoke", "--tend", "1", "--dt", "0", "--out", "x"],
+     "InvalidParameterError: dt must be positive, got 0.0", ""),
+    (["solve", "--init", "smoke", "--tend", "nan", "--dt", "0.01", "--out",
+      "x"], "InvalidParameterError: t_end must be positive and finite",
+     "got nan"),
+    (["solve", "--init", "smoke", "--tend", "inf", "--dt", "0.01", "--out",
+      "x"], "InvalidParameterError: t_end must be positive and finite",
+     "got inf"),
+    (["lagrangian", "--init", "smoke", "--tend", "0.5", "--dt", "0", "--out",
+      "x"], "InvalidParameterError: dt must be positive, got 0.0", ""),
+    (["lagrangian", "--init", "smoke", "--tend", "nan", "--out", "x"],
+     "InvalidParameterError: t_end must be positive and finite", "got nan"),
+    # zero data never blows up: its existence horizon is infinite
+    (["picard", "--init", "zero", "--dt", "0.01", "--out", "x"],
+     "InvalidParameterError: t_end must be positive and finite", "got inf"),
+    (["continuity", "--tend", "inf", "--dt", "0.01", "--out", "x"],
+     "InvalidParameterError: t_end must be positive and finite", "got inf"),
 ], ids=["invalid-parameter", "grid-cap", "frequency-overflow", "cfl",
-        "blow-up", "missing-file"])
+        "blow-up", "missing-file", "solve-dt-zero", "solve-tend-nan",
+        "solve-tend-inf", "lagrangian-dt-zero", "lagrangian-tend-nan",
+        "picard-zero-data", "continuity-tend-inf"])
 def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
     proc = _run_script(argv, tmp_path)
     assert proc.returncode == 2

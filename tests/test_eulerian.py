@@ -149,6 +149,14 @@ def test_solver_config_validation():
         SolverConfig(dt=0.1, t_end=1.0, snapshot_every=0)
 
 
+@pytest.mark.parametrize("t_end", [math.inf, math.nan])
+def test_solver_config_refuses_a_non_finite_horizon(t_end):
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        SolverConfig(dt=0.1, t_end=t_end)
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        SolverConfig.sampled(t_end, 48, 8)
+
+
 def test_snapshot_cadence():
     grid = PeriodicGrid(64.0 * np.pi, 2**11)
     u0 = builtin_profile("smoke", grid)

@@ -9,10 +9,9 @@ import pytest
 
 from rchlab.coefficients import derive_coefficients
 from rchlab.errors import InvalidParameterError
-from rchlab.eulerian import Trajectory
+from rchlab.eulerian import SolverConfig, Trajectory, _stage_times
 from rchlab.experiments import (ExperimentReport, Fit, Verdict, _FamilySetup,
-                                _residual_rows, _time_stepping, fit_line,
-                                grid_for_block,
+                                _residual_rows, fit_line, grid_for_block,
                                 run_continuous_dependence,
                                 run_critical_expansion,
                                 run_decomposition_rates,
@@ -132,24 +131,29 @@ def test_grid_for_block_is_minimal_power_of_two():
 
 
 def test_time_stepping_override():
-    dt, every = _time_stepping(0.3, 48, 8, None)
-    assert dt == pytest.approx(0.3 / 48.0)
-    assert every == 6
-    dt, every = _time_stepping(0.3, 48, 8, 0.05)
-    assert dt == 0.05
-    assert every == 1  # only 6 steps remain, sampled every step
+    cfg = SolverConfig.sampled(0.3, 48, 8)
+    assert cfg.dt == pytest.approx(0.3 / 48.0)
+    assert cfg.snapshot_every == 6
+    cfg = SolverConfig.sampled(0.3, 48, 8, 0.05)
+    assert cfg.dt == 0.05
+    assert cfg.snapshot_every == 1  # only 6 steps remain, sampled every step
     with pytest.raises(InvalidParameterError):
-        _time_stepping(0.3, 48, 8, 0.5)
+        SolverConfig.sampled(0.3, 48, 8, 0.5)
     with pytest.raises(InvalidParameterError):
-        _time_stepping(0.3, 48, 8, -0.1)
+        SolverConfig.sampled(0.3, 48, 8, -0.1)
+    # the cadence comes from the march's own count: 0.15 + 1e-12 is 15 steps
+    # of 0.01 (the 1e-12 is rounding, not a 16th step), so 15 // 8 = 1
+    cfg = SolverConfig.sampled(0.15 + 1e-12, 48, 8, 0.01)
+    assert len(_stage_times(cfg)) == 15
+    assert cfg.snapshot_every == 1
 
 
 @pytest.mark.parametrize("steps, samples, dt", [(0, 8, None), (-4, 8, None),
                                                 (48, 0, None), (0, 8, 0.05),
                                                 (48, 0, 0.05)])
 def test_time_stepping_rejects_empty_counts(steps, samples, dt):
-    with pytest.raises(InvalidParameterError):
-        _time_stepping(0.3, steps, samples, dt)
+    with pytest.raises(InvalidParameterError, match="steps and samples"):
+        SolverConfig.sampled(0.3, steps, samples, dt)
 
 
 @pytest.mark.parametrize("eps", [[1e-2, 0.0], [1e-2, -1e-3], [1e-2, math.nan],

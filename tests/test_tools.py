@@ -35,13 +35,15 @@ def test_compare_outputs_reports_each_file(tmp_path):
         "a/table.csv": "m,gap,note\r\n1,0.25,x\r\n2,0.5,\r\n",
         "a/snap.csv": "x,value,w\r\n0,1e-12,1\r\n1,4.0,0.5\r\n",
         "a/plot.gp": "plot 1\n", "b/keys.json": '{"a": 1}',
-        "b/nan.json": '{"a": 1.5, "b": 0.5}', "gone.csv": "x\r\n"})
+        "b/nan.json": '{"a": 1.5, "b": 0.5}', "b/cut.json": '{"a": 1.5}',
+        "gone.csv": "x\r\n"})
     new = _write(tmp_path / "new", {
         **common, "a/report.json": json.dumps(moved),
         "a/table.csv": "m,gap,note\r\n1,0.25,x\r\n2,0.75,\r\n",
         "a/snap.csv": "x,value,w\r\n0,2e-12,1\r\n1,4.0,NaN\r\n",
         "a/plot.gp": "plot 2\n", "b/keys.json": '{"b": 1}',
-        "b/nan.json": '{"a": 1.5, "b": NaN}', "c/new.json": "{}"})
+        "b/nan.json": '{"a": 1.5, "b": NaN}', "b/cut.json": '{"a": 1.',
+        "c/new.json": "{}"})
     code, lines = _compare(old, new)
     assert code == 1
     assert lines == [
@@ -64,6 +66,9 @@ def test_compare_outputs_reports_each_file(tmp_path):
         "    column m: largest |a - b| / largest |a| = 0",
         "    column gap: largest |a - b| / largest |a| = 0.5",
         "    row 3, gap: 0.5 -> 0.75 (0.33)",
+        # a truncated file is one line, and the files after it still compare
+        "b/cut.json: differs (NEW is not valid JSON: Expecting ',' delimiter: "
+        "line 1 column 8 (char 7))",
         "b/keys.json: differs (keys differ at .)",
         # a number turning into NaN is the regression to catch
         "b/nan.json: max relative difference inf at .b "
@@ -72,7 +77,7 @@ def test_compare_outputs_reports_each_file(tmp_path):
         "c/new.json: only in NEW",
         "gone.csv: only in OLD",
         "run.stdout: identical",
-        "8 file(s) differ"]
+        "9 file(s) differ"]
 
 
 def test_compare_outputs_reads_binary_fields(tmp_path):

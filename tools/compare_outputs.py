@@ -16,8 +16,9 @@ the same line as one column.  Then comes one indented line per numeric leaf
 that differs.  A leaf that is NaN on one side only counts as an infinite
 difference.  A file of another kind, whose non-numeric content differs, or
 whose shape differs (keys, lengths, rows, a binary field truncated or whose
-header does not match its payload) is reported as such, and a file present
-on one side only as ``only in OLD``/``only in NEW``.
+header does not match its payload) is reported as such, as is a JSON file
+that does not parse or a CSV that is not UTF-8, and a file present on one
+side only as ``only in OLD``/``only in NEW``.
 The exit status is 0 when every file is identical and 1 otherwise.
 """
 
@@ -129,22 +130,32 @@ def bin_leaves(old: bytes, new: bytes):
         yield (f"point {i}", "value"), a, b
 
 
+def _decoded(data: bytes, side: str, suffix: str):
+    """The JSON tree or the CSV text of a file; ShapeMismatch, naming
+    ``side``, if it is not valid JSON or not UTF-8."""
+    try:
+        return json.loads(data) if suffix == ".json" else data.decode()
+    except ValueError as err:  # a JSONDecodeError or a UnicodeDecodeError
+        kind = "JSON" if suffix == ".json" else "UTF-8"
+        raise ShapeMismatch(f"{side} is not valid {kind}: {err}") from None
+
+
 def compare_file(old: Path, new: Path) -> list[str]:
     """Report lines for one pair of files, the first naming the outcome."""
     a, b = old.read_bytes(), new.read_bytes()
     if a == b:
         return ["identical"]
-    if old.suffix == ".json":
-        pairs = json_leaves(json.loads(a), json.loads(b))
-    elif old.suffix == ".csv":
-        pairs = csv_leaves(a.decode(), b.decode())
-    elif old.suffix == ".bin":
-        pairs = bin_leaves(a, b)
-    else:
+    if old.suffix not in (".json", ".csv", ".bin"):
         return ["differs (neither JSON nor CSV)"]
     worst, at, count, differing = 0.0, None, 0, []
     columns = {}  # column name -> [largest |a - b|, largest |a|]
     try:
+        if old.suffix == ".bin":
+            pairs = bin_leaves(a, b)
+        else:
+            leaves = json_leaves if old.suffix == ".json" else csv_leaves
+            pairs = leaves(_decoded(a, "OLD", old.suffix),
+                           _decoded(b, "NEW", old.suffix))
         for where, x, y in pairs:
             if isinstance(where, tuple):  # in a column: (location, name)
                 where, name = where
