@@ -68,13 +68,21 @@ def _save_field(f: Field, path) -> None:
         field_to_binary(f, path)
 
 
+def _summability(text: str) -> float:
+    """Argparse type of every r: a float, and a nonpositive one is infinity."""
+    try:
+        r = float(text)
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return math.inf if r <= 0 else r
+
+
 def _parse_besov_triple(text: str) -> BesovIndex:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"expected s,p,r (e.g. 2,2,2), got {text!r}")
-    s, p, r = (float(v) for v in parts)
-    return BesovIndex(s, p, math.inf if r <= 0 else r)
+    return BesovIndex(float(parts[0]), float(parts[1]), _summability(parts[2]))
 
 
 def _cmd_coeffs(args) -> int:
@@ -92,8 +100,7 @@ def _cmd_coeffs(args) -> int:
 def _cmd_besov(args) -> int:
     f = _load_field(args.input, args.L, args.N)
     bank = build_filter_bank(f.grid)
-    r = math.inf if args.r <= 0 else args.r
-    idx = BesovIndex(args.s, args.p, r)
+    idx = BesovIndex(args.s, args.p, args.r)
     weighted = block_norms(bank, f, idx)
     print(f"besov_norm,{sequence_norm(weighted, idx.r)!r}")
     print("j,weighted_block_norm")
@@ -284,6 +291,11 @@ def _add_grid_flags(p, with_points: bool = True) -> None:
                        help="grid points (default: sized automatically)")
 
 
+def _add_r_flag(p) -> None:
+    p.add_argument("--r", type=_summability, default=2.0,
+                   help="summability exponent; nonpositive means infinity")
+
+
 def _add_campaign_flags(p, steps: int) -> None:
     p.add_argument("--omega", type=float, default=experiments.DEFAULT_OMEGA)
     p.add_argument("--dt", type=float, default=None,
@@ -313,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=2.0,
-                   help="summability exponent; nonpositive means infinity")
+    _add_r_flag(p)
     _add_grid_flags(p)
     p.set_defaults(func=_cmd_besov)
 
@@ -349,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=2.0)
+    _add_r_flag(p)
     p.add_argument("--out", default=None)
     p.add_argument("--certify", action="store_true",
                    help="emit the full norm-scaling table as CSV")
@@ -371,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "supercritical indices")
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=2.0)
+    _add_r_flag(p)
     p.set_defaults(func=_cmd_nonuniform_super)
 
     p = sub.add_parser("nonuniform-critical", parents=[sweep],
@@ -384,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "first-order residual rates")
     p.add_argument("--s", type=float, default=2.5)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=2.0)
+    _add_r_flag(p)
     p.set_defaults(func=_cmd_decomp_rates)
 
     p = sub.add_parser("critical-expansion", parents=[sweep],
@@ -398,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "perturbations")
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=2.0)
+    _add_r_flag(p)
     p.add_argument("--eps", type=float, action="append", default=None)
     p.add_argument("--tend", type=float, default=None)
     _add_campaign_flags(p, steps=64)
@@ -411,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=8)
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=2.0)
+    _add_r_flag(p)
     p.add_argument("--tend", type=float, default=None)
     _add_campaign_flags(p, steps=200)
     _add_grid_flags(p)

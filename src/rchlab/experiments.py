@@ -10,9 +10,9 @@ draws randomness.
 Every campaign measures its per-snapshot Besov norms through
 :func:`littlewood_paley._distances`, and the first-order residuals through
 the chunk loop beneath it, :func:`littlewood_paley._chunked_norms`.  The
-three mode-index sweeps share one skeleton: :func:`_sweep_setup`, and one
-helper each for the top-half slope, the first-order residual rows and their
-late-t exponent.
+three mode-index sweeps share one skeleton: :func:`_sweep_setup`, one helper
+for the top-half slope, and :func:`_residual_check`, which tabulates the
+first-order residual rows, fits their late-t exponent and gives its verdict.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ import numpy as np
 from .coefficients import derive_coefficients
 from .errors import InvalidParameterError
 from .eulerian import (KAPPA_DEFAULT, SolverConfig, full_rhs, kappa_horizon,
-                       picard_iterate, solve)
+                       picard_iterate, solve, transport_diagnostic)
 from .initial_data import _top_half, build_family, build_psi, builtin_profile
 from .littlewood_paley import (BesovIndex, DyadicFilterBank, _chunked_norms,
-                               _distances, besov_norm, besov_norms,
+                               _distances, _top_block, besov_norm, besov_norms,
                                build_filter_bank, lp_norm)
-from .spectral import Field, PeriodicGrid, ddx
+from .spectral import Field, PeriodicGrid
 
 DEFAULT_OMEGA = 1.0
 DEFAULT_LENGTH = 64.0 * np.pi
@@ -154,9 +154,10 @@ def fit_line(x, y) -> Fit:
 
 def grid_for_block(n_block: int, length: float = DEFAULT_LENGTH) -> PeriodicGrid:
     """Smallest power-of-two grid whose dyadic family resolves block n."""
-    need = (8.0 / 3.0) * 2.0**n_block * length / math.pi
     n_pts = 16
-    while n_pts < need * (1.0 - 1e-12):
+    # the bank's rule on the grid's own k_Nyquist; a bad length stops at once
+    while 0.0 < length < math.inf and _top_block(
+            math.pi / (length / n_pts)) < n_block:
         n_pts *= 2
     return PeriodicGrid(length, n_pts)
 
@@ -203,10 +204,12 @@ def _top_half_slope(ns, values) -> Fit:
     return fit_line(_top_half(ns), np.log2(_top_half(values)))
 
 
-def _residual_rows(table: list[dict], n: int, st: _FamilySetup, traj, h: Field,
-                   idx: BesovIndex, key: str) -> list[int]:
+def _residual_check(table: list[dict], n: int, st: _FamilySetup, traj,
+                    h: Field, idx: BesovIndex, key: str,
+                    detail: str) -> tuple[Fit, Verdict]:
     """Append a row ``key`` = ||u(t) - u0n - t h|| for every sampled t > 0 of
-    ``traj``, the solution from u0n; return the new row indices."""
+    ``traj``, the solution from u0n; return the log-log slope of ``key``
+    against t over the later half of those rows, and its verdict."""
     late = np.flatnonzero(traj.times > 0.0)
     t = traj.times[late]
 
@@ -215,15 +218,12 @@ def _residual_rows(table: list[dict], n: int, st: _FamilySetup, traj, h: Field,
                 - t[rows, None] * h.values)
 
     resids = _chunked_norms(st.bank, len(late), residuals, (idx,))[0]
+    rows = list(range(len(table), len(table) + len(resids)))
     table.extend({"n": n, "t": tt, key: r} for tt, r in zip(t.tolist(), resids))
-    return list(range(len(table) - len(resids), len(table)))
-
-
-def _late_exponent(table: list[dict], rows: list[int], key: str) -> Fit:
-    """Log-log slope of ``key`` against t over the later half of ``rows``."""
-    late = _top_half(rows)
-    return fit_line(np.log([table[i]["t"] for i in late]),
-                    np.log([max(table[i][key], 1e-300) for i in late]))
+    fit = fit_line(np.log(_top_half(t.tolist())),
+                   np.log([max(r, 1e-300) for r in _top_half(resids)]))
+    return fit, Verdict(passed=fit.slope >= 1.8, value=fit.slope,
+                        tolerance="t-exponent >= 1.8", rows=rows, detail=detail)
 
 
 def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
@@ -233,39 +233,30 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
     n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, dt,
                                        min_indices=4, horizon="u0n")
     table: list[dict] = []
-    gap_rows: list[int] = []
-    curve_rows: dict[int, list[int]] = {}
     for n in n_list:
         s = setups[n]
         traj_u = solve(s.fam.u0n, params, cfg)
         traj_w = solve(s.fam.w0n, params, cfg)
-        curve_rows[n] = []
         dists = _distances(s.bank, traj_u.states, traj_w.states, (idx,))[0]
         for t, dist in zip(traj_u.times.tolist(), dists):
             table.append({"n": n, "t": t, "distance": dist,
                           "ratio": dist / t if t > 0 else float("nan"),
                           "v0n_norm": s.norm("v0n"), "w0n_norm": s.norm("w0n"),
                           "u0n_norm": s.norm("u0n")})
-            curve_rows[n].append(len(table) - 1)
-            if t == 0.0:
-                gap_rows.append(len(table) - 1)
+    # every n shares cfg, so each has m snapshots at the same times, the
+    # first at t = 0: snapshot i of the k-th n is row k m + i
+    m = len(table) // len(n_list)
+    gap_rows = list(range(0, len(table), m))
+    top = _top_half(range(len(n_list)))
 
     gap_fit = _top_half_slope(n_list, [setups[n].norm("v0n") for n in n_list])
     wb_fit = _top_half_slope(n_list, [setups[n].norm("w0n") for n in n_list])
 
-    # empirical kappa: per sampled t > 0, minimum over top-half n of dist/t;
-    # every n shares cfg, so snapshot i sits at the same t for every n (the
-    # trend fit reads t rounded to 12 places, as it always has)
-    top_ns = _top_half(n_list)
-    kappa_curve = []
-    kappa_rows: list[int] = []
-    for i, row in enumerate(curve_rows[n_list[0]]):
-        t = table[row]["t"]
-        if t <= 0.0:
-            continue
-        rows = [curve_rows[n][i] for n in top_ns]
-        kappa_rows += rows
-        kappa_curve.append((round(t, 12), min(table[j]["ratio"] for j in rows)))
+    # empirical kappa: per sampled t > 0, minimum over top-half n of dist/t
+    # (the trend fit reads t rounded to 12 places, as it always has)
+    kappa_curve = [(round(table[i]["t"], 12),
+                    min(table[k * m + i]["ratio"] for k in top))
+                   for i in range(1, m)]
     late = [(t, v) for t, v in kappa_curve if t >= cfg.t_end / 4.0 - 1e-12]
     kappa_emp = min(v for _, v in late)
     kappa_fit = fit_line(np.log([t for t, _ in late]),
@@ -300,7 +291,7 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
                 passed=kappa_emp > 0.0, value=kappa_emp,
                 tolerance="min over top-half n, t in [T0/4, T0] of "
                           "distance/t > 0",
-                rows=sorted(kappa_rows),
+                rows=[k * m + i for k in top for i in range(1, m)],
                 detail="empirical persistence of the solution gap"),
             "t0_gap_identity": Verdict(
                 passed=t0_err <= 1e-12, value=t0_err,
@@ -366,13 +357,14 @@ def run_decomposition_rates(s: float, p: float, r: float, n_list, *,
 
     n_big = n_list[-1]
     st = setups[n_big]
-    res_rows = _residual_rows(table, n_big, st, solve(st.fam.u0n, params, cfg),
-                              st.fam.z0n, idx, "first_order_residual")
+    res_fit, res_verdict = _residual_check(
+        table, n_big, st, solve(st.fam.u0n, params, cfg), st.fam.z0n, idx,
+        "first_order_residual",
+        f"first-order residual at n={n_big}, top half of the t range")
 
     decay_fit, up_fit, down_fit = (
         _top_half_slope(n_list, [table[i][key] for i in sup_rows])
         for key in ("sup_distance", "sideband_up", "sideband_down"))
-    res_fit = _late_exponent(table, res_rows, "first_order_residual")
 
     bound = -(s - 1.5) / 2.0 + 0.3
     return ExperimentReport(
@@ -397,11 +389,7 @@ def run_decomposition_rates(s: float, p: float, r: float, n_list, *,
                 tolerance="|slope| <= 0.3 for both shifted-index ratios",
                 rows=sup_rows,
                 detail="sup_t ||w||_{B^{s+-1}} / 2^{+-n} stays flat in n"),
-            "residual_quadratic": Verdict(
-                passed=res_fit.slope >= 1.8, value=res_fit.slope,
-                tolerance="t-exponent >= 1.8", rows=res_rows,
-                detail=f"first-order residual at n={n_big}, top half of the "
-                       f"t range")})
+            "residual_quadratic": res_verdict})
 
 
 def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
@@ -419,10 +407,9 @@ def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
         st = setups[n]
         u0 = st.fam.u0n
         linf = lp_norm(u0, math.inf)
-        linf_x = lp_norm(ddx(u0), math.inf)
         b2, b3 = besov_norms(st.bank, u0, (BesovIndex(2.0 + 1.0 / p, p, 1.0),
                                            BesovIndex(3.0 + 1.0 / p, p, 1.0)))
-        bracket = linf_x + linf + linf**2 + linf**3
+        bracket = transport_diagnostic(u0)
         q_val = (1.0 + linf * b2 + linf**2 * b3 + bracket**2 * b2
                  + linf * bracket**2 * b3)
         table.append({"n": n, "q_diagnostic": q_val, "u0_linf": linf,
@@ -432,13 +419,13 @@ def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
     n_big = n_list[-1]
     st = setups[n_big]
     u0 = st.fam.u0n
-    h0 = full_rhs(u0, params)
-    res_rows = _residual_rows(table, n_big, st, solve(u0, params, cfg), h0, idx,
-                              "expansion_residual")
+    res_fit, res_verdict = _residual_check(
+        table, n_big, st, solve(u0, params, cfg), full_rhs(u0, params), idx,
+        "expansion_residual",
+        f"full first-order residual at n={n_big}, top half of t range")
 
     q_fit = fit_line(np.asarray(n_list, dtype=float),
                      np.log2([table[i]["q_diagnostic"] for i in q_rows]))
-    res_fit = _late_exponent(table, res_rows, "expansion_residual")
     return ExperimentReport(
         name="critical_expansion",
         parameters={"p": p, "s": idx.s, "n_list": n_list, "omega": omega,
@@ -454,11 +441,7 @@ def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
                 passed=abs(q_fit.slope) <= 0.3, value=q_fit.slope,
                 tolerance="|slope| <= 0.3 across the n range", rows=q_rows,
                 detail="log2 Q diagnostic vs n stays flat"),
-            "residual_quadratic": Verdict(
-                passed=res_fit.slope >= 1.8, value=res_fit.slope,
-                tolerance="t-exponent >= 1.8", rows=res_rows,
-                detail=f"full first-order residual at n={n_big}, top half "
-                       f"of t range")})
+            "residual_quadratic": res_verdict})
 
 
 def run_continuous_dependence(s: float, p: float, r: float, eps_list,

@@ -79,14 +79,20 @@ class BesovIndex:
                 raise InvalidParameterError(f"{name} must lie in [1, inf], got {v!r}")
 
 
+def _top_block(k_nyquist: float) -> int:
+    """Largest j >= -1 with (8/3) 2^j <= ``k_nyquist``, with no tolerance."""
+    j = -1
+    while (8.0 / 3.0) * 2.0 ** (j + 1) <= k_nyquist:
+        j += 1
+    return j
+
+
 class DyadicFilterBank:
     """Precomputed dyadic filters on the one-sided lattice spectrum."""
 
     def __init__(self, grid: PeriodicGrid):
         k = grid.k
-        j_max = int(math.floor(math.log2(grid.k_nyquist * 3.0 / 8.0) + 1e-12))
-        while (8.0 / 3.0) * 2.0 ** (j_max + 1) <= grid.k_nyquist:
-            j_max += 1
+        j_max = _top_block(grid.k_nyquist)
         if j_max < 3:
             raise InvalidParameterError(
                 f"grid too small to host a dyadic family: j_max={j_max} < 3")

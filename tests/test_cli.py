@@ -205,6 +205,27 @@ def test_data_certify(tmp_path, capsys):
     assert "low_product_norm_top_half_min" in text
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["data", "--certify", "--n-min", "5", "--n-max", "6"], "cert.csv"),
+    (["nonuniform-super", "--n-min", "4", "--n-max", "7", "--steps", "8"],
+     "report"),
+], ids=["data-certify", "nonuniform-super"])
+def test_nonpositive_r_means_infinity(tmp_path, capsys, argv, out):
+    codes, files = [], []
+    for r in ("0", "inf"):
+        codes.append(main(argv + ["--r", r, "--out", str(tmp_path / r / out)]))
+        files.append({path.relative_to(tmp_path / r): path.read_bytes()
+                      for path in (tmp_path / r).rglob("*") if path.is_file()})
+    assert codes[0] == codes[1]
+    assert files[0] == files[1] and files[0]
+
+
+def test_r_that_is_not_a_number_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["data", "--r", "abc"])
+    assert "argument --r: invalid float value: 'abc'" in capsys.readouterr().err
+
+
 def test_picard_campaign_exit_code(tmp_path, capsys):
     out = tmp_path / "picard"
     rc = main(["picard", "--N", "2048", "--m-max", "8", "--steps", "100",

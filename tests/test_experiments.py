@@ -11,7 +11,7 @@ from rchlab.coefficients import derive_coefficients
 from rchlab.errors import InvalidParameterError
 from rchlab.eulerian import SolverConfig, Trajectory, _stage_times
 from rchlab.experiments import (ExperimentReport, Fit, Verdict, _FamilySetup,
-                                _residual_rows, fit_line, grid_for_block,
+                                _residual_check, fit_line, grid_for_block,
                                 run_continuous_dependence,
                                 run_critical_expansion,
                                 run_decomposition_rates,
@@ -45,13 +45,20 @@ def test_residual_rows_match_a_per_snapshot_loop(p):
                       rng.normal(size=(11, grid.n_points)))
     st = _FamilySetup(fam=SimpleNamespace(u0n=u0), bank=bank, idx=idx)
     table = [{"n": 4}]
-    rows = _residual_rows(table, 5, st, traj, h, idx, "resid")
+    fit, verdict = _residual_check(table, 5, st, traj, h, idx, "resid",
+                                   "at n=5")
     want = [{"n": 5, "t": t, "resid": besov_norm(
                 bank, Field(grid, traj.states[i] - u0.values - t * h.values),
                 idx)}
             for i, t in enumerate(times.tolist()) if t > 0.0]
-    assert rows == list(range(1, 11))
+    assert verdict.rows == list(range(1, 11))
     assert table[1:] == want
+    # the fit and verdict read the later half of the new rows
+    late = _top_half(want)
+    assert fit == fit_line(np.log([row["t"] for row in late]),
+                           np.log([row["resid"] for row in late]))
+    assert (verdict.value, verdict.passed, verdict.detail) == (
+        fit.slope, fit.slope >= 1.8, "at n=5")
 
 
 def test_fit_line_two_points_has_zero_stderr():
@@ -119,15 +126,22 @@ def test_write_report_outputs(tmp_path):
 
 
 def test_grid_for_block_is_minimal_power_of_two():
-    length = 64.0 * np.pi
-    for n in range(5, 9):
-        grid = grid_for_block(n, length)
-        pts = grid.n_points
-        assert pts & (pts - 1) == 0
-        need = (8.0 / 3.0) * 2.0**n
-        assert grid.k_nyquist >= need
-        smaller = PeriodicGrid(length, pts // 2)
-        assert smaller.k_nyquist < need
+    # at the second length, k_Nyquist of 2^15 points falls 8e-13 short of
+    # (8/3) 2^7, so block 7 needs 2^16
+    for length in (64.0 * np.pi, 96.0 * np.pi * (1.0 + 8e-13)):
+        for n in range(5, 9):
+            grid = grid_for_block(n, length)
+            pts = grid.n_points
+            assert pts & (pts - 1) == 0
+            need = (8.0 / 3.0) * 2.0**n
+            assert grid.k_nyquist >= need
+            assert build_filter_bank(grid).j_max >= n
+            smaller = PeriodicGrid(length, pts // 2)
+            assert smaller.k_nyquist < need
+    # a length the grid refuses is refused at once, not doubled forever
+    for length in (math.inf, math.nan, -1.0):
+        with pytest.raises(InvalidParameterError, match="length"):
+            grid_for_block(5, length)
 
 
 def test_time_stepping_override():

@@ -528,13 +528,18 @@ def test_rhs_rejects_a_nan_stretching():
         lagrangian_rhs(state, P1)
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0])
-def test_nonpositive_initial_stretching_fails_at_time_zero(value):
+@pytest.mark.parametrize("name, value, match", [
+    pytest.param("y_xi", 0.0, "y_xi", id="0.0"),
+    pytest.param("y_xi", -1.0, "y_xi", id="-1.0"),
+    # a folded map, y[7] beyond y[8], with a positive stretching everywhere
+    pytest.param("y", None, "monotonicity", id="folded"),
+])
+def test_nonpositive_initial_stretching_fails_at_time_zero(name, value, match):
     # checked before the slope guard, which would divide by a zero y_xi
     state = initial_state(builtin_profile("smoke", PeriodicGrid(64.0 * np.pi,
                                                                 512)))
-    state.y_xi[7] = value
+    getattr(state, name)[7] = state.y[9] if value is None else value
     with np.errstate(all="raise"):
-        with pytest.raises(DiffeomorphismError, match="y_xi") as err:
+        with pytest.raises(DiffeomorphismError, match=match) as err:
             lagrangian_solve(state, P1, SolverConfig(dt=0.01, t_end=0.05))
     assert err.value.time == 0.0
