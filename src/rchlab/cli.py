@@ -6,7 +6,7 @@ the experiment campaigns.  Field files are CSV when the path ends in ``.csv``
 and packed binary otherwise.  Campaign subcommands write a report directory
 (report.json, table.csv, plot.gp).  The exit status is 0 on success, 1 if a
 campaign verdict failed and 2 for bad input: a usage error, or an rchlab
-error, which :func:`run` reports on one stderr line.
+error, which :func:`run` reports.  Either is one stderr line.
 """
 
 from __future__ import annotations
@@ -82,7 +82,11 @@ def _parse_besov_triple(text: str) -> BesovIndex:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"expected s,p,r (e.g. 2,2,2), got {text!r}")
-    return BesovIndex(float(parts[0]), float(parts[1]), _summability(parts[2]))
+    try:
+        return BesovIndex(float(parts[0]), float(parts[1]),
+                          _summability(parts[2]))
+    except ValueError as err:  # else argparse names this function, not err
+        raise argparse.ArgumentTypeError(f"invalid s,p,r {text!r}: {err}")
 
 
 def _cmd_coeffs(args) -> int:
@@ -306,9 +310,17 @@ def _add_campaign_flags(p, steps: int) -> None:
                    help="report directory (default reports/<subcommand>)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose subparsers share its one-line usage errors."""
+
+    def error(self, message):
+        # argparse's own last line, without the usage block above it
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache  # parsing leaves the parser unchanged, so one serves a process
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rchlab",
         description="Spectral laboratory for a rotating shallow-water "
                     "equation on the circle.")

@@ -46,9 +46,9 @@ from scipy.fft import irfft, rfft
 
 from .coefficients import ModelParams
 from .errors import BlowUpError, CFLError, InvalidParameterError, RchlabError
-from .spectral import (Field, PeriodicGrid, _dx_symbol, _stack_rows,
-                       conv_spec, dealias_spec, ddx, mode_energies, pad_values,
-                       project_values)
+from .spectral import (Field, PeriodicGrid, _dx_symbol, _flux_symbol,
+                       _stack_rows, conv_spec, dealias_spec, ddx,
+                       mode_energies, pad_values, project_values)
 
 CFL_FRACTION = 0.5
 BLOWUP_THRESHOLD = 1e8
@@ -118,13 +118,16 @@ def _nonlinear_spec(spec_u: np.ndarray, grid: PeriodicGrid, params: ModelParams,
     and the masked u on the N-point lattice.
 
     ``spec_u`` is the one-sided spectrum of u on ``grid``; it and the
-    returned spectrum are cut by the 2/3 rule.  The samples of u are a view
-    of the even samples of the kernel's 2N lattice, which it keeps alive.
+    returned spectrum are cut by the 2/3 rule.  The mask on u is a
+    truncation: only the modes below the cap reach the transforms, which
+    zero-pad the rest, so nothing copies or writes ``spec_u``.  The result
+    is masked in place.  The samples of u are a view of the even samples of
+    the kernel's 2N lattice, which it keeps alive.
     """
-    spec_u = dealias_spec(spec_u, grid)
+    m = grid._dealias_from
+    spec_u = spec_u[..., :m]
     u = pad_values(spec_u, grid)
-    ux = irfft(_dx_symbol(grid) * spec_u, grid.n_points)
-    del spec_u  # the masked copy is not held through the 2N products
+    ux = irfft(_dx_symbol(grid)[:m] * spec_u, grid.n_points)
     # c2 u^3 + c3 u^4 needs the 2N lattice; the quadratic terms and u u_x
     # take u on the N lattice, the even samples of the 2N one
     q = u * params.c3
@@ -139,12 +142,17 @@ def _nonlinear_spec(spec_u: np.ndarray, grid: PeriodicGrid, params: ModelParams,
         adv = rfft(un * ux)
     ux *= ux
     ux *= 0.5
-    ux += params.c1 * un * un
+    q = params.c1 * un
+    ux += np.multiply(q, un, out=q)
+    del q
     out += rfft(ux)
-    out *= -_dx_symbol(grid) / (1.0 + grid.k**2)
+    # the modes above the cap are zeroed, so only the kept ones are formed
+    kept = out[..., :m]
+    kept *= _flux_symbol(grid)[:m]
     if advect:
-        out -= adv
-    return dealias_spec(out, grid), un
+        kept -= adv[..., :m]
+    out[..., m:] = 0.0
+    return out, un
 
 
 def rhs_g(u: Field, params: ModelParams) -> Field:
@@ -205,16 +213,26 @@ def _stage_times(cfg: SolverConfig) -> list[tuple]:
             for t, t_next in zip(times[:-1], times[1:])]
 
 
+def _stage_state(state, h, k):
+    """``state + h * k``, formed in the one array it returns."""
+    y = h * k
+    y += state
+    return y
+
+
 def _rk4_march(state, kept, cfg: SolverConfig, rhs, guard, refuse=None):
     """Classical RK4 over the step times of ``cfg``, shared by every integrator.
 
     Stages call ``rhs(tau, state)`` at exactly tau = t, t + dt/2 (twice) and
-    t_next.  ``guard(state, t, t_next)`` may raise after a step and returns
-    the value to keep for it, as ``kept`` is for the initial state; no state
-    is written in place, so that value may share its memory.
-    ``refuse(kept, t, dt)``, if given, may raise before a step.  A stage's
-    rchlab error without a time gets t.  Returns the times and kept values at
-    t = 0, every ``cfg.snapshot_every`` steps and at the end.
+    t_next.  ``rhs`` must return a fresh array, which the march may
+    overwrite: a step sums its four slopes in their own memory, left to
+    right, and the sum becomes the next state.  ``guard(state, t, t_next)``
+    may raise after a step and returns the value to keep for it, as ``kept``
+    is for the initial state; no state is written in place, so that value
+    may share its memory.  ``refuse(kept, t, dt)``, if given, may raise
+    before a step.  A stage's rchlab error without a time gets t.  Returns
+    the times and kept values at t = 0, every ``cfg.snapshot_every`` steps
+    and at the end.
     """
     steps = _stage_times(cfg)
     snaps = [kept]
@@ -225,14 +243,19 @@ def _rk4_march(state, kept, cfg: SolverConfig, rhs, guard, refuse=None):
             refuse(kept, t, dt)
         try:
             k1 = rhs(t, state)
-            k2 = rhs(t_mid, state + 0.5 * dt * k1)
-            k3 = rhs(t_mid, state + 0.5 * dt * k2)
-            k4 = rhs(t_next, state + dt * k3)
+            k2 = rhs(t_mid, _stage_state(state, 0.5 * dt, k1))
+            k3 = rhs(t_mid, _stage_state(state, 0.5 * dt, k2))
+            k4 = rhs(t_next, _stage_state(state, dt, k3))
         except RchlabError as err:
             if err.time is None:
                 err.time = t
             raise
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # state + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), summed in k1's memory
+        k1 += np.multiply(k2, 2.0, out=k2)
+        k1 += np.multiply(k3, 2.0, out=k3)
+        k1 += k4
+        k1 *= dt / 6.0
+        state = np.add(k1, state, out=k1)
         kept = guard(state, t, t_next)
         if (i + 1) % cfg.snapshot_every == 0 or i + 1 == len(steps):
             snaps.append(kept)
@@ -317,8 +340,11 @@ def _frozen_rhs(prev: Trajectory | None, s0: np.ndarray, grid: PeriodicGrid,
             memo.clear()
             memo.update(zip(block, zip(un, g)))
         un, g = memo[tau]
-        svx = _dx_symbol(grid) * (s0 + w)
-        return g - dealias_spec(conv_spec(un, svx, grid), grid)
+        svx = s0 + w
+        np.multiply(_dx_symbol(grid), svx, out=svx)
+        out = conv_spec(un, svx, grid)
+        out[..., grid._dealias_from:] = 0.0
+        return np.subtract(g, out, out=out)
 
     return rhs
 

@@ -33,7 +33,7 @@ from .initial_data import _top_half, build_family, build_psi, builtin_profile
 from .littlewood_paley import (BesovIndex, DyadicFilterBank, _chunked_norms,
                                _distances, _top_block, besov_norm, besov_norms,
                                build_filter_bank, lp_norm)
-from .spectral import Field, PeriodicGrid
+from .spectral import MAX_POINTS, Field, PeriodicGrid
 
 DEFAULT_OMEGA = 1.0
 DEFAULT_LENGTH = 64.0 * np.pi
@@ -153,11 +153,15 @@ def fit_line(x, y) -> Fit:
 
 
 def grid_for_block(n_block: int, length: float = DEFAULT_LENGTH) -> PeriodicGrid:
-    """Smallest power-of-two grid whose dyadic family resolves block n."""
+    """Smallest power-of-two grid whose dyadic family resolves block n.
+
+    Doubling stops at the first size past ``MAX_POINTS``, which the grid
+    refuses: a block beyond every allowed grid is an error, not an overflow.
+    """
     n_pts = 16
     # the bank's rule on the grid's own k_Nyquist; a bad length stops at once
-    while 0.0 < length < math.inf and _top_block(
-            math.pi / (length / n_pts)) < n_block:
+    while (n_pts <= MAX_POINTS and 0.0 < length < math.inf
+           and _top_block(math.pi / (length / n_pts)) < n_block):
         n_pts *= 2
     return PeriodicGrid(length, n_pts)
 

@@ -168,17 +168,28 @@ def _rhs_packed(arr: np.ndarray, grid: PeriodicGrid,
     if not (np.min(y_xi) > 0.0):  # a NaN fails it too
         raise DiffeomorphismError("y_xi must stay positive")
     _check_monotone(y, grid.length)
-    ux = U_xi / y_xi
+    # u_x and u_x^2 / 2 are formed in the rows the two fluxes fill later
+    out = np.empty_like(arr)
+    ux = np.divide(U_xi, y_xi, out=out[2])
+    half_ux2 = np.multiply(0.5, ux, out=out[3])
+    half_ux2 *= ux
     w = params.quartic(U)  # w = y_xi (U^2 (c1 + U (c2 + c3 U)) + u_x^2 / 2)
-    w += 0.5 * ux * ux
+    w += half_ux2
     w *= y_xi
     t_left, t_right = _one_sided_scan(w, y, grid.length)
     dxi = grid.spacing
-    out = np.empty_like(arr)
     out[0] = U
     out[1] = U_xi
-    out[2] = 0.5 * (dxi * (t_left - t_right))
-    out[3] = w - 0.5 * y_xi * (dxi * (w + t_left + t_right))
+    # 0.5 (dxi (t_left - t_right)) and w - (0.5 y_xi) (dxi ((w + t_left)
+    # + t_right)), each product and sum in that order, in the scan's outputs
+    flux = np.subtract(t_left, t_right, out=out[2])
+    flux *= dxi
+    flux *= 0.5
+    t_left += w
+    t_left += t_right
+    t_left *= dxi
+    t_left *= np.multiply(0.5, y_xi, out=t_right)
+    np.subtract(w, t_left, out=out[3])
     return out
 
 

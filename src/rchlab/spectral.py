@@ -10,14 +10,15 @@ the kept modes when the lattice exceeds (p + 1) N / 2 points, so 2N makes one
 product (:func:`product`) exact, and the kernel's quartic of masked factors,
 which needs more than 5N/3 points, exact below the cap.  The 2/3-rule mask
 (:func:`dealias_spec`) is a separate step that callers apply to inputs and
-results.  For one product of two masked factors whose result is masked, the
-N-point lattice suffices: every alias of the product lands above the cap, so
-:func:`conv_spec` and the quadratic terms of the nonlinear kernel in
-:mod:`rchlab.eulerian` are formed on the lattice itself.  Every derivative
+results, or a truncation at the cap: :func:`pad_values` and ``irfft`` zero-pad
+a short spectrum.  For one product of two masked factors whose result is
+masked, the N-point lattice suffices: every alias of the product lands above
+the cap, so :func:`conv_spec` and the quadratic terms of the nonlinear kernel
+in :mod:`rchlab.eulerian` are formed on the lattice itself.  Every derivative
 multiplies by one symbol, :func:`_dx_symbol`, i k with the unpaired Nyquist
-mode dropped.  These helpers take a leading row axis, so that independent
-rows share one transform call; ``scipy.fft`` transforms each row as it would
-alone.
+mode dropped; it and the nonlocal flux's :func:`_flux_symbol` are cached for
+the last grid.  These helpers take a leading row axis, so that independent rows
+share one transform call; ``scipy.fft`` transforms each row as it would alone.
 """
 
 from __future__ import annotations
@@ -128,11 +129,24 @@ def synthesize(grid: PeriodicGrid, transform) -> Field:
     return Field(grid, irfft(spec.astype(np.complex128), grid.n_points))
 
 
+@functools.lru_cache(maxsize=1)
 def _dx_symbol(grid: PeriodicGrid) -> np.ndarray:
     """The derivative's symbol i k on the one-sided spectrum, zero at the
-    unpaired Nyquist mode, where an odd multiplier is ambiguous."""
+    unpaired Nyquist mode, where an odd multiplier is ambiguous.  Read-only,
+    and cached for the last grid asked."""
     sym = 1j * grid.k
     sym[-1] = 0.0
+    sym.flags.writeable = False
+    return sym
+
+
+@functools.lru_cache(maxsize=1)
+def _flux_symbol(grid: PeriodicGrid) -> np.ndarray:
+    """The symbol -i k / (1 + k^2) of -d_x (1 - d_xx)^{-1}, which turns the
+    nonlocal flux's integrand into G; read-only, cached like
+    :func:`_dx_symbol`."""
+    sym = -_dx_symbol(grid) / (1.0 + grid.k**2)
+    sym.flags.writeable = False
     return sym
 
 
@@ -154,7 +168,7 @@ def helmholtz_inverse(f: Field) -> Field:
 
 def grad_p_conv(f: Field) -> Field:
     """Apply d_x (1 - d_xx)^{-1}, the derivative of the kernel convolution."""
-    return _fourier_multiplier(f, _dx_symbol(f.grid) / (1.0 + f.grid.k**2))
+    return _fourier_multiplier(f, -_flux_symbol(f.grid))
 
 
 def mode_energies(f: Field) -> np.ndarray:
@@ -185,16 +199,18 @@ def dealias(f: Field) -> Field:
 
 def pad_values(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Samples on the 2N-point lattice of the field whose one-sided spectrum
-    on ``grid`` is ``spec``; the unpaired Nyquist mode is split evenly
-    between the paired modes +-N/2."""
-    n = grid.n_points
-    half = n // 2
-    padded = np.zeros(spec.shape[:-1] + (n + 1,), dtype=np.complex128)
-    padded[..., :half] = spec[..., :half]
-    padded[..., half] = 0.5 * spec[..., half]
-    vals = irfft(padded, 2 * n)
-    vals *= 2.0
-    return vals
+    on ``grid`` is ``spec``, taken as zero past its last entry: ``irfft``
+    zero-pads a short spectrum, so a masked one may come truncated at the
+    cap.  A full spectrum's unpaired Nyquist mode is split evenly between
+    the paired modes +-N/2.  The finer lattice's factor 2 scales the
+    spectrum before the transform: a power of two commutes with every
+    rounding, so the samples are bit for bit those of the transform
+    doubled."""
+    half = grid.n_points // 2
+    padded = 2.0 * spec
+    if padded.shape[-1] > half:
+        padded[..., half] *= 0.5
+    return irfft(padded, 2 * grid.n_points)
 
 
 def project_values(vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

@@ -292,7 +292,11 @@ def test_cli_import_leaves_scipy_interpolate_out():
     (["continuity", "--steps", "0", "--N", "2048"],
      "InvalidParameterError: steps and samples must be >= 1", ""),
     (["data", "--family", "w0n", "--n", "30", "--out", "w.csv"],
-     "InvalidParameterError: n_points 274877906944 exceeds the limit "
+     "InvalidParameterError: n_points 33554432 exceeds the limit "
+     "MAX_POINTS", ""),
+    # a block far past the cap is refused the same way, not overflowed to
+    (["data", "--family", "w0n", "--n", "1100", "--out", "w.csv"],
+     "InvalidParameterError: n_points 33554432 exceeds the limit "
      "MAX_POINTS", ""),
     (["data", "--family", "w0n", "--n", "12", "--N", "2048", "--out", "w.csv"],
      "FrequencyOverflowError: carrier", ""),
@@ -320,10 +324,24 @@ def test_cli_import_leaves_scipy_interpolate_out():
      "InvalidParameterError: t_end must be positive and finite", "got inf"),
     (["continuity", "--tend", "inf", "--dt", "0.01", "--out", "x"],
      "InvalidParameterError: t_end must be positive and finite", "got inf"),
-], ids=["invalid-parameter", "grid-cap", "frequency-overflow", "cfl",
-        "blow-up", "missing-file", "solve-dt-zero", "solve-tend-nan",
+    # a bad --besov triple is a usage error that names its own fault
+    (["solve", "--init", "smoke", "--tend", "0.05", "--dt", "0.01",
+      "--besov", "2,abc,2", "--out", "x"],
+     "rchlab solve: error: argument --besov: invalid s,p,r '2,abc,2': ",
+     "could not convert string to float: 'abc'"),
+    (["solve", "--init", "smoke", "--tend", "0.05", "--dt", "0.01",
+      "--besov", "2,0.5,2", "--out", "x"],
+     "rchlab solve: error: argument --besov: invalid s,p,r '2,0.5,2': ",
+     "p must lie in [1, inf], got 0.5"),
+    (["solve", "--init", "smoke", "--tend", "0.05", "--dt", "0.01",
+      "--besov", "nan,2,2", "--out", "x"],
+     "rchlab solve: error: argument --besov: invalid s,p,r 'nan,2,2': ",
+     "s must be finite, got nan"),
+], ids=["invalid-parameter", "grid-cap", "grid-cap-far", "frequency-overflow",
+        "cfl", "blow-up", "missing-file", "solve-dt-zero", "solve-tend-nan",
         "solve-tend-inf", "lagrangian-dt-zero", "lagrangian-tend-nan",
-        "picard-zero-data", "continuity-tend-inf"])
+        "picard-zero-data", "continuity-tend-inf", "besov-not-a-number",
+        "besov-p-below-one", "besov-s-nan"])
 def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
     proc = _run_script(argv, tmp_path)
     assert proc.returncode == 2

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.fft import irfft, rfft
+from scipy.fft import irfft as sp_irfft
+from scipy.fft import rfft as sp_rfft
 
 from rchlab import eulerian, spectral
 from rchlab.coefficients import ModelParams, derive_coefficients
@@ -580,3 +582,101 @@ def test_rk4_march_is_the_classical_scheme():
         np.zeros(1), 0.0, cfg, lambda tau, y: np.full(1, 4.0 * tau**3),
         guard=lambda y, t, t_next: y[0])
     assert snaps[-1] == pytest.approx(0.3**4, rel=1e-14)
+
+
+def _textbook_rk4(y, cfg, f):
+    """The classical scheme written out: stage states and step results."""
+    stages, steps = [], []
+    for t, t_mid, t_next in eulerian._stage_times(cfg):
+        dt = t_next - t
+        k1 = f(t, y)
+        k2 = f(t_mid, y + 0.5 * dt * k1)
+        k3 = f(t_mid, y + 0.5 * dt * k2)
+        k4 = f(t_next, y + dt * k3)
+        stages += [y, y + 0.5 * dt * k1, y + 0.5 * dt * k2, y + dt * k3]
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        steps.append(y)
+    return stages, steps
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_rk4_march_sums_in_place_bit_for_bit(kind):
+    # the march forms stage states in one temporary and sums the slopes in
+    # their own memory; every stage state and step must still be the
+    # textbook expression, on a packed particle state and on a spectrum
+    rng = np.random.default_rng(5)
+    if kind == "real":
+        y0 = rng.normal(size=(4, 512))
+    else:
+        y0 = rfft(rng.normal(size=(3, 512))) / 64.0  # complex sin stays finite
+    cfg = SolverConfig(dt=0.03, t_end=0.1)  # a short last step of 0.01
+
+    def f(tau, y):
+        return np.sin(y) - tau * y
+
+    seen = []
+
+    def spy(tau, y):
+        seen.append(y.copy())
+        return f(tau, y)
+
+    _, snaps = eulerian._rk4_march(y0, y0, cfg, spy,
+                                   guard=lambda y, t, t_next: y)
+    stages, steps = _textbook_rk4(y0, cfg, f)
+    assert len(seen) == len(stages) == 16
+    for got, want in zip(seen + snaps[1:], stages + steps):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(snaps[0], y0)
+
+
+def _plain_kernel(spec_u, grid, params, advect):
+    """The kernel as the plain composition mask -> pad -> pointwise ->
+    project -> mask, every array formed anew, with scipy's transforms."""
+    sym = spectral._dx_symbol(grid)
+    spec_u = spectral.dealias_spec(spec_u, grid)
+    u = spectral.pad_values(spec_u, grid)
+    ux = sp_irfft(sym * spec_u, grid.n_points)
+    q = (((u * params.c3 + params.c2) * u) * u) * u
+    out = spectral.project_values(q, grid)
+    un = u[..., ::2]
+    out = out + sp_rfft((ux * ux) * 0.5 + (params.c1 * un) * un)
+    out = out * (-sym / (1.0 + grid.k**2))
+    if advect:
+        out = out - sp_rfft(un * ux)
+    return spectral.dealias_spec(out, grid), un
+
+
+@pytest.mark.parametrize("n", [2**9, 2**13])
+@pytest.mark.parametrize("advect", [True, False])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_kernel_is_the_plain_composition_bit_for_bit(n, advect, rows):
+    # the kernel truncates instead of masking a copy, reuses the flux
+    # symbol and masks its result in place: the bits must not move
+    grid = PeriodicGrid(64.0 * np.pi, n)
+    shape = (n,) if rows is None else (rows, n)
+    spec = sp_rfft(0.3 * np.random.default_rng(n).normal(size=shape))
+    before = spec.copy()
+    params = derive_coefficients(1.0)
+    got, un = eulerian._nonlinear_spec(spec, grid, params, advect)
+    want, want_un = _plain_kernel(spec, grid, params, advect)
+    assert np.array_equal(got, want) and np.array_equal(un, want_un)
+    assert np.array_equal(spec, before)  # the input is not written
+
+
+@pytest.mark.parametrize("n", [256, 2**13])
+def test_cached_symbols_are_fresh_and_read_only(n):
+    grid = PeriodicGrid(64.0 * np.pi, n)
+    other = PeriodicGrid(2.0 * np.pi, n)
+    dx = 1j * grid.k
+    dx[-1] = 0.0
+    fresh = {spectral._dx_symbol: dx,
+             spectral._flux_symbol: -dx / (1.0 + grid.k**2)}
+    for symbol, want in fresh.items():
+        for g in (grid, other, grid):  # the cache holds the last grid only
+            got = symbol(g)
+            assert np.array_equal(symbol(g), got)
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[1] = 0.0
+        with pytest.raises(ValueError):
+            got *= 2.0

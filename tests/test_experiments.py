@@ -142,6 +142,12 @@ def test_grid_for_block_is_minimal_power_of_two():
     for length in (math.inf, math.nan, -1.0):
         with pytest.raises(InvalidParameterError, match="length"):
             grid_for_block(5, length)
+    # a block past every allowed grid stops the doubling at the first size
+    # past the cap, however far it lies: no float overflows on the way
+    for n in (17, 30, 1100, 10**6):
+        with pytest.raises(InvalidParameterError,
+                           match="n_points 33554432 exceeds the limit"):
+            grid_for_block(n)
 
 
 def test_time_stepping_override():

@@ -543,3 +543,25 @@ def test_nonpositive_initial_stretching_fails_at_time_zero(name, value, match):
         with pytest.raises(DiffeomorphismError, match=match) as err:
             lagrangian_solve(state, P1, SolverConfig(dt=0.01, t_end=0.05))
     assert err.value.time == 0.0
+
+
+@pytest.mark.parametrize("n", [64, 2**12])
+def test_rhs_packed_is_its_textbook_form_bit_for_bit(n):
+    # the particle RHS forms u_x and both fluxes in its output rows and in
+    # the scan's outputs; each product and sum must keep its order
+    grid = PeriodicGrid(64.0 * np.pi, n)
+    rng = np.random.default_rng(n)
+    xi = grid.x
+    y = xi + 0.5 * np.sin(xi / 8.0)  # y_xi = 1 + cos(xi / 8) / 16 > 0
+    y_xi = 1.0 + np.cos(xi / 8.0) / 16.0
+    U, U_xi = 0.3 * rng.normal(size=n), 0.3 * rng.normal(size=n)
+    arr = np.stack([y, y_xi, U, U_xi])
+    before = arr.copy()
+    ux = U_xi / y_xi
+    w = (P1.quartic(U) + 0.5 * ux * ux) * y_xi
+    t_left, t_right = _one_sided_scan(w, y, grid.length)
+    dxi = grid.spacing
+    want = np.stack([U, U_xi, 0.5 * (dxi * (t_left - t_right)),
+                     w - 0.5 * y_xi * (dxi * (w + t_left + t_right))])
+    assert np.array_equal(lagrangian._rhs_packed(arr, grid, P1), want)
+    assert np.array_equal(arr, before)

@@ -177,6 +177,25 @@ def test_product_is_pad_times_pad_then_project(masked):
     assert np.array_equal(product(f, g, dealias=masked).values, want)
 
 
+@pytest.mark.parametrize("n", [2**10, 2**13, 2**16])
+def test_pad_values_of_a_truncated_spectrum_is_the_zero_padded_form(n):
+    # the pad scales the spectrum by the lattice factor 2 before the
+    # transform and lets irfft zero-pad: bit for bit the zero-padded
+    # spectrum transformed and then doubled, and a masked spectrum cut at
+    # the cap pads like the masked spectrum itself
+    grid = PeriodicGrid(64.0 * np.pi, n)
+    half, m = n // 2, grid._dealias_from
+    spec = rfft(np.random.default_rng(n).normal(size=(2, n)))
+    padded = np.zeros((2, n + 1), dtype=np.complex128)
+    padded[:, :half] = spec[:, :half]
+    padded[:, half] = 0.5 * spec[:, half]
+    want = irfft(padded, 2 * n)
+    want *= 2.0
+    assert np.array_equal(pad_values(spec, grid), want)
+    assert np.array_equal(pad_values(spec[:, :m], grid),
+                          pad_values(dealias_spec(spec, grid), grid))
+
+
 @pytest.mark.parametrize("n", [2**k for k in range(11, 18)])
 def test_stacked_transforms_match_row_by_row(n):
     # every grid the workloads use, 2^11..2^16 and the 2^17 of the
