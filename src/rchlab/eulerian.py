@@ -42,13 +42,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import irfft, rfft
 
 from .coefficients import ModelParams
 from .errors import BlowUpError, CFLError, InvalidParameterError, RchlabError
 from .spectral import (Field, PeriodicGrid, _dx_symbol, _flux_symbol,
-                       _stack_rows, conv_spec, dealias_spec, ddx,
-                       mode_energies, pad_values, project_values)
+                       _stack_rows, conv_spec, dealias_spec, ddx, irfft,
+                       mode_energies, pad_values, project_values, rfft)
 
 CFL_FRACTION = 0.5
 BLOWUP_THRESHOLD = 1e8

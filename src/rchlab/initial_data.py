@@ -69,16 +69,20 @@ def modulation_frequency(grid: PeriodicGrid, n: int) -> tuple[float, float]:
     """
     if n < 0:
         raise InvalidParameterError(f"mode index must be nonnegative, got {n}")
-    k_raw = CARRIER_RATIO * 2.0**n
-    dk = 2.0 * np.pi / grid.length
-    k_snap = round(k_raw / dk) * dk
-    if k_snap + SUPPORT_RADIUS > grid.dealias_cap:
-        raise FrequencyOverflowError(
-            f"carrier {k_snap:.6g} + side band exceeds the dealias cap "
-            f"{grid.dealias_cap:.6g}; maximal feasible n on this grid is "
-            f"{max_feasible_n(grid)}",
-            max_feasible_n=max_feasible_n(grid))
-    return float(k_snap), abs(k_snap - k_raw) / 2.0**n
+    top = max_feasible_n(grid)
+    # past top + 1 the raw carrier is over twice its room under the cap, and
+    # no lattice snap brings it back: refusing such n first keeps 2.0**n
+    # finite
+    if n <= top + 1:
+        k_raw = CARRIER_RATIO * 2.0**n
+        dk = 2.0 * np.pi / grid.length
+        k_snap = round(k_raw / dk) * dk
+        if k_snap + SUPPORT_RADIUS <= grid.dealias_cap:
+            return float(k_snap), abs(k_snap - k_raw) / 2.0**n
+    raise FrequencyOverflowError(
+        f"carrier of mode index {n} + side band exceeds the dealias cap "
+        f"{grid.dealias_cap:.6g}; maximal feasible n on this grid is {top}",
+        max_feasible_n=top)
 
 
 def make_w0n(bump: BumpProfile, n: int, s: float) -> Field:

@@ -29,11 +29,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, rfft
 
 from .errors import InvalidParameterError
 from .spectral import (Field, PeriodicGrid, _spectrum_energies, _stack_rows,
-                       ddx, mode_energies)
+                       ddx, irfft, mode_energies, rfft)
 
 log = logging.getLogger(__name__)
 

@@ -18,7 +18,10 @@ in :mod:`rchlab.eulerian` are formed on the lattice itself.  Every derivative
 multiplies by one symbol, :func:`_dx_symbol`, i k with the unpaired Nyquist
 mode dropped; it and the nonlocal flux's :func:`_flux_symbol` are cached for
 the last grid.  These helpers take a leading row axis, so that independent rows
-share one transform call; ``scipy.fft`` transforms each row as it would alone.
+share one transform call; ``numpy.fft`` transforms each row as it would alone.
+This module is the one home of the transforms: :mod:`rchlab.eulerian` and
+:mod:`rchlab.littlewood_paley` import ``rfft`` and ``irfft`` from it, and no
+other module imports an FFT library.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, rfft
+from numpy.fft import irfft, rfft
 
 from .errors import GridMismatchError, InvalidParameterError
 

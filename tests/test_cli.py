@@ -280,10 +280,10 @@ def _run_script(argv, cwd):
     return _run_python("from rchlab.cli import run; run()", argv, cwd)
 
 
-def test_cli_import_leaves_scipy_interpolate_out():
+def test_cli_import_leaves_scipy_out():
     proc = _run_python("import rchlab.cli, sys; "
                        "print(sorted(m for m in sys.modules "
-                       "if m.startswith('scipy.interpolate')))")
+                       "if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -300,6 +300,9 @@ def test_cli_import_leaves_scipy_interpolate_out():
      "MAX_POINTS", ""),
     (["data", "--family", "w0n", "--n", "12", "--N", "2048", "--out", "w.csv"],
      "FrequencyOverflowError: carrier", ""),
+    # on a given grid too, with no overflow on the way to the refusal
+    (["data", "--family", "w0n", "--n", "1100", "--N", "2048", "--out",
+      "w.csv"], "FrequencyOverflowError: carrier of mode index 1100", ""),
     (["solve", "--init", "smoke", "--dt", "1", "--tend", "2", "--out", "x"],
      "CFLError: CFL guard failed: dt*max|u|=", " t=0.0"),
     (["picard", "--init", "smoke", "--N", "2048", "--omega", "2.5",
@@ -338,10 +341,11 @@ def test_cli_import_leaves_scipy_interpolate_out():
      "rchlab solve: error: argument --besov: invalid s,p,r 'nan,2,2': ",
      "s must be finite, got nan"),
 ], ids=["invalid-parameter", "grid-cap", "grid-cap-far", "frequency-overflow",
-        "cfl", "blow-up", "missing-file", "solve-dt-zero", "solve-tend-nan",
-        "solve-tend-inf", "lagrangian-dt-zero", "lagrangian-tend-nan",
-        "picard-zero-data", "continuity-tend-inf", "besov-not-a-number",
-        "besov-p-below-one", "besov-s-nan"])
+        "frequency-overflow-far", "cfl", "blow-up", "missing-file",
+        "solve-dt-zero", "solve-tend-nan", "solve-tend-inf",
+        "lagrangian-dt-zero", "lagrangian-tend-nan", "picard-zero-data",
+        "continuity-tend-inf", "besov-not-a-number", "besov-p-below-one",
+        "besov-s-nan"])
 def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
     proc = _run_script(argv, tmp_path)
     assert proc.returncode == 2

@@ -88,6 +88,10 @@ def test_overflow_reports_feasible_range():
     with pytest.raises(FrequencyOverflowError) as info:
         modulation_frequency(grid, 6)
     assert info.value.max_feasible_n == 5
+    # far past the cap the index is refused before 2.0**n overflows
+    with pytest.raises(FrequencyOverflowError) as info:
+        modulation_frequency(grid, 1100)
+    assert info.value.max_feasible_n == 5
     with pytest.raises(InvalidParameterError):
         modulation_frequency(grid, -1)
 
