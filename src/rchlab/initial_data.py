@@ -6,7 +6,7 @@ modulates psi to a dyadic carrier ``(33/24) 2^n`` (snapped to the lattice),
 scaled by ``2^{-n s}``; the low-frequency family is ``(24/33) 2^{-n} psi``.
 :func:`certification_tables` tabulates the norm identities these families
 are designed to satisfy, with empirical constants taken over the top half of
-the mode range, in one pass that builds each member once.
+the mode range, in one pass that transforms each member once.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrequencyOverflowError, InvalidParameterError
-from .littlewood_paley import (BesovIndex, DyadicFilterBank, besov_norm,
-                               besov_norms, block_profile, build_filter_bank,
-                               lp_norm, sequence_norm, smooth_plateau,
-                               weight_profile)
-from .spectral import Field, PeriodicGrid, ddx, product, synthesize
+from .littlewood_paley import (BesovIndex, DyadicFilterBank, _besov_rows,
+                               block_profile, build_filter_bank, lp_norm,
+                               sequence_norm, smooth_plateau, weight_profile)
+from .spectral import (Field, PeriodicGrid, _dx_symbol, conv_spec, ddx, irfft,
+                       product, rfft, synthesize)
 
 PLATEAU_RADIUS = 0.25
 SUPPORT_RADIUS = 0.5
@@ -53,12 +53,32 @@ def build_psi(grid: PeriodicGrid) -> BumpProfile:
     return BumpProfile(grid=grid, field=f)
 
 
+def _snapped_carrier(grid: PeriodicGrid, n: int) -> tuple[float, float]:
+    """The carrier of index n rounded to the nearest lattice wavenumber, and
+    the raw carrier."""
+    k_raw = CARRIER_RATIO * 2.0**n
+    dk = 2.0 * np.pi / grid.length
+    return round(k_raw / dk) * dk, k_raw
+
+
 def max_feasible_n(grid: PeriodicGrid) -> int:
-    """Largest mode index whose side bands fit under the dealias cap."""
-    cap = grid.dealias_cap - SUPPORT_RADIUS
-    if cap <= 0:
+    """Largest mode index whose snapped carrier plus side band fits under the
+    dealias cap, or -1 when none does.
+
+    The snapped carrier never falls as n grows, so the indices that fit are
+    0 .. max_feasible_n.  A snap moves the carrier by at most half a lattice
+    step, so no index fits whose raw carrier passes the cap's room by more
+    than that; the search walks down from the first such index.
+    """
+    room = grid.dealias_cap - SUPPORT_RADIUS + np.pi / grid.length
+    if room <= 0:
         return -1
-    return int(math.floor(math.log2(cap / CARRIER_RATIO) + 1e-12))
+    # 2.0**1024 overflows
+    n = min(max(0, math.floor(math.log2(room / CARRIER_RATIO)) + 2), 1023)
+    while n >= 0 and (_snapped_carrier(grid, n)[0] + SUPPORT_RADIUS
+                      > grid.dealias_cap):
+        n -= 1
+    return n
 
 
 def modulation_frequency(grid: PeriodicGrid, n: int) -> tuple[float, float]:
@@ -70,19 +90,14 @@ def modulation_frequency(grid: PeriodicGrid, n: int) -> tuple[float, float]:
     if n < 0:
         raise InvalidParameterError(f"mode index must be nonnegative, got {n}")
     top = max_feasible_n(grid)
-    # past top + 1 the raw carrier is over twice its room under the cap, and
-    # no lattice snap brings it back: refusing such n first keeps 2.0**n
-    # finite
-    if n <= top + 1:
-        k_raw = CARRIER_RATIO * 2.0**n
-        dk = 2.0 * np.pi / grid.length
-        k_snap = round(k_raw / dk) * dk
-        if k_snap + SUPPORT_RADIUS <= grid.dealias_cap:
-            return float(k_snap), abs(k_snap - k_raw) / 2.0**n
-    raise FrequencyOverflowError(
-        f"carrier of mode index {n} + side band exceeds the dealias cap "
-        f"{grid.dealias_cap:.6g}; maximal feasible n on this grid is {top}",
-        max_feasible_n=top)
+    # refusing n > top first keeps 2.0**n finite
+    if n > top:
+        raise FrequencyOverflowError(
+            f"carrier of mode index {n} + side band exceeds the dealias cap "
+            f"{grid.dealias_cap:.6g}; maximal feasible n on this grid is {top}",
+            max_feasible_n=top)
+    k_snap, k_raw = _snapped_carrier(grid, n)
+    return float(k_snap), abs(k_snap - k_raw) / 2.0**n
 
 
 def make_w0n(bump: BumpProfile, n: int, s: float) -> Field:
@@ -156,11 +171,21 @@ def _check_resolvable(bank: DyadicFilterBank, ns) -> None:
             f"enlarge the grid")
 
 
-def _low_product_norm(bank: DyadicFilterBank, v: Field, dw: Field, s: float,
-                      p: float) -> float:
-    """Sup-weighted Besov norm of v0n d_x w0n."""
-    return besov_norm(bank, product(v, dw, dealias=True),
-                      BesovIndex(s, p, math.inf))
+def _low_product_norm(bank: DyadicFilterBank, sv: np.ndarray,
+                      sdw: np.ndarray, s: float, p: float) -> float:
+    """Sup-weighted Besov norm of v0n d_x w0n, from the one-sided spectra
+    ``sv`` of v0n and ``sdw`` of d_x w0n.
+
+    Both factors are cut at the 2/3 cap and so is the result, so the product
+    is formed on the N-point lattice: every alias of a product of two masked
+    factors lands above the cap, and the mask removes it.  Only rounding
+    separates this from the exact 2N :func:`~rchlab.spectral.product`.
+    """
+    grid = bank.grid
+    cut = grid._dealias_from
+    spec = conv_spec(irfft(sv[:cut], grid.n_points), sdw[:cut], grid)
+    spec[cut:] = 0.0
+    return _besov_rows(bank, spec, (BesovIndex(s, p, math.inf),))[0][0]
 
 
 def check_low_product(bump: BumpProfile, n_range, s: float,
@@ -168,10 +193,12 @@ def check_low_product(bump: BumpProfile, n_range, s: float,
     """Sup-weighted Besov norms of v0n d_x w0n; their floor certifies the
     first-order gap between neighbouring family members."""
     ns = [int(n) for n in n_range]
-    bank = build_filter_bank(bump.grid)
+    grid = bump.grid
+    bank = build_filter_bank(grid)
     _check_resolvable(bank, ns)
     return _cert_table("low_product_norm", ns, [
-        _low_product_norm(bank, make_v0n(bump, n), ddx(make_w0n(bump, n, s)),
+        _low_product_norm(bank, rfft(make_v0n(bump, n).values),
+                          rfft(make_w0n(bump, n, s).values) * _dx_symbol(grid),
                           s, p) for n in ns])
 
 
@@ -184,7 +211,8 @@ def certification_tables(bump: BumpProfile, n_range, s: float, p: float,
     L^p (slope 1 - s), the low-frequency companion norm (slope -1), the
     L^p norms of psi^2 cos(k_n x) (their floor is the modulation-stability
     constant of the squared bump), and the low-product norms.  Each member
-    w0n, d_x w0n, v0n is built once, and no member outlives its own row.
+    w0n, v0n is built and transformed once, d_x w0n is read off the
+    spectrum of w0n, and no member outlives its own row.
     """
     ns = [int(n) for n in n_range]
     grid = bump.grid
@@ -203,21 +231,23 @@ def certification_tables(bump: BumpProfile, n_range, s: float, p: float,
     v_profile = (block_profile(bank, make_v0n(bump, n_min), p)
                  if p in (1.0, 2.0, math.inf) else None)
 
-    def v0n_besov(n: int, v: Field) -> float:
+    def v0n_besov(n: int, sv: np.ndarray) -> float:
         if v_profile is None:
-            return besov_norm(bank, v, BesovIndex(s, p, r))
+            return _besov_rows(bank, sv, (BesovIndex(s, p, r),))[0][0]
         return sequence_norm(weight_profile(2.0 ** (n_min - n) * v_profile, s),
                              r)
 
     def row(n: int) -> list[float]:
-        w = make_w0n(bump, n, s)
-        dw = ddx(w)
-        v = make_v0n(bump, n)
+        sw = rfft(make_w0n(bump, n, s).values)
+        sdw = sw * _dx_symbol(grid)
+        sv = rfft(make_v0n(bump, n).values)
         k_n, _ = modulation_frequency(grid, n)
-        return [*besov_norms(bank, w, carrier_idx.values()), lp_norm(dw, p),
-                v0n_besov(n, v),
+        return [*(norms[0] for norms in _besov_rows(bank, sw,
+                                                    carrier_idx.values())),
+                lp_norm(Field(grid, irfft(sdw, grid.n_points)), p),
+                v0n_besov(n, sv),
                 lp_norm(Field(grid, psi2.values * np.cos(k_n * grid.x)), p),
-                _low_product_norm(bank, v, dw, s, p)]
+                _low_product_norm(bank, sv, sdw, s, p)]
 
     quantities = [*carrier_idx, "dx_w0n_lp", "v0n_besov", "psi2_cos_norm",
                   "low_product_norm"]

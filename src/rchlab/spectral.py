@@ -13,15 +13,16 @@ which needs more than 5N/3 points, exact below the cap.  The 2/3-rule mask
 results, or a truncation at the cap: :func:`pad_values` and ``irfft`` zero-pad
 a short spectrum.  For one product of two masked factors whose result is
 masked, the N-point lattice suffices: every alias of the product lands above
-the cap, so :func:`conv_spec` and the quadratic terms of the nonlinear kernel
-in :mod:`rchlab.eulerian` are formed on the lattice itself.  Every derivative
-multiplies by one symbol, :func:`_dx_symbol`, i k with the unpaired Nyquist
-mode dropped; it and the nonlocal flux's :func:`_flux_symbol` are cached for
-the last grid.  These helpers take a leading row axis, so that independent rows
+the cap.  :func:`conv_spec` forms such products on the lattice itself: the
+Picard stage's and the quadratic terms of the nonlinear kernel in
+:mod:`rchlab.eulerian`, and the certification's low product v0n d_x w0n in
+:mod:`rchlab.initial_data`.  Every derivative multiplies by one symbol,
+:func:`_dx_symbol`, i k with the unpaired Nyquist mode dropped; it and the
+nonlocal flux's :func:`_flux_symbol` are cached for the last grid.  These helpers take a leading row axis, so that independent rows
 share one transform call; ``numpy.fft`` transforms each row as it would alone.
-This module is the one home of the transforms: :mod:`rchlab.eulerian` and
-:mod:`rchlab.littlewood_paley` import ``rfft`` and ``irfft`` from it, and no
-other module imports an FFT library.
+This module is the one home of the transforms: :mod:`rchlab.eulerian`,
+:mod:`rchlab.littlewood_paley` and :mod:`rchlab.initial_data` import ``rfft``
+and ``irfft`` from it, and no other module imports an FFT library.
 """
 
 from __future__ import annotations

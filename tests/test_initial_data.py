@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rchlab import initial_data, littlewood_paley, spectral
 from rchlab.errors import FrequencyOverflowError, InvalidParameterError
 from rchlab.experiments import fit_line
 from rchlab.initial_data import (build_family, build_psi, builtin_profile,
                                  certification_tables, check_low_product,
                                  make_v0n, make_w0n, max_feasible_n,
                                  modulation_frequency)
-from rchlab.littlewood_paley import (BesovIndex, besov_norm, block_norms,
-                                     build_filter_bank, dyadic_block, lp_norm,
-                                     smooth_plateau)
-from rchlab.spectral import (Field, PeriodicGrid, ddx, mode_amplitudes,
-                             product)
+from rchlab.littlewood_paley import (BesovIndex, _besov_rows, besov_norm,
+                                     block_norms, build_filter_bank,
+                                     dyadic_block, lp_norm, smooth_plateau)
+from rchlab.spectral import (Field, PeriodicGrid, _dx_symbol, conv_spec, ddx,
+                             dealias_spec, irfft, mode_amplitudes, product,
+                             rfft)
 
 GRID64 = PeriodicGrid(64.0 * np.pi, 2**14)
 BUMP = build_psi(GRID64)
@@ -96,6 +100,25 @@ def test_overflow_reports_feasible_range():
         modulation_frequency(grid, -1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, math.log(5000.0)).map(math.exp), st.integers(4, 11))
+# the lattice snap rounds the carrier of n = 7 under the cap
+@example(3.0484360638576447, 8)
+# ... and that of n = 0 over it, so no index fits
+@example(35.270227409190504, 5)
+# a cap near the float limit: 1022 fits, and the walk starts below 2^1024
+@example(5e-307, 4)
+def test_max_feasible_n_is_the_largest_index_the_snap_accepts(length, log_n):
+    grid = PeriodicGrid(length, 2**log_n)
+    top = max_feasible_n(grid)
+    assert top >= -1
+    if top >= 0:
+        modulation_frequency(grid, top)
+    with pytest.raises(FrequencyOverflowError) as info:
+        modulation_frequency(grid, top + 1)
+    assert info.value.max_feasible_n == top
+
+
 def test_family_transport_seed():
     fam = build_family(BUMP, 5, 2.0)
     assert np.array_equal(fam.u0n.values, fam.w0n.values + fam.v0n.values)
@@ -118,8 +141,8 @@ def test_transport_seed_is_formed_on_first_read():
 @pytest.mark.parametrize("p, r", [(2.0, 2.0), (1.0, 1.0), (1.0, math.inf),
                                   (math.inf, 2.0), (1.5, 2.0)])
 def test_certification_tables_match_separate_norms(p, r):
-    # one pass that builds each member once must reproduce, bit for bit, a
-    # separate computation of every table
+    # one pass that transforms each member once must reproduce, bit for
+    # bit, a separate computation of every table
     s, ns = 2.0, range(3, 7)
     bank = build_filter_bank(GRID64)
     tables = {t.quantity: t for t in certification_tables(BUMP, ns, s, p, r)}
@@ -136,13 +159,52 @@ def test_certification_tables_match_separate_norms(p, r):
     want = [lp_norm(Field(GRID64, psi2 * np.cos(modulation_frequency(
         GRID64, n)[0] * GRID64.x)), p) for n in ns]
     assert tables["psi2_cos_norm"].values.tolist() == want
-    want = [float(np.max(block_norms(bank, product(
+    # the low product's factors and result are all cut at the 2/3 cap, so
+    # it is formed on the N-point lattice and measured from its spectrum
+    sup_idx = BesovIndex(s, p, math.inf)
+
+    def n_lattice_low_product(n):
+        sv = dealias_spec(rfft(make_v0n(BUMP, n).values), GRID64)
+        sdw = dealias_spec(rfft(make_w0n(BUMP, n, s).values)
+                           * _dx_symbol(GRID64), GRID64)
+        spec = dealias_spec(conv_spec(irfft(sv, GRID64.n_points), sdw, GRID64),
+                            GRID64)
+        return _besov_rows(bank, spec, (sup_idx,))[0][0]
+
+    low = tables["low_product_norm"].values
+    assert low.tolist() == [n_lattice_low_product(n) for n in ns]
+    # ... which only rounding separates from the exact 2N product
+    exact = [float(np.max(block_norms(bank, product(
         make_v0n(BUMP, n), ddx(make_w0n(BUMP, n, s)), dealias=True),
-        BesovIndex(s, p, math.inf)))) for n in ns]
-    assert tables["low_product_norm"].values.tolist() == want
+        sup_idx))) for n in ns]
+    assert np.max(np.abs(low - exact) / np.abs(exact)) <= 2e-15
     assert len(tables) == 7
     assert tables["low_product_norm"].values.tolist() == (
         check_low_product(BUMP, ns, s, p).values.tolist())
+
+
+@pytest.mark.parametrize("ns", [range(3, 4), range(3, 7)])
+def test_certification_transforms_only_psi2_at_2n(monkeypatch, ns):
+    # psi^2, the one unmasked product, makes the only transforms on the
+    # 2N-point lattice (its two pads and its projection), however many mode
+    # indices the tables hold
+    long_rows = []
+
+    def counted(fn, inverse):
+        def wrapper(x, *args, **kwargs):
+            # every irfft here passes its length
+            m = args[0] if inverse else np.shape(x)[-1]
+            if m == 2 * GRID64.n_points:
+                long_rows.append(math.prod(np.shape(x)[:-1]))
+            return fn(x, *args, **kwargs)
+        return wrapper
+
+    for module in (spectral, littlewood_paley, initial_data):
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name),
+                                                      name == "irfft"))
+    certification_tables(BUMP, ns, 2.0, 1.0)
+    assert sum(long_rows) == 3
 
 
 def test_certification_slopes():
