@@ -26,7 +26,7 @@ from . import experiments
 from .coefficients import derive_coefficients
 from .errors import RchlabError
 from .eulerian import SolverConfig, h1_integral, solve
-from .experiments import DEFAULT_LENGTH
+from .experiments import DEFAULT_LENGTH, DEFAULT_POINTS
 from .initial_data import (build_family, build_psi, builtin_profile,
                            certification_tables)
 from .lagrangian import initial_state, lagrangian_solve, pullback_to_eulerian
@@ -36,7 +36,6 @@ from .spectral import (Field, PeriodicGrid, field_from_binary, field_from_csv,
                        field_to_binary, field_to_csv)
 
 BUILTIN_NAMES = ("zero", "smoke", "psi")
-DEFAULT_POINTS = 2**12
 
 
 def _bad_input(message: str) -> SystemExit:
@@ -137,6 +136,8 @@ def _cmd_solve(args) -> int:
     cfg = SolverConfig.sampled(args.tend, 1, 16, args.dt)
     if args.snapshot_every is not None:
         cfg = replace(cfg, snapshot_every=args.snapshot_every)
+    # the bank is built before the march, so a grid it refuses writes nothing
+    bank = build_filter_bank(u0.grid)
     traj = solve(u0, params, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -145,7 +146,6 @@ def _cmd_solve(args) -> int:
         field_to_binary(f, out / f"snap_{i:04d}.bin")
         field_to_csv(f, out / f"snap_{i:04d}.csv")
     indices = args.besov or [BesovIndex(2.0, 2.0, 2.0)]
-    bank = build_filter_bank(u0.grid)
     _write_norm_table(out / "norms.csv", traj, bank, indices)
     final = traj.final()
     print(f"integrated to t={traj.times[-1]:g} in {len(traj.times)} snapshots"
@@ -162,6 +162,9 @@ def _cmd_lagrangian(args) -> int:
     if args.snapshot_every is not None:
         cfg = replace(cfg, snapshot_every=args.snapshot_every)
     traj = lagrangian_solve(initial_state(u0), params, cfg)
+    # the same cfg makes the same march, so the snapshots pair up in order;
+    # the grid solver runs before any output, so its refusal writes nothing
+    eul = solve(u0, params, cfg) if args.cross_check else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, state in enumerate(traj.states):
@@ -169,10 +172,8 @@ def _cmd_lagrangian(args) -> int:
                    zip(state.labels, state.y, state.y_xi, state.U, state.U_xi))
     print(f"integrated particle system to t={traj.times[-1]:g}, "
           f"{len(traj.states)} snapshots -> {out}")
-    if not args.cross_check:
+    if eul is None:
         return 0
-    # the same cfg makes the same march, so the snapshots pair up in order
-    eul = solve(u0, params, cfg)
     gaps = [float(np.max(np.abs(pullback_to_eulerian(state).values - vals)))
             for state, vals in zip(traj.states, eul.states)]
     _write_csv(out / "cross_check.csv", ["t", "linf_gap"],
@@ -238,35 +239,12 @@ def _finish_campaign(report, args) -> int:
     return 0 if report.all_passed() else 1
 
 
-def _n_list(args) -> list[int]:
-    return list(range(args.n_min, args.n_max + 1))
-
-
-def _cmd_nonuniform_super(args) -> int:
-    rep = experiments.run_nonuniform_supercritical(
-        args.s, args.p, args.r, _n_list(args), omega=args.omega,
-        length=args.L, steps=args.steps, dt=args.dt)
-    return _finish_campaign(rep, args)
-
-
-def _cmd_nonuniform_critical(args) -> int:
-    rep = experiments.run_nonuniform_critical(
-        args.p, _n_list(args), omega=args.omega, length=args.L,
-        steps=args.steps, dt=args.dt)
-    return _finish_campaign(rep, args)
-
-
-def _cmd_decomp_rates(args) -> int:
-    rep = experiments.run_decomposition_rates(
-        args.s, args.p, args.r, _n_list(args), omega=args.omega,
-        length=args.L, steps=args.steps, dt=args.dt)
-    return _finish_campaign(rep, args)
-
-
-def _cmd_critical_expansion(args) -> int:
-    rep = experiments.run_critical_expansion(
-        args.p, _n_list(args), omega=args.omega, length=args.L,
-        steps=args.steps, dt=args.dt)
+def _cmd_sweep(args) -> int:
+    # looked up by name at call time: build_parser is cached for the process
+    run = getattr(experiments, args.runner)
+    index = [getattr(args, k) for k in ("s", "p", "r") if hasattr(args, k)]
+    rep = run(*index, list(range(args.n_min, args.n_max + 1)),
+              omega=args.omega, length=args.L, steps=args.steps, dt=args.dt)
     return _finish_campaign(rep, args)
 
 
@@ -295,7 +273,10 @@ def _add_grid_flags(p, with_points: bool = True) -> None:
                        help="grid points (default: sized automatically)")
 
 
-def _add_r_flag(p) -> None:
+def _add_index_flags(p, s: float | None = 2.0) -> None:
+    """The --s, --p, --r of a Besov index; ``s=None`` makes --s required."""
+    p.add_argument("--s", type=float, default=s, required=s is None)
+    p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--r", type=_summability, default=2.0,
                    help="summability exponent; nonpositive means infinity")
 
@@ -335,9 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("besov", help="Besov norm and per-block spectrum of a "
                                      "field file")
     p.add_argument("--input", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--p", type=float, default=2.0)
-    _add_r_flag(p)
+    _add_index_flags(p, s=None)
     _add_grid_flags(p)
     p.set_defaults(func=_cmd_besov)
 
@@ -370,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "families")
     p.add_argument("--family", choices=["psi", "w0n", "v0n", "u0n", "z0n"])
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--p", type=float, default=2.0)
-    _add_r_flag(p)
+    _add_index_flags(p)
     p.add_argument("--out", default=None)
     p.add_argument("--certify", action="store_true",
                    help="emit the full norm-scaling table as CSV")
@@ -385,46 +362,40 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = argparse.ArgumentParser(add_help=False)
     sweep.add_argument("--n-min", type=int, default=5)
     sweep.add_argument("--n-max", type=int, default=9)
-    _add_campaign_flags(sweep, steps=48)
+    _add_campaign_flags(sweep, steps=experiments.DEFAULT_STEPS)
     _add_grid_flags(sweep, with_points=False)
-    sweep.set_defaults(N=None)
+    sweep.set_defaults(N=None, func=_cmd_sweep)
 
     p = sub.add_parser("nonuniform-super", parents=[sweep],
                        help="high/low frequency gap persistence, "
                             "supercritical indices")
-    p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--p", type=float, default=2.0)
-    _add_r_flag(p)
-    p.set_defaults(func=_cmd_nonuniform_super)
+    _add_index_flags(p)
+    p.set_defaults(runner="run_nonuniform_supercritical")
 
     p = sub.add_parser("nonuniform-critical", parents=[sweep],
                        help="gap persistence on the critical index line")
     p.add_argument("--p", type=float, default=2.0)
-    p.set_defaults(func=_cmd_nonuniform_critical)
+    p.set_defaults(runner="run_nonuniform_critical")
 
     p = sub.add_parser("decomp-rates", parents=[sweep],
                        help="frozen-data decay, side-band boundedness and "
                             "first-order residual rates")
-    p.add_argument("--s", type=float, default=2.5)
-    p.add_argument("--p", type=float, default=2.0)
-    _add_r_flag(p)
-    p.set_defaults(func=_cmd_decomp_rates)
+    _add_index_flags(p, s=2.5)
+    p.set_defaults(runner="run_decomposition_rates")
 
     p = sub.add_parser("critical-expansion", parents=[sweep],
                        help="first-order expansion control on the critical "
                             "line")
     p.add_argument("--p", type=float, default=2.0)
-    p.set_defaults(func=_cmd_critical_expansion)
+    p.set_defaults(runner="run_critical_expansion")
 
     p = sub.add_parser("continuity",
                        help="solution distance under vanishing data "
                             "perturbations")
-    p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--p", type=float, default=2.0)
-    _add_r_flag(p)
+    _add_index_flags(p)
     p.add_argument("--eps", type=float, action="append", default=None)
     p.add_argument("--tend", type=float, default=None)
-    _add_campaign_flags(p, steps=64)
+    _add_campaign_flags(p, steps=experiments.DEFAULT_CONTINUITY_STEPS)
     _add_grid_flags(p)
     p.set_defaults(func=_cmd_continuity)
 
@@ -432,11 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="contraction of the frozen-coefficient iteration")
     p.add_argument("--init", default="smoke")
     p.add_argument("--m-max", type=int, default=8)
-    p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--p", type=float, default=2.0)
-    _add_r_flag(p)
+    _add_index_flags(p)
     p.add_argument("--tend", type=float, default=None)
-    _add_campaign_flags(p, steps=200)
+    _add_campaign_flags(p, steps=experiments.DEFAULT_PICARD_STEPS)
     _add_grid_flags(p)
     p.set_defaults(func=_cmd_picard)
 

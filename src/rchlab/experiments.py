@@ -37,7 +37,10 @@ from .spectral import MAX_POINTS, Field, PeriodicGrid
 
 DEFAULT_OMEGA = 1.0
 DEFAULT_LENGTH = 64.0 * np.pi
-DEFAULT_STEPS = 48
+DEFAULT_STEPS = 48  # of each mode-index sweep
+DEFAULT_CONTINUITY_STEPS = 64
+DEFAULT_PICARD_STEPS = 200
+DEFAULT_POINTS = 2**12  # the continuity grid and the CLI's builtin profiles
 DEFAULT_SAMPLES = 8
 
 
@@ -452,7 +455,8 @@ def run_continuous_dependence(s: float, p: float, r: float, eps_list,
                               t_end: float | None = None, *,
                               omega: float = DEFAULT_OMEGA,
                               length: float = DEFAULT_LENGTH,
-                              n_points: int = 2**12, steps: int = 64,
+                              n_points: int = DEFAULT_POINTS,
+                              steps: int = DEFAULT_CONTINUITY_STEPS,
                               dt: float | None = None) -> ExperimentReport:
     """Vanishing of the solution distance under vanishing data perturbation."""
     idx = BesovIndex(s, p, r)
@@ -497,7 +501,8 @@ def run_continuous_dependence(s: float, p: float, r: float, eps_list,
 
 def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
                            s: float = 2.0, p: float = 2.0, r: float = 2.0,
-                           steps: int = 200, t_end: float | None = None,
+                           steps: int = DEFAULT_PICARD_STEPS,
+                           t_end: float | None = None,
                            dt: float | None = None) -> ExperimentReport:
     """Contraction of the frozen-coefficient iteration toward the solution."""
     if m_max < 3:

@@ -164,13 +164,6 @@ def _cert_table(quantity: str, ns, values) -> CertTable:
                      empirical_min=float(np.min(_top_half(values))))
 
 
-def _check_resolvable(bank: DyadicFilterBank, ns) -> None:
-    if max(ns) > bank.j_max:
-        raise InvalidParameterError(
-            f"block {max(ns)} not resolvable (j_max={bank.j_max}); "
-            f"enlarge the grid")
-
-
 def _low_product_norm(bank: DyadicFilterBank, sv: np.ndarray,
                       sdw: np.ndarray, s: float, p: float) -> float:
     """Sup-weighted Besov norm of v0n d_x w0n, from the one-sided spectra
@@ -191,15 +184,9 @@ def _low_product_norm(bank: DyadicFilterBank, sv: np.ndarray,
 def check_low_product(bump: BumpProfile, n_range, s: float,
                       p: float) -> CertTable:
     """Sup-weighted Besov norms of v0n d_x w0n; their floor certifies the
-    first-order gap between neighbouring family members."""
-    ns = [int(n) for n in n_range]
-    grid = bump.grid
-    bank = build_filter_bank(grid)
-    _check_resolvable(bank, ns)
-    return _cert_table("low_product_norm", ns, [
-        _low_product_norm(bank, rfft(make_v0n(bump, n).values),
-                          rfft(make_w0n(bump, n, s).values) * _dx_symbol(grid),
-                          s, p) for n in ns])
+    first-order gap between neighbouring family members.  The
+    ``low_product_norm`` table of :func:`certification_tables`."""
+    return certification_tables(bump, n_range, s, p)[-1]
 
 
 def certification_tables(bump: BumpProfile, n_range, s: float, p: float,
@@ -215,9 +202,15 @@ def certification_tables(bump: BumpProfile, n_range, s: float, p: float,
     spectrum of w0n, and no member outlives its own row.
     """
     ns = [int(n) for n in n_range]
+    if not ns:
+        raise InvalidParameterError("need at least one mode index, got an "
+                                    "empty range")
     grid = bump.grid
     bank = build_filter_bank(grid)
-    _check_resolvable(bank, ns)
+    if max(ns) > bank.j_max:
+        raise InvalidParameterError(
+            f"block {max(ns)} not resolvable (j_max={bank.j_max}); "
+            f"enlarge the grid")
     carrier_idx = {f"w0n_besov_{tag}": BesovIndex(theta, p, r) for theta, tag
                    in ((s - 1.0, "minus"), (s, "center"), (s + 1.0, "plus"))}
     psi2 = product(bump.field, bump.field)

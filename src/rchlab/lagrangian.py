@@ -66,22 +66,24 @@ def _one_sided_scan(w: np.ndarray, y: np.ndarray,
     ``t_left[i]`` sums ``e^{-|y_i - z|} w_j`` over every image
     ``z = y_j + m period`` (m an integer) strictly left of ``y_i``;
     ``t_right[i]`` sums the same over the images strictly right of it.  The
-    nodes are cut into blocks, and exponents are taken relative to each
-    block's first node, so ``e^{rel}`` and ``e^{-rel}`` are computed once,
-    serve both sides, and cannot overflow while a block spans at most 700
-    (e^700 is just below the float64 overflow threshold).  Two scalar carries
-    cross the blocks, one each way, over two laps of the circle; the first
-    builds them from zero, and the second keeps them.
+    nodes are cut into blocks of at most 512, halved until no block spans
+    more than 700, and exponents are taken relative to each block's first
+    node, so ``e^{rel}`` and ``e^{-rel}`` are computed once, serve both
+    sides, and cannot overflow (e^700 is just below the float64 overflow
+    threshold).  Two scalar carries cross the blocks, one each way, over two
+    laps of the circle; the first builds them from zero, and the second
+    keeps them.
     """
     n = len(y)
     block = min(n, 512)  # grid sizes are powers of two, so blocks tile
+    # a one-node block spans nothing, so the halving ends
+    while block > 1 and np.max(y[block - 1::block] - y[::block]) > 700.0:
+        block //= 2
     n_blocks = n // block
     y = y.reshape(n_blocks, block)
     w = w.reshape(n_blocks, block)
     ref = y[:, 0]
     rel = y - ref[:, None]
-    if np.max(rel[:, -1]) > 700.0:
-        raise InvalidParameterError("scan block spans too wide a cell")
     e_fwd = np.exp(rel)
     e_bwd = np.exp(np.negative(rel, out=rel), out=rel)
     # exclusive prefix and suffix sums, each one block at a time

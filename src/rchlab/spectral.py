@@ -70,10 +70,14 @@ class PeriodicGrid:
         self.length = float(length)
         self.n_points = int(n_points)
         self.spacing = self.length / self.n_points
+        self.k_nyquist = np.pi / self.spacing
+        # refused before k is formed, whose top entry would overflow too
+        if not math.isfinite(self.k_nyquist):
+            raise InvalidParameterError(
+                f"length {length!r} puts k_Nyquist past the float range")
         self.x = -0.5 * self.length + self.spacing * np.arange(self.n_points)
         # one-sided (rfft) wavenumbers, 0..pi/h
         self.k = (2.0 * np.pi / self.length) * np.arange(self.n_points // 2 + 1)
-        self.k_nyquist = np.pi / self.spacing
         self.dealias_cap = TWO_THIRDS * self.k_nyquist
         # k increases with the index: the modes above the cap start here
         self._dealias_from = int(np.sum(self.k <= self.dealias_cap))
@@ -344,9 +348,9 @@ def field_from_binary(path) -> Field:
     """Rebuild a field written by :func:`field_to_binary`.
 
     Raises :class:`InvalidParameterError`, naming ``path``, when the header is
-    short, the length is not finite and positive, the point count is not a
-    positive integer naming a valid grid, the payload is not 8 bytes per
-    point, or a value is not finite.
+    short, the point count is not a positive integer, the payload is not 8
+    bytes per point, a value is not finite, or the grid refuses the length or
+    the point count.
     """
     with open(path, "rb") as fh:
         header = fh.read(_BIN_HEADER.size)
@@ -354,9 +358,6 @@ def field_from_binary(path) -> Field:
     if len(header) != _BIN_HEADER.size:
         raise InvalidParameterError(f"field file {path!r} has a truncated header")
     length, n_real = _BIN_HEADER.unpack(header)
-    if not (math.isfinite(length) and length > 0.0):
-        raise InvalidParameterError(
-            f"field file {path!r}: length {length!r} is not finite and positive")
     if not (math.isfinite(n_real) and n_real >= 1.0 and n_real.is_integer()):
         raise InvalidParameterError(
             f"field file {path!r}: point count {n_real!r} is not a positive integer")

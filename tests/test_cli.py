@@ -340,12 +340,23 @@ def test_cli_import_leaves_scipy_out():
       "--besov", "nan,2,2", "--out", "x"],
      "rchlab solve: error: argument --besov: invalid s,p,r 'nan,2,2': ",
      "s must be finite, got nan"),
+    # each refused before anything is written
+    (["data", "--certify", "--n-min", "9", "--n-max", "5", "--out",
+      "x/cert.csv"], "InvalidParameterError: need at least one mode index",
+     ""),
+    (["solve", "--init", "smoke", "--N", "64", "--tend", "0.05", "--dt",
+      "0.01", "--out", "x"],
+     "InvalidParameterError: grid too small to host a dyadic family", ""),
+    (["lagrangian", "--init", "smoke", "--tend", "2", "--dt", "1",
+      "--cross-check", "--out", "x"],
+     "CFLError: CFL guard failed: dt*max|u|=", " t=0.0"),
 ], ids=["invalid-parameter", "grid-cap", "grid-cap-far", "frequency-overflow",
         "frequency-overflow-far", "cfl", "blow-up", "missing-file",
         "solve-dt-zero", "solve-tend-nan", "solve-tend-inf",
         "lagrangian-dt-zero", "lagrangian-tend-nan", "picard-zero-data",
         "continuity-tend-inf", "besov-not-a-number", "besov-p-below-one",
-        "besov-s-nan"])
+        "besov-s-nan", "certify-empty-range", "solve-grid-too-small",
+        "lagrangian-cross-check-cfl"])
 def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
     proc = _run_script(argv, tmp_path)
     assert proc.returncode == 2

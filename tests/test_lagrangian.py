@@ -133,12 +133,19 @@ def test_two_sided_scan_matches_former_kernel(n_points):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_scan_rejects_too_wide_a_block():
-    # 16 nodes make one block, spanning 15/16 of the period: e^{960}
-    # would overflow
-    grid = PeriodicGrid(1024.0, 16)
-    with pytest.raises(InvalidParameterError, match="too wide"):
-        exp_scan_split(np.ones(16), grid.x, grid, "signed")
+@pytest.mark.parametrize("length, n_points", [(1024.0, 16), (2000.0, 1024)],
+                         ids=["16-nodes", "1024-nodes"])
+def test_scan_halves_too_wide_a_block(length, n_points):
+    # one block of all 16 nodes, or of 512 of the 1024, would span about
+    # 960 or 1000, and e^{960} overflows: the blocks are halved until each
+    # spans at most 700
+    grid = PeriodicGrid(length, n_points)
+    rng = np.random.default_rng(25)
+    y = _stretched_map(grid, rng)
+    w = rng.normal(size=n_points)
+    for got, want in zip(_one_sided_scan(w, y, length),
+                         _brute_sides(w, y, length)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_scan_rejects_a_nan_position():

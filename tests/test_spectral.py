@@ -473,6 +473,14 @@ def test_binary_rejects_forged_files(tmp_path, case):
         field_from_binary(path)
 
 
+@pytest.mark.filterwarnings("error")
+def test_grid_refuses_a_length_that_overflows_k_nyquist():
+    # pi / (1e-307 / 16) passes the float range: refused before the
+    # wavenumbers are formed, with no overflow warning on the way
+    with pytest.raises(InvalidParameterError, match="k_Nyquist"):
+        PeriodicGrid(1e-307, 16)
+
+
 def test_grid_above_the_cap_is_refused_before_allocating():
     # 2^40 points would take 8 TiB for the lattice alone
     with pytest.raises(InvalidParameterError, match="MAX_POINTS = 2\\^24"):
