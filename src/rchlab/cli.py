@@ -46,8 +46,7 @@ def _bad_input(message: str) -> SystemExit:
 
 def _load_field(init: str, length: float, n_points: int | None) -> Field:
     if init in BUILTIN_NAMES:
-        grid = PeriodicGrid(length, n_points or DEFAULT_POINTS)
-        return builtin_profile(init, grid)
+        return builtin_profile(init, _auto_grid(length, n_points))
     path = Path(init)
     if not path.exists():
         raise _bad_input(f"no field file {path} and not one of "
@@ -182,8 +181,8 @@ def _cmd_lagrangian(args) -> int:
     return 0
 
 
-def _auto_family_grid(length: float, n_points: int | None,
-                      n_block: int | None) -> PeriodicGrid:
+def _auto_grid(length: float, n_points: int | None,
+               n_block: int | None = None) -> PeriodicGrid:
     if n_points is not None:
         return PeriodicGrid(length, n_points)
     if n_block is None:
@@ -194,7 +193,7 @@ def _auto_family_grid(length: float, n_points: int | None,
 def _cmd_data(args) -> int:
     if args.certify:
         ns = range(args.n_min, args.n_max + 1)
-        grid = _auto_family_grid(args.L, args.N, args.n_max)
+        grid = _auto_grid(args.L, args.N, args.n_max)
         bump = build_psi(grid)
         tables = certification_tables(bump, ns, args.s, args.p, args.r)
         lines = ["quantity,n,value"]
@@ -216,7 +215,7 @@ def _cmd_data(args) -> int:
         raise _bad_input("--n is required for the modulated families")
     if args.out is None:
         raise _bad_input("--out is required with --family")
-    grid = _auto_family_grid(args.L, args.N, args.n)
+    grid = _auto_grid(args.L, args.N, args.n)
     bump = build_psi(grid)
     if args.family == "psi":
         f = bump.field
@@ -251,8 +250,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_continuity(args) -> int:
     rep = experiments.run_continuous_dependence(
         args.s, args.p, args.r, args.eps or [1e-2, 1e-3, 1e-4], args.tend,
-        omega=args.omega, length=args.L, n_points=args.N or DEFAULT_POINTS,
-        steps=args.steps, dt=args.dt)
+        omega=args.omega, length=args.L, steps=args.steps, dt=args.dt,
+        n_points=DEFAULT_POINTS if args.N is None else args.N)
     return _finish_campaign(rep, args)
 
 

@@ -52,6 +52,7 @@ from .spectral import (Field, PeriodicGrid, _dx_symbol, _flux_symbol,
 CFL_FRACTION = 0.5
 BLOWUP_THRESHOLD = 1e8
 KAPPA_DEFAULT = 0.1
+MAX_STEPS = 2**20  # of one march: t_end / dt, refused before any time grid
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,10 @@ class SolverConfig:
                 f"t_end must be positive and finite, got {self.t_end!r}")
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise InvalidParameterError(f"dt must be positive, got {self.dt!r}")
-        if not (self.t_end >= self.dt):
+        if not self.dt <= self.t_end <= MAX_STEPS * self.dt:
             raise InvalidParameterError(
-                f"t_end must be at least dt, got t_end={self.t_end!r} dt={self.dt!r}")
+                f"t_end must lie in [dt, MAX_STEPS dt] = [dt, {MAX_STEPS} dt],"
+                f" got t_end={self.t_end!r} dt={self.dt!r}")
         if self.snapshot_every < 1:
             raise InvalidParameterError("snapshot_every must be >= 1")
 

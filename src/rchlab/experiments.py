@@ -169,27 +169,12 @@ def grid_for_block(n_block: int, length: float = DEFAULT_LENGTH) -> PeriodicGrid
     return PeriodicGrid(length, n_pts)
 
 
-@dataclass
-class _FamilySetup:
-    fam: object
-    bank: DyadicFilterBank
-    idx: BesovIndex
-    norms: dict = field(default_factory=dict)
-
-    def norm(self, member: str) -> float:
-        """Besov norm of the family member ``member``, computed on first use."""
-        if member not in self.norms:
-            self.norms[member] = besov_norm(self.bank, getattr(self.fam, member),
-                                            self.idx)
-        return self.norms[member]
-
-
-def _sweep_setup(idx: BesovIndex, n_list, length: float, steps: int,
-                 dt: float | None, *, min_indices: int, horizon: str):
-    """Sorted mode indices, one family and filter bank per n (a member's Besov
-    norm is computed when a driver first reads it), and the solver
-    configuration on half the smallest guaranteed-existence horizon of the
-    ``horizon`` norm over the sweep."""
+def _sweep_setup(idx: BesovIndex, n_list, omega: float, length: float,
+                 steps: int, dt: float | None, *, min_indices: int, members):
+    """The coefficients, sorted mode indices, per n the family, its bank and
+    the Besov norms of ``members`` (rows of one stack), and the solver
+    configuration on half the least existence horizon of the first member."""
+    params = derive_coefficients(omega)
     n_list = sorted(int(n) for n in n_list)
     if len(set(n_list)) != len(n_list) or len(n_list) < min_indices:
         raise InvalidParameterError(
@@ -198,12 +183,14 @@ def _sweep_setup(idx: BesovIndex, n_list, length: float, steps: int,
     for n in n_list:
         grid = grid_for_block(n, length)
         fam = build_family(build_psi(grid), n, idx.s)
-        setups[n] = _FamilySetup(fam=fam, bank=build_filter_bank(grid),
-                                 idx=idx)
-    t_end = 0.5 * min(kappa_horizon(st.norm(horizon))
-                      for st in setups.values())
+        bank = build_filter_bank(grid)
+        rows = np.stack([getattr(fam, m).values for m in members])
+        values = _distances(bank, rows, 0.0, (idx,))[0]
+        setups[n] = fam, bank, dict(zip(members, values))
+    t_end = 0.5 * min(kappa_horizon(norms[members[0]])
+                      for _, _, norms in setups.values())
     cfg = SolverConfig.sampled(t_end, steps, DEFAULT_SAMPLES, dt)
-    return n_list, setups, cfg
+    return params, n_list, setups, cfg
 
 
 def _top_half_slope(ns, values) -> Fit:
@@ -211,8 +198,8 @@ def _top_half_slope(ns, values) -> Fit:
     return fit_line(_top_half(ns), np.log2(_top_half(values)))
 
 
-def _residual_check(table: list[dict], n: int, st: _FamilySetup, traj,
-                    h: Field, idx: BesovIndex, key: str,
+def _residual_check(table: list[dict], n: int, bank: DyadicFilterBank,
+                    u0n: Field, traj, h: Field, idx: BesovIndex, key: str,
                     detail: str) -> tuple[Fit, Verdict]:
     """Append a row ``key`` = ||u(t) - u0n - t h|| for every sampled t > 0 of
     ``traj``, the solution from u0n; return the log-log slope of ``key``
@@ -221,10 +208,10 @@ def _residual_check(table: list[dict], n: int, st: _FamilySetup, traj,
     t = traj.times[late]
 
     def residuals(rows):  # rounded as (u(t) - u0n) - t h
-        return ((traj.states[late[rows]] - st.fam.u0n.values)
+        return ((traj.states[late[rows]] - u0n.values)
                 - t[rows, None] * h.values)
 
-    resids = _chunked_norms(st.bank, len(late), residuals, (idx,))[0]
+    resids = _chunked_norms(bank, len(late), residuals, (idx,))[0]
     rows = list(range(len(table), len(table) + len(resids)))
     table.extend({"n": n, "t": tt, key: r} for tt, r in zip(t.tolist(), resids))
     fit = fit_line(np.log(_top_half(t.tolist())),
@@ -236,28 +223,28 @@ def _residual_check(table: list[dict], n: int, st: _FamilySetup, traj,
 def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
                      length: float, steps: int,
                      dt: float | None) -> ExperimentReport:
-    params = derive_coefficients(omega)
-    n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, dt,
-                                       min_indices=4, horizon="u0n")
+    params, n_list, setups, cfg = _sweep_setup(
+        idx, n_list, omega, length, steps, dt, min_indices=4,
+        members=("u0n", "v0n", "w0n"))
     table: list[dict] = []
     for n in n_list:
-        s = setups[n]
-        traj_u = solve(s.fam.u0n, params, cfg)
-        traj_w = solve(s.fam.w0n, params, cfg)
-        dists = _distances(s.bank, traj_u.states, traj_w.states, (idx,))[0]
+        fam, bank, norms = setups[n]
+        traj_u = solve(fam.u0n, params, cfg)
+        traj_w = solve(fam.w0n, params, cfg)
+        dists = _distances(bank, traj_u.states, traj_w.states, (idx,))[0]
         for t, dist in zip(traj_u.times.tolist(), dists):
             table.append({"n": n, "t": t, "distance": dist,
                           "ratio": dist / t if t > 0 else float("nan"),
-                          "v0n_norm": s.norm("v0n"), "w0n_norm": s.norm("w0n"),
-                          "u0n_norm": s.norm("u0n")})
+                          "v0n_norm": norms["v0n"], "w0n_norm": norms["w0n"],
+                          "u0n_norm": norms["u0n"]})
     # every n shares cfg, so each has m snapshots at the same times, the
     # first at t = 0: snapshot i of the k-th n is row k m + i
     m = len(table) // len(n_list)
     gap_rows = list(range(0, len(table), m))
     top = _top_half(range(len(n_list)))
 
-    gap_fit = _top_half_slope(n_list, [setups[n].norm("v0n") for n in n_list])
-    wb_fit = _top_half_slope(n_list, [setups[n].norm("w0n") for n in n_list])
+    gap_fit, wb_fit = (_top_half_slope(n_list, [r[key] for r in table[::m]])
+                       for key in ("v0n_norm", "w0n_norm"))
 
     # empirical kappa: per sampled t > 0, minimum over top-half n of dist/t
     # (the trend fit reads t rounded to 12 places, as it always has)
@@ -279,8 +266,8 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
                     "omega": omega, "length": length, "kappa": KAPPA_DEFAULT,
                     "t_end": cfg.t_end, "dt": cfg.dt, "steps": steps,
                     "snapshot_every": cfg.snapshot_every,
-                    "grid_points": {n: setups[n].fam.u0n.grid.n_points
-                                    for n in n_list},
+                    "grid_points": {n: b.grid.n_points
+                                    for n, (_, b, _) in setups.items()},
                     "plot": {"x": "t", "y": "distance", "logscale": ""}},
         table=table,
         fits={"initial_gap_slope": gap_fit, "w_family_slope": wb_fit,
@@ -343,30 +330,29 @@ def run_decomposition_rates(s: float, p: float, r: float, n_list, *,
     """Decay of the high-frequency evolution toward frozen data, side-band
     boundedness, and the quadratic-in-time first-order residual."""
     idx = BesovIndex(s, p, r)
-    params = derive_coefficients(omega)
-    n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, dt,
-                                       min_indices=4, horizon="w0n")
+    params, n_list, setups, cfg = _sweep_setup(
+        idx, n_list, omega, length, steps, dt, min_indices=4, members=("w0n",))
     idx_up = BesovIndex(s + 1.0, p, r)
     idx_down = BesovIndex(s - 1.0, p, r)
     table: list[dict] = []
     for n in n_list:
-        st = setups[n]
-        traj_w = solve(st.fam.w0n, params, cfg)
-        sup_up, sup_down = np.max(_distances(st.bank, traj_w.states, 0.0,
+        fam, bank, norms = setups[n]
+        traj_w = solve(fam.w0n, params, cfg)
+        sup_up, sup_down = np.max(_distances(bank, traj_w.states, 0.0,
                                              (idx_up, idx_down)), axis=1)
-        sup_dist = max(_distances(st.bank, traj_w.states, st.fam.w0n.values,
+        sup_dist = max(_distances(bank, traj_w.states, fam.w0n.values,
                                   (idx,))[0])
         table.append({"n": n, "sup_distance": sup_dist,
                       "sideband_up": sup_up / 2.0**n,
                       "sideband_down": sup_down * 2.0**n,
-                      "w0n_norm": st.norm("w0n")})
+                      "w0n_norm": norms["w0n"]})
     sup_rows = list(range(len(table)))
 
     n_big = n_list[-1]
-    st = setups[n_big]
+    fam, bank, _ = setups[n_big]
     res_fit, res_verdict = _residual_check(
-        table, n_big, st, solve(st.fam.u0n, params, cfg), st.fam.z0n, idx,
-        "first_order_residual",
+        table, n_big, bank, fam.u0n, solve(fam.u0n, params, cfg), fam.z0n,
+        idx, "first_order_residual",
         f"first-order residual at n={n_big}, top half of the t range")
 
     decay_fit, up_fit, down_fit = (
@@ -406,29 +392,27 @@ def run_critical_expansion(p: float, n_list, *, omega: float = DEFAULT_OMEGA,
     """Quadratic-in-time control of the full first-order expansion on the
     critical line, with the boundedness diagnostic of the data family."""
     idx = _critical_index(p)
-    params = derive_coefficients(omega)
-    n_list, setups, cfg = _sweep_setup(idx, n_list, length, steps, dt,
-                                       min_indices=2, horizon="u0n")
+    params, n_list, setups, cfg = _sweep_setup(
+        idx, n_list, omega, length, steps, dt, min_indices=2, members=("u0n",))
     table: list[dict] = []
     for n in n_list:
-        st = setups[n]
-        u0 = st.fam.u0n
+        fam, bank, norms = setups[n]
+        u0 = fam.u0n
         linf = lp_norm(u0, math.inf)
-        b2, b3 = besov_norms(st.bank, u0, (BesovIndex(2.0 + 1.0 / p, p, 1.0),
+        b2, b3 = besov_norms(bank, u0, (BesovIndex(2.0 + 1.0 / p, p, 1.0),
                                            BesovIndex(3.0 + 1.0 / p, p, 1.0)))
         bracket = transport_diagnostic(u0)
         q_val = (1.0 + linf * b2 + linf**2 * b3 + bracket**2 * b2
                  + linf * bracket**2 * b3)
         table.append({"n": n, "q_diagnostic": q_val, "u0_linf": linf,
-                      "u0_norm": st.norm("u0n")})
+                      "u0_norm": norms["u0n"]})
     q_rows = list(range(len(table)))
 
     n_big = n_list[-1]
-    st = setups[n_big]
-    u0 = st.fam.u0n
+    fam, bank, _ = setups[n_big]
     res_fit, res_verdict = _residual_check(
-        table, n_big, st, solve(u0, params, cfg), full_rhs(u0, params), idx,
-        "expansion_residual",
+        table, n_big, bank, fam.u0n, solve(fam.u0n, params, cfg),
+        full_rhs(fam.u0n, params), idx, "expansion_residual",
         f"full first-order residual at n={n_big}, top half of t range")
 
     q_fit = fit_line(np.asarray(n_list, dtype=float),

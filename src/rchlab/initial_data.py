@@ -104,6 +104,9 @@ def make_w0n(bump: BumpProfile, n: int, s: float) -> Field:
     """High-frequency member: 2^{-n s} psi(x) sin(k_n x)."""
     grid = bump.grid
     k_n, _ = modulation_frequency(grid, n)
+    if not (math.isfinite(s) and -n * s < 1024):  # 2^1024 overflows a float
+        raise InvalidParameterError(
+            f"w0n's amplitude 2^(-n s) is not finite at n={n}, s={s!r}")
     vals = 2.0 ** (-n * s) * bump.field.values * np.sin(k_n * grid.x)
     return Field(grid, vals)
 

@@ -205,9 +205,23 @@ def sequence_norm(a: np.ndarray, r: float) -> float:
     return float(np.sum(a ** r) ** (1.0 / r))
 
 
+def _weighted(profile: np.ndarray, idx: BesovIndex) -> tuple[np.ndarray, float]:
+    """Weighted block norms and their l^r norm; refuses a float overflow."""
+    try:
+        with np.errstate(over="raise"):
+            weighted = weight_profile(profile, idx.s)
+            norm = sequence_norm(weighted, idx.r)
+    except (OverflowError, FloatingPointError):
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise InvalidParameterError("the weights 2^(js) or their l^r sum "
+                                    f"overflow at s={idx.s!r}, r={idx.r!r}")
+    return weighted, norm
+
+
 def block_norms(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> np.ndarray:
     """Weighted block norms 2^{js} ||block_j f||_{L^p} for j = -1 .. j_max."""
-    return weight_profile(block_profile(bank, f, idx.p), idx.s)
+    return _weighted(block_profile(bank, f, idx.p), idx)[0]
 
 
 def _tail_fraction(bank: DyadicFilterBank, spec: np.ndarray) -> np.ndarray:
@@ -232,7 +246,7 @@ def _besov_rows(bank: DyadicFilterBank, spec: np.ndarray,
     for idx in indices:
         if idx.p not in profiles:
             profiles[idx.p] = _profile_from_spec(bank, spec, idx.p)
-        norms.append([sequence_norm(weight_profile(profile, idx.s), idx.r)
+        norms.append([_weighted(profile, idx)[1]
                       for profile in np.atleast_2d(profiles[idx.p])])
     if log.isEnabledFor(logging.DEBUG):
         tail = float(np.max(_tail_fraction(bank, spec)))

@@ -350,13 +350,35 @@ def test_cli_import_leaves_scipy_out():
     (["lagrangian", "--init", "smoke", "--tend", "2", "--dt", "1",
       "--cross-check", "--out", "x"],
      "CFLError: CFL guard failed: dt*max|u|=", " t=0.0"),
+    # weights 2^(js) past the float range, and an l^r sum past it
+    (["besov", "--input", "smoke", "--s", "300"],
+     "InvalidParameterError: the weights 2^(js) or their l^r sum overflow",
+     "s=300.0, r=2.0"),
+    (["besov", "--input", "smoke", "--s", "200"],
+     "InvalidParameterError: the weights 2^(js) or their l^r sum overflow",
+     "s=200.0, r=2.0"),
+    (["data", "--family", "w0n", "--n", "5", "--s", "nan", "--out",
+      "x/w.csv"], "InvalidParameterError: w0n's amplitude", "s=nan"),
+    (["data", "--family", "w0n", "--n", "5", "--s", "-300", "--out",
+      "x/w.csv"], "InvalidParameterError: w0n's amplitude", "s=-300.0"),
+    (["solve", "--init", "smoke", "--tend", "1e300", "--dt", "1e-300",
+      "--out", "x"], "InvalidParameterError: t_end must lie in [dt, "
+     "MAX_STEPS dt] = [dt, 1048576 dt]", "t_end=1e+300 dt=1e-300"),
+    # --N 0 is a grid of 0 points, not the default grid
+    (["solve", "--init", "smoke", "--tend", "0.05", "--dt", "0.01", "--N",
+      "0", "--out", "x"],
+     "InvalidParameterError: n_points must be a power of two", "got 0"),
+    (["continuity", "--N", "0", "--steps", "2", "--out", "x"],
+     "InvalidParameterError: n_points must be a power of two", "got 0"),
 ], ids=["invalid-parameter", "grid-cap", "grid-cap-far", "frequency-overflow",
         "frequency-overflow-far", "cfl", "blow-up", "missing-file",
         "solve-dt-zero", "solve-tend-nan", "solve-tend-inf",
         "lagrangian-dt-zero", "lagrangian-tend-nan", "picard-zero-data",
         "continuity-tend-inf", "besov-not-a-number", "besov-p-below-one",
         "besov-s-nan", "certify-empty-range", "solve-grid-too-small",
-        "lagrangian-cross-check-cfl"])
+        "lagrangian-cross-check-cfl", "besov-weights-overflow",
+        "besov-sum-overflow", "w0n-s-nan", "w0n-amplitude-overflow",
+        "solve-step-cap", "solve-n-zero", "continuity-n-zero"])
 def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
     proc = _run_script(argv, tmp_path)
     assert proc.returncode == 2

@@ -151,6 +151,17 @@ def test_solver_config_validation():
         SolverConfig(dt=0.1, t_end=1.0, snapshot_every=0)
 
 
+def test_solver_config_caps_the_step_count():
+    # the constructor alone: a march at the cap would form 2^20 steps
+    assert SolverConfig(dt=1.0, t_end=float(eulerian.MAX_STEPS)).t_end == 2**20
+    for dt, t_end in ((1.0, 2.0**20 + 1.0), (1e-10, 1e10), (1e-7, 1e7),
+                      (1e-300, 1e300)):
+        with pytest.raises(InvalidParameterError, match="MAX_STEPS dt"):
+            SolverConfig(dt=dt, t_end=t_end)
+    with pytest.raises(InvalidParameterError, match="MAX_STEPS"):
+        SolverConfig.sampled(1.0, 2**20 + 1, 8)
+
+
 @pytest.mark.parametrize("t_end", [math.inf, math.nan])
 def test_solver_config_refuses_a_non_finite_horizon(t_end):
     with pytest.raises(InvalidParameterError, match="positive and finite"):

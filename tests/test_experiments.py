@@ -2,7 +2,6 @@
 
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import pytest
 from rchlab.coefficients import derive_coefficients
 from rchlab.errors import InvalidParameterError
 from rchlab.eulerian import SolverConfig, Trajectory, _stage_times
-from rchlab.experiments import (ExperimentReport, Fit, Verdict, _FamilySetup,
+from rchlab.experiments import (ExperimentReport, Fit, Verdict,
                                 _residual_check, fit_line, grid_for_block,
                                 run_continuous_dependence,
                                 run_critical_expansion,
@@ -43,9 +42,8 @@ def test_residual_rows_match_a_per_snapshot_loop(p):
     times = 0.01 * np.arange(11.0)
     traj = Trajectory(grid, derive_coefficients(1.0), times,
                       rng.normal(size=(11, grid.n_points)))
-    st = _FamilySetup(fam=SimpleNamespace(u0n=u0), bank=bank, idx=idx)
     table = [{"n": 4}]
-    fit, verdict = _residual_check(table, 5, st, traj, h, idx, "resid",
+    fit, verdict = _residual_check(table, 5, bank, u0, traj, h, idx, "resid",
                                    "at n=5")
     want = [{"n": 5, "t": t, "resid": besov_norm(
                 bank, Field(grid, traj.states[i] - u0.values - t * h.values),
