@@ -344,7 +344,6 @@ def _frozen_rhs(prev: Trajectory | None, s0: np.ndarray, grid: PeriodicGrid,
         svx = s0 + w
         np.multiply(_dx_symbol(grid), svx, out=svx)
         out = conv_spec(un, svx, grid)
-        out[..., grid._dealias_from:] = 0.0
         return np.subtract(g, out, out=out)
 
     return rhs

@@ -21,8 +21,8 @@ from .errors import FrequencyOverflowError, InvalidParameterError
 from .littlewood_paley import (BesovIndex, DyadicFilterBank, _besov_rows,
                                block_profile, build_filter_bank, lp_norm,
                                sequence_norm, smooth_plateau, weight_profile)
-from .spectral import (Field, PeriodicGrid, _dx_symbol, conv_spec, ddx, irfft,
-                       product, rfft, synthesize)
+from .spectral import (Field, PeriodicGrid, _dx_symbol, conv_spec, irfft, rfft,
+                       synthesize)
 
 PLATEAU_RADIUS = 0.25
 SUPPORT_RADIUS = 0.5
@@ -104,9 +104,10 @@ def make_w0n(bump: BumpProfile, n: int, s: float) -> Field:
     """High-frequency member: 2^{-n s} psi(x) sin(k_n x)."""
     grid = bump.grid
     k_n, _ = modulation_frequency(grid, n)
-    if not (math.isfinite(s) and -n * s < 1024):  # 2^1024 overflows a float
-        raise InvalidParameterError(
-            f"w0n's amplitude 2^(-n s) is not finite at n={n}, s={s!r}")
+    # 2^1024 overflows a float; below 2^-1022 it is subnormal or zero
+    if not (math.isfinite(s) and -1022 <= -n * s < 1024):
+        raise InvalidParameterError(f"w0n's amplitude 2^(-n s) is not a "
+                                    f"normal float at n={n}, s={s!r}")
     vals = 2.0 ** (-n * s) * bump.field.values * np.sin(k_n * grid.x)
     return Field(grid, vals)
 
@@ -129,10 +130,12 @@ class DataFamily:
 
     @functools.cached_property
     def z0n(self) -> Field:
-        """Transport seed -u0n d_x u0n, formed on first read (few need it)."""
-        z = product(self.u0n, ddx(self.u0n), dealias=True)
-        z.values = -z.values
-        return z
+        """Transport seed -u0n d_x u0n as one :func:`conv_spec`, on first read."""
+        grid = self.u0n.grid
+        su = rfft(self.u0n.values)
+        un = irfft(su[:grid._dealias_from], grid.n_points)
+        return Field(grid, -irfft(conv_spec(un, su * _dx_symbol(grid), grid),
+                                  grid.n_points))
 
 
 def build_family(bump: BumpProfile, n: int, s: float) -> DataFamily:
@@ -174,13 +177,11 @@ def _low_product_norm(bank: DyadicFilterBank, sv: np.ndarray,
 
     Both factors are cut at the 2/3 cap and so is the result, so the product
     is formed on the N-point lattice: every alias of a product of two masked
-    factors lands above the cap, and the mask removes it.  Only rounding
-    separates this from the exact 2N :func:`~rchlab.spectral.product`.
+    factors lands above the cap, where :func:`conv_spec` zeroes it.  Only
+    rounding separates this from the exact 2N :func:`~rchlab.spectral.product`.
     """
     grid = bank.grid
-    cut = grid._dealias_from
-    spec = conv_spec(irfft(sv[:cut], grid.n_points), sdw[:cut], grid)
-    spec[cut:] = 0.0
+    spec = conv_spec(irfft(sv[:grid._dealias_from], grid.n_points), sdw, grid)
     return _besov_rows(bank, spec, (BesovIndex(s, p, math.inf),))[0][0]
 
 
@@ -216,7 +217,8 @@ def certification_tables(bump: BumpProfile, n_range, s: float, p: float,
             f"enlarge the grid")
     carrier_idx = {f"w0n_besov_{tag}": BesovIndex(theta, p, r) for theta, tag
                    in ((s - 1.0, "minus"), (s, "center"), (s + 1.0, "plus"))}
-    psi2 = product(bump.field, bump.field)
+    # psi is band-limited to |k| <= 1/2, so its square needs no spectral step
+    psi2 = bump.field.values * bump.field.values
     # v0n = 2^{-n} fl(24/33) psi.  A power-of-two scale commutes with every
     # rounding in the transforms, abs, sums and sqrt while no value nears the
     # subnormal range (the least nonzero |v0n| is 9e-22 even at n = 11), so
@@ -242,7 +244,7 @@ def certification_tables(bump: BumpProfile, n_range, s: float, p: float,
                                                     carrier_idx.values())),
                 lp_norm(Field(grid, irfft(sdw, grid.n_points)), p),
                 v0n_besov(n, sv),
-                lp_norm(Field(grid, psi2.values * np.cos(k_n * grid.x)), p),
+                lp_norm(Field(grid, psi2 * np.cos(k_n * grid.x)), p),
                 _low_product_norm(bank, sv, sdw, s, p)]
 
     quantities = [*carrier_idx, "dx_w0n_lp", "v0n_besov", "psi2_cos_norm",

@@ -146,9 +146,17 @@ def _lp_rows(vals: np.ndarray, h: float, p: float) -> np.ndarray:
         return np.max(np.abs(vals), axis=-1)
     if p == 1.0:  # numpy takes no fast path for ** 1.0: a pow per point
         return h * np.sum(np.abs(vals), axis=-1)
+    with np.errstate(over="ignore"):
+        sums = h * np.sum(np.abs(vals) ** p, axis=-1)
     # a scalar pow per row: numpy's vectorized pow differs in some last bits
-    return np.vectorize(lambda x: x ** (1.0 / p))(
-        h * np.sum(np.abs(vals) ** p, axis=-1))
+    norms = np.vectorize(lambda x: x ** (1.0 / p))(sums)
+    # |x|^p under- or overflows for p far past the values' range
+    peak = np.max(np.abs(vals), axis=-1)
+    if np.any(np.isin(norms, (0.0, math.inf)) & (0.0 < peak)
+              & (peak < math.inf)):
+        raise InvalidParameterError(
+            f"the L^p norm at p={p!r} under- or overflows a float; use p=inf")
+    return norms
 
 
 def _spectral_l2(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

@@ -13,12 +13,13 @@ which needs more than 5N/3 points, exact below the cap.  The 2/3-rule mask
 results, or a truncation at the cap: :func:`pad_values` and ``irfft`` zero-pad
 a short spectrum.  For one product of two masked factors whose result is
 masked, the N-point lattice suffices: every alias of the product lands above
-the cap.  :func:`conv_spec` forms such products on the lattice itself: the
-Picard stage's and the quadratic terms of the nonlinear kernel in
-:mod:`rchlab.eulerian`, and the certification's low product v0n d_x w0n in
-:mod:`rchlab.initial_data`.  Every derivative multiplies by one symbol,
-:func:`_dx_symbol`, i k with the unpaired Nyquist mode dropped; it and the
-nonlocal flux's :func:`_flux_symbol` are cached for the last grid.  These helpers take a leading row axis, so that independent rows
+the cap.  :func:`conv_spec` is that masked product; it cuts its second factor
+and its result at the cap.  It forms the Picard stage's product and, in
+:mod:`rchlab.initial_data`, v0n d_x w0n and the transport seed -u0n d_x u0n;
+the exact 2N :func:`product` is the tests' reference.  Every derivative
+multiplies by one symbol, :func:`_dx_symbol`, i k with the unpaired Nyquist
+mode dropped; it and the nonlocal flux's :func:`_flux_symbol` are cached for
+the last grid.  These helpers take a leading row axis, so independent rows
 share one transform call; ``numpy.fft`` transforms each row as it would alone.
 This module is the one home of the transforms: :mod:`rchlab.eulerian`,
 :mod:`rchlab.littlewood_paley` and :mod:`rchlab.initial_data` import ``rfft``
@@ -234,19 +235,22 @@ def project_values(vals: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 
 
 def conv_spec(ua: np.ndarray, sb: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Spectrum of the pointwise product of ``ua`` and the field of ``sb``,
-    formed on the N-point lattice at two transforms of N.
+    """Masked spectrum of the pointwise product of ``ua`` and the field of
+    ``sb``, formed on the N-point lattice at two transforms of N.
 
     ``ua`` is the first factor sampled on the lattice, so a caller that
     multiplies one factor many times samples it once; ``sb`` and the output
-    are one-sided (rfft) spectra on ``grid``, with no mask applied.  The
-    product aliases, but when both factors are cut by the 2/3 rule no alias
-    reaches a mode the mask keeps, so it is exact there once the caller
-    masks the result.
+    are one-sided (rfft) spectra on ``grid``.  ``sb`` is cut at the 2/3 cap
+    and the result is zeroed above it.  The product aliases, but when ``ua``
+    is masked too no alias reaches a mode the mask keeps, so the result is
+    exact up to rounding.
     """
-    prod = irfft(sb, grid.n_points)
+    cut = grid._dealias_from
+    prod = irfft(sb[..., :cut], grid.n_points)
     prod *= ua
-    return rfft(prod)
+    out = rfft(prod)
+    out[..., cut:] = 0.0
+    return out
 
 
 def product(f: Field, g: Field, dealias: bool = False) -> Field:

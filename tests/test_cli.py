@@ -364,6 +364,13 @@ def test_cli_import_leaves_scipy_out():
     (["solve", "--init", "smoke", "--tend", "1e300", "--dt", "1e-300",
       "--out", "x"], "InvalidParameterError: t_end must lie in [dt, "
      "MAX_STEPS dt] = [dt, 1048576 dt]", "t_end=1e+300 dt=1e-300"),
+    # a finite p so far past the values' range that |x|^p underflows, and an
+    # amplitude 2^(-n s) below the normal floats
+    (["besov", "--input", "smoke", "--s", "2", "--p", "1e308"],
+     "InvalidParameterError: the L^p norm at p=1e+308 under- or overflows",
+     "use p=inf"),
+    (["data", "--family", "w0n", "--n", "5", "--s", "300", "--out",
+      "x/w.csv"], "InvalidParameterError: w0n's amplitude", "n=5, s=300.0"),
     # --N 0 is a grid of 0 points, not the default grid
     (["solve", "--init", "smoke", "--tend", "0.05", "--dt", "0.01", "--N",
       "0", "--out", "x"],
@@ -378,7 +385,8 @@ def test_cli_import_leaves_scipy_out():
         "besov-s-nan", "certify-empty-range", "solve-grid-too-small",
         "lagrangian-cross-check-cfl", "besov-weights-overflow",
         "besov-sum-overflow", "w0n-s-nan", "w0n-amplitude-overflow",
-        "solve-step-cap", "solve-n-zero", "continuity-n-zero"])
+        "solve-step-cap", "besov-p-underflow", "w0n-amplitude-underflow",
+        "solve-n-zero", "continuity-n-zero"])
 def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
     proc = _run_script(argv, tmp_path)
     assert proc.returncode == 2

@@ -133,8 +133,17 @@ def test_family_transport_seed():
 def test_transport_seed_is_formed_on_first_read():
     fam = build_family(BUMP, 6, 2.0)
     assert "z0n" not in vars(fam)
-    want = product(fam.u0n, ddx(fam.u0n), dealias=True).values
-    assert np.array_equal(fam.z0n.values, -want)
+    # one product of the masked u0n and d_x u0n on the N-point lattice, its
+    # result masked ...
+    su = rfft(fam.u0n.values)
+    un = irfft(dealias_spec(su, GRID64), GRID64.n_points)
+    sdu = dealias_spec(su * _dx_symbol(GRID64), GRID64)
+    spec = dealias_spec(rfft(irfft(sdu, GRID64.n_points) * un), GRID64)
+    assert np.array_equal(fam.z0n.values, -irfft(spec, GRID64.n_points))
+    # ... which only rounding separates from the exact 2N product
+    exact = -product(fam.u0n, ddx(fam.u0n), dealias=True).values
+    assert (np.max(np.abs(fam.z0n.values - exact))
+            <= 2e-15 * np.max(np.abs(exact)))
     assert fam.z0n is fam.z0n
 
 
@@ -155,10 +164,17 @@ def test_certification_tables_match_separate_norms(p, r):
     want = [besov_norm(bank, make_v0n(BUMP, n), BesovIndex(s, p, r))
             for n in ns]
     assert tables["v0n_besov"].values.tolist() == want
+    # psi is band-limited to |k| <= 1/2, so psi^2 is its pointwise square ...
+    psi = BUMP.field.values
+    carriers = [np.cos(modulation_frequency(GRID64, n)[0] * GRID64.x)
+                for n in ns]
+    psi2_cos = tables["psi2_cos_norm"].values
+    assert psi2_cos.tolist() == [lp_norm(Field(GRID64, psi * psi * c), p)
+                                 for c in carriers]
+    # ... which only rounding separates from the exact 2N product
     psi2 = product(BUMP.field, BUMP.field).values
-    want = [lp_norm(Field(GRID64, psi2 * np.cos(modulation_frequency(
-        GRID64, n)[0] * GRID64.x)), p) for n in ns]
-    assert tables["psi2_cos_norm"].values.tolist() == want
+    exact = [lp_norm(Field(GRID64, psi2 * c), p) for c in carriers]
+    assert np.max(np.abs(psi2_cos - exact) / np.abs(exact)) <= 2e-15
     # the low product's factors and result are all cut at the 2/3 cap, so
     # it is formed on the N-point lattice and measured from its spectrum
     sup_idx = BesovIndex(s, p, math.inf)
@@ -184,18 +200,18 @@ def test_certification_tables_match_separate_norms(p, r):
 
 
 @pytest.mark.parametrize("ns", [range(3, 4), range(3, 7)])
-def test_certification_transforms_only_psi2_at_2n(monkeypatch, ns):
-    # psi^2, the one unmasked product, makes the only transforms on the
-    # 2N-point lattice (its two pads and its projection), however many mode
-    # indices the tables hold
-    long_rows = []
+def test_certification_makes_no_transform_at_2n(monkeypatch, ns):
+    # every product the tables need is formed on the N-point lattice, or
+    # pointwise for psi^2, however many mode indices the tables hold
+    long_rows, lattice_rows = [], []
 
     def counted(fn, inverse):
         def wrapper(x, *args, **kwargs):
             # every irfft here passes its length
             m = args[0] if inverse else np.shape(x)[-1]
-            if m == 2 * GRID64.n_points:
-                long_rows.append(math.prod(np.shape(x)[:-1]))
+            if m in (GRID64.n_points, 2 * GRID64.n_points):
+                (long_rows if m > GRID64.n_points else lattice_rows).append(
+                    math.prod(np.shape(x)[:-1]))
             return fn(x, *args, **kwargs)
         return wrapper
 
@@ -204,7 +220,8 @@ def test_certification_transforms_only_psi2_at_2n(monkeypatch, ns):
             monkeypatch.setattr(module, name, counted(getattr(module, name),
                                                       name == "irfft"))
     certification_tables(BUMP, ns, 2.0, 1.0)
-    assert sum(long_rows) == 3
+    assert sum(long_rows) == 0
+    assert sum(lattice_rows) > 0  # the wrappers do count
 
 
 def test_certification_slopes():

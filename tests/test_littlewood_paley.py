@@ -173,6 +173,17 @@ def test_lp_norm_validation():
         lp_norm(f, 0.5)
     assert lp_norm(f, math.inf) == 1.0
     assert lp_norm(f, 1.0) == pytest.approx(GRID.length, rel=1e-12)
+    # at a p far past the values' range, |x|^p underflows below 1 and
+    # overflows above it; a zero row's norm is still 0, and a p the values
+    # allow keeps the formula
+    small, big = 0.5 * f.values, 3.0 * f.values
+    for vals in (small, big, np.stack([0.0 * small, small])):
+        with pytest.raises(InvalidParameterError,
+                           match=r"at p=1e\+308 .*; use p=inf$"):
+            lp._lp_rows(vals, GRID.spacing, 1e308)
+    assert lp._lp_rows(np.zeros((2, 16)), 0.1, 1e308).tolist() == [0.0, 0.0]
+    want = float(GRID.spacing * np.sum(small ** 3.0)) ** (1.0 / 3.0)
+    assert lp_norm(Field(GRID, small), 3.0) == want
 
 
 def test_besov_tail_diagnostic_only_at_debug(caplog, monkeypatch):

@@ -259,6 +259,11 @@ def test_conv_spec_on_n_points_is_exact_below_the_cap(n):
     kept = slice(0, grid._dealias_from)
     assert np.max(np.abs(got[kept] - want[kept])) <= \
         1e-14 * np.max(np.abs(want[kept]))
+    # the result is zero above the cap, whatever sb holds there
+    assert not np.any(got[grid._dealias_from:])
+    noisy = sb.copy()
+    noisy[grid._dealias_from:] = np.nan
+    assert np.array_equal(conv_spec(irfft(sa, n), noisy, grid), got)
 
 
 def test_conv_spec_on_n_points_aliases_an_unmasked_factor():

@@ -103,6 +103,30 @@ def test_compare_outputs_reads_binary_fields(tmp_path):
         "2 file(s) differ"]
 
 
+def test_compare_outputs_reads_stdout_line_by_line(tmp_path):
+    # numbers are leaves and the text between them must agree; a number
+    # inside a word, as in psi2 or w0n, is text
+    table = "quantity,n,value\npsi2_cos_norm,5,{}\n[PASS] w0n: value=0.5 (< 1)\n"
+    old = _write(tmp_path / "old", {
+        "a.stdout": table.format("0.25") + "exit 0\n",
+        "b.stdout": "[PASS] ratio: value=0.5\nexit 0\n", "c.stdout": "one\n",
+        "d.stdout": "value=1.0 and nan\n"})
+    new = _write(tmp_path / "new", {
+        "a.stdout": table.format("0.25000000000000006") + "exit 0\n",
+        "b.stdout": "[FAIL] ratio: value=0.5\nexit 0\n",
+        "c.stdout": "one\ntwo\n", "d.stdout": "value=1.00 and nan\n"})
+    code, lines = _compare(old, new)
+    assert code == 1
+    assert lines == [
+        "a.stdout: max relative difference 2.2e-16 at line 2, number 2 "
+        "(1 of 5 numeric leaves differ)",
+        "    line 2, number 2: 0.25 -> 0.25000000000000006 (2.2e-16)",
+        "b.stdout: differs (text differs in line 1)",
+        "c.stdout: differs (line counts differ)",
+        "d.stdout: numerically equal over 2 numeric leaves",
+        "4 file(s) differ"]
+
+
 def test_compare_outputs_identical_trees_exit_zero(tmp_path):
     files = {"x/report.json": '{"v": 1.5}', "x.stdout": "exit 0\n"}
     old = _write(tmp_path / "old", files)

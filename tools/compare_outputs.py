@@ -7,18 +7,20 @@ Usage::
 For every file under either directory, in sorted order, prints one line:
 ``identical`` when the bytes agree, otherwise the largest relative
 difference |a - b| / max(|a|, |b|) over the numeric leaves of the file's
-JSON, CSV or binary field and where it sits.  A binary field (``.bin``) is
-the little-endian float64 (L, N) header followed by N little-endian float64
-values.  For a CSV, one indented line per numeric column follows with the
-column's largest |a - b| over its largest |a|, so that a change near a zero
-of a field reads against the field's size; the values of a binary field get
-the same line as one column.  Then comes one indented line per numeric leaf
+JSON, CSV, binary field or command output and where it sits.  A binary
+field (``.bin``) is the little-endian float64 (L, N) header followed by N
+little-endian float64 values.  A command output (``.stdout``) is read line
+by line: its numbers are its leaves, and the text between them must agree.
+For a CSV, one indented line per numeric column follows with the column's
+largest |a - b| over its largest |a|, so that a change near a zero of a
+field reads against the field's size; the values of a binary field get the
+same line as one column.  Then comes one indented line per numeric leaf
 that differs.  A leaf that is NaN on one side only counts as an infinite
 difference.  A file of another kind, whose non-numeric content differs, or
-whose shape differs (keys, lengths, rows, a binary field truncated or whose
-header does not match its payload) is reported as such, as is a JSON file
-that does not parse or a CSV that is not UTF-8, and a file present on one
-side only as ``only in OLD``/``only in NEW``.
+whose shape differs (keys, lengths, rows or lines, a binary field truncated
+or whose header does not match its payload) is reported as such, as is a
+JSON file that does not parse or a text that is not UTF-8, and a file
+present on one side only as ``only in OLD``/``only in NEW``.
 The exit status is 0 when every file is identical and 1 otherwise.
 """
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import struct
 import sys
 from pathlib import Path
@@ -100,6 +103,25 @@ def csv_leaves(old: str, new: str):
                 raise ShapeMismatch(f"text differs in row {i}, {name}")
 
 
+# a decimal number, nan or inf that is not part of a word, such as w0n
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                     r"|nan|inf)(?!\w)")
+
+
+def text_leaves(old: str, new: str):
+    """Yield (location, old, new) for each number of two texts, line by line;
+    the text between the numbers must agree."""
+    lines_old, lines_new = old.splitlines(), new.splitlines()
+    if len(lines_old) != len(lines_new):
+        raise ShapeMismatch("line counts differ")
+    for i, (la, lb) in enumerate(zip(lines_old, lines_new), start=1):
+        if _NUMBER.split(la) != _NUMBER.split(lb):
+            raise ShapeMismatch(f"text differs in line {i}")
+        for j, (a, b) in enumerate(zip(_NUMBER.findall(la),
+                                       _NUMBER.findall(lb)), start=1):
+            yield f"line {i}, number {j}", float(a), float(b)
+
+
 _BIN_HEADER = struct.Struct("<dd")  # a binary field's length and point count
 
 
@@ -131,8 +153,8 @@ def bin_leaves(old: bytes, new: bytes):
 
 
 def _decoded(data: bytes, side: str, suffix: str):
-    """The JSON tree or the CSV text of a file; ShapeMismatch, naming
-    ``side``, if it is not valid JSON or not UTF-8."""
+    """The JSON tree or the text of a file; ShapeMismatch, naming ``side``,
+    if it is not valid JSON or not UTF-8."""
     try:
         return json.loads(data) if suffix == ".json" else data.decode()
     except ValueError as err:  # a JSONDecodeError or a UnicodeDecodeError
@@ -145,18 +167,16 @@ def compare_file(old: Path, new: Path) -> list[str]:
     a, b = old.read_bytes(), new.read_bytes()
     if a == b:
         return ["identical"]
-    if old.suffix not in (".json", ".csv", ".bin"):
+    leaves = {".json": json_leaves, ".csv": csv_leaves, ".bin": bin_leaves,
+              ".stdout": text_leaves}.get(old.suffix)
+    if leaves is None:
         return ["differs (neither JSON nor CSV)"]
     worst, at, count, differing = 0.0, None, 0, []
     columns = {}  # column name -> [largest |a - b|, largest |a|]
     try:
-        if old.suffix == ".bin":
-            pairs = bin_leaves(a, b)
-        else:
-            leaves = json_leaves if old.suffix == ".json" else csv_leaves
-            pairs = leaves(_decoded(a, "OLD", old.suffix),
-                           _decoded(b, "NEW", old.suffix))
-        for where, x, y in pairs:
+        if old.suffix != ".bin":
+            a, b = _decoded(a, "OLD", old.suffix), _decoded(b, "NEW", old.suffix)
+        for where, x, y in leaves(a, b):
             if isinstance(where, tuple):  # in a column: (location, name)
                 where, name = where
                 col = columns.setdefault(name, [0.0, 0.0])
