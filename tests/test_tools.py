@@ -47,7 +47,7 @@ def test_compare_outputs_reports_each_file(tmp_path):
     code, lines = _compare(old, new)
     assert code == 1
     assert lines == [
-        "a/plot.gp: differs (neither JSON nor CSV)",
+        "a/plot.gp: differs (not a JSON, CSV, binary field or stdout file)",
         "a/report.json: max relative difference 0.2 at "
         ".verdicts.contraction.value (2 of 5 numeric leaves differ)",
         "    .table[1].gap: 0.5 -> 0.5000000000000004 (8.9e-16)",

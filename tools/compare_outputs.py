@@ -170,7 +170,7 @@ def compare_file(old: Path, new: Path) -> list[str]:
     leaves = {".json": json_leaves, ".csv": csv_leaves, ".bin": bin_leaves,
               ".stdout": text_leaves}.get(old.suffix)
     if leaves is None:
-        return ["differs (neither JSON nor CSV)"]
+        return ["differs (not a JSON, CSV, binary field or stdout file)"]
     worst, at, count, differing = 0.0, None, 0, []
     columns = {}  # column name -> [largest |a - b|, largest |a|]
     try:
