@@ -288,9 +288,10 @@ def solve(u0: Field, params: ModelParams, cfg: SolverConfig) -> Trajectory:
 
     # the state steps in spectral form; the lattice values u feed only the
     # guards and snapshots, since a round trip per step adds more rounding
-    # than the RK4 error of a small step
+    # than the RK4 error of a small step; the first snapshot is u0's own
+    # values, which np.asarray copies
     times, snaps = _rk4_march(
-        rfft(u0.values), u0.values.copy(), cfg,
+        rfft(u0.values), u0.values, cfg,
         lambda tau, s: _nonlinear_spec(s, grid, params)[0], to_lattice, cfl)
     return Trajectory(grid=grid, params=params, times=times,
                       states=np.asarray(snaps))

@@ -13,6 +13,8 @@ the chunk loop beneath it, :func:`littlewood_paley._chunked_norms`.  The
 three mode-index sweeps share one skeleton: :func:`_sweep_setup`, one helper
 for the top-half slope, and :func:`_residual_check`, which tabulates the
 first-order residual rows, fits their late-t exponent and gives its verdict.
+The non-uniform sweeps run each mode index's two solves side by side, on
+min(2, CPUs) threads; the reports do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -220,23 +224,65 @@ def _residual_check(table: list[dict], n: int, bank: DyadicFilterBank,
                         tolerance="t-exponent >= 1.8", rows=rows, detail=detail)
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+def _solve_pair(u0: Field, w0: Field, params, cfg: SolverConfig):
+    """``solve(u0)`` and ``solve(w0)``.  With two CPUs or more, the first
+    runs on a worker thread while the calling thread runs the second.  The
+    results and errors are taken in that order, so when both solves fail,
+    u0's error is raised, as a serial run would raise it.  Both share one
+    grid, so the one-entry symbol caches serve them both."""
+    if _cpu_count() < 2:
+        return solve(u0, params, cfg), solve(w0, params, cfg)
+    out = []
+
+    def first():
+        try:
+            out.append(solve(u0, params, cfg))
+        except BaseException as err:
+            out.append(err)
+
+    worker = threading.Thread(target=first, daemon=True)
+    worker.start()
+    try:
+        second = solve(w0, params, cfg)
+    except Exception as err:
+        second = err
+    worker.join()
+    for result in (out[0], second):
+        if isinstance(result, BaseException):
+            raise result
+    return out[0], second
+
+
 def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
                      length: float, steps: int,
                      dt: float | None) -> ExperimentReport:
     params, n_list, setups, cfg = _sweep_setup(
         idx, n_list, omega, length, steps, dt, min_indices=4,
         members=("u0n", "v0n", "w0n"))
+    grid_points = {n: b.grid.n_points for n, (_, b, _) in setups.items()}
     table: list[dict] = []
     for n in n_list:
-        fam, bank, norms = setups[n]
-        traj_u = solve(fam.u0n, params, cfg)
-        traj_w = solve(fam.w0n, params, cfg)
+        # each n's data leaves the set-up as its pair starts, and the
+        # previous pair's trajectories are gone, to pay for the second solve
+        fam, bank, norms = setups.pop(n)
+        u0n, w0n = fam.u0n, fam.w0n
+        del fam
+        traj_u, traj_w = _solve_pair(u0n, w0n, params, cfg)
         dists = _distances(bank, traj_u.states, traj_w.states, (idx,))[0]
         for t, dist in zip(traj_u.times.tolist(), dists):
             table.append({"n": n, "t": t, "distance": dist,
                           "ratio": dist / t if t > 0 else float("nan"),
                           "v0n_norm": norms["v0n"], "w0n_norm": norms["w0n"],
                           "u0n_norm": norms["u0n"]})
+        del traj_u, traj_w
     # every n shares cfg, so each has m snapshots at the same times, the
     # first at t = 0: snapshot i of the k-th n is row k m + i
     m = len(table) // len(n_list)
@@ -266,8 +312,7 @@ def _nonuniform_core(name: str, idx: BesovIndex, n_list, omega: float,
                     "omega": omega, "length": length, "kappa": KAPPA_DEFAULT,
                     "t_end": cfg.t_end, "dt": cfg.dt, "steps": steps,
                     "snapshot_every": cfg.snapshot_every,
-                    "grid_points": {n: b.grid.n_points
-                                    for n, (_, b, _) in setups.items()},
+                    "grid_points": grid_points,
                     "plot": {"x": "t", "y": "distance", "logscale": ""}},
         table=table,
         fits={"initial_gap_slope": gap_fit, "w_family_slope": wb_fit,

@@ -153,12 +153,15 @@ def _lp_rows(vals: np.ndarray, h: float, p: float) -> np.ndarray:
         return root(h * np.sum(a ** p, axis=-1))
     with np.errstate(over="ignore"):
         norms = root(h * np.sum(a ** p, axis=-1))
-    # |x|^p under- or overflows for p far past the values' range
+    # |x|^p under- or overflows for p far past the values' range: only those
+    # rows are summed again, scaled by their peak (Blue 1978, LAPACK dnrm2)
     peak = np.max(a, axis=-1)
-    if np.any(((norms == 0.0) | (norms == math.inf)) & (0.0 < peak)
-              & (peak < math.inf)):
-        raise InvalidParameterError(
-            f"the L^p norm at p={p!r} under- or overflows a float; use p=inf")
+    lost = (((norms == 0.0) | (norms == math.inf)) & (0.0 < peak)
+            & (peak < math.inf))
+    if np.any(lost):
+        top = peak[lost]
+        norms[lost] = root(h * np.sum((a[lost] / top[:, None]) ** p,
+                                      axis=-1)) * top
     return norms
 
 

@@ -70,6 +70,20 @@ def test_besov_output_matches_library(tmp_path, capsys, s, p, r):
                        zip(range(-1, bank.j_max + 1), want.tolist())]
 
 
+def test_besov_serves_every_finite_p(capsys):
+    # blocks that hold only rounding error underflow under |x|^p from about
+    # p = 16; they are summed scaled by their peak, so p = 20 lies near
+    # p = 19 and p = 1e308 gives the p = inf norm
+    norms = {}
+    for p in ("19", "20", "1e308", "inf"):
+        assert main(["besov", "--input", "smoke", "--s", "2", "--p", p]) == 0
+        _, val = capsys.readouterr().out.splitlines()[0].split(",")
+        norms[p] = float(val)
+    assert norms["20"] == pytest.approx(norms["19"], rel=1e-3)
+    assert norms["1e308"] == norms["inf"]
+    assert norms["inf"] == pytest.approx(0.06165048956724885, rel=1e-12)
+
+
 CAMPAIGN_STEPS = {"nonuniform-super": 48, "nonuniform-critical": 48,
                   "decomp-rates": 48, "critical-expansion": 48,
                   "continuity": 64, "picard": 200}
@@ -364,11 +378,7 @@ def test_cli_import_leaves_scipy_out():
     (["solve", "--init", "smoke", "--tend", "1e300", "--dt", "1e-300",
       "--out", "x"], "InvalidParameterError: t_end must lie in [dt, "
      "MAX_STEPS dt] = [dt, 1048576 dt]", "t_end=1e+300 dt=1e-300"),
-    # a finite p so far past the values' range that |x|^p underflows, and an
-    # amplitude 2^(-n s) below the normal floats
-    (["besov", "--input", "smoke", "--s", "2", "--p", "1e308"],
-     "InvalidParameterError: the L^p norm at p=1e+308 under- or overflows",
-     "use p=inf"),
+    # an amplitude 2^(-n s) below the normal floats
     (["data", "--family", "w0n", "--n", "5", "--s", "300", "--out",
       "x/w.csv"], "InvalidParameterError: w0n's amplitude", "n=5, s=300.0"),
     # --N 0 is a grid of 0 points, not the default grid
@@ -385,7 +395,7 @@ def test_cli_import_leaves_scipy_out():
         "besov-s-nan", "certify-empty-range", "solve-grid-too-small",
         "lagrangian-cross-check-cfl", "besov-weights-overflow",
         "besov-sum-overflow", "w0n-s-nan", "w0n-amplitude-overflow",
-        "solve-step-cap", "besov-p-underflow", "w0n-amplitude-underflow",
+        "solve-step-cap", "w0n-amplitude-underflow",
         "solve-n-zero", "continuity-n-zero"])
 def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
     proc = _run_script(argv, tmp_path)

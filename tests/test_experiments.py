@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from rchlab import experiments, spectral
 from rchlab.coefficients import derive_coefficients
-from rchlab.errors import InvalidParameterError
-from rchlab.eulerian import SolverConfig, Trajectory, _stage_times
+from rchlab.errors import BlowUpError, InvalidParameterError
+from rchlab.eulerian import SolverConfig, Trajectory, _stage_times, solve
 from rchlab.experiments import (ExperimentReport, Fit, Verdict,
                                 _residual_check, fit_line, grid_for_block,
                                 run_continuous_dependence,
@@ -17,7 +22,8 @@ from rchlab.experiments import (ExperimentReport, Fit, Verdict,
                                 run_nonuniform_critical,
                                 run_nonuniform_supercritical,
                                 run_picard_convergence, write_report)
-from rchlab.initial_data import _top_half, builtin_profile
+from rchlab.initial_data import (_top_half, build_family, build_psi,
+                                 builtin_profile)
 from rchlab.littlewood_paley import BesovIndex, besov_norm, build_filter_bank
 from rchlab.spectral import Field, PeriodicGrid
 
@@ -214,6 +220,114 @@ def test_sweep_reports_are_byte_identical_across_runs(tmp_path):
         for out in ("report.json", "table.csv", "plot.gp"):
             assert ((tmp_path / "a" / name / out).read_bytes()
                     == (tmp_path / "b" / name / out).read_bytes()), (name, out)
+
+
+def _family(n):
+    return build_family(build_psi(grid_for_block(n)), n, 2.0)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+def _solve_threads(monkeypatch):
+    """Patch ``experiments.solve`` to record, per solve, its member of the
+    family and whether it ran on the calling thread."""
+    families = [_family(n) for n in range(4, 8)]
+    calls = []
+
+    def recorded(u0, params, cfg):
+        member = next(m for fam in families for m in ("u0n", "w0n")
+                      if np.array_equal(u0.values, getattr(fam, m).values))
+        calls.append((member, threading.current_thread()
+                      is threading.main_thread()))
+        return solve(u0, params, cfg)
+
+    monkeypatch.setattr(experiments, "solve", recorded)
+    return calls
+
+
+def test_pair_runs_u0n_on_a_worker_and_w0n_on_the_calling_thread(
+        monkeypatch, tmp_path):
+    calls = _solve_threads(monkeypatch)
+    runs = {}
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        calls.clear()
+        report = run_nonuniform_supercritical(2.0, 2.0, 2.0, range(4, 8),
+                                              steps=4)
+        runs[cpus] = sorted(calls)
+        write_report(report, tmp_path / str(cpus))
+    assert runs[2] == [("u0n", False)] * 4 + [("w0n", True)] * 4
+    assert runs[1] == [("u0n", True)] * 4 + [("w0n", True)] * 4  # no thread
+    for out in ("report.json", "table.csv", "plot.gp"):
+        assert ((tmp_path / "1" / out).read_bytes()
+                == (tmp_path / "2" / out).read_bytes()), out
+
+
+@pytest.mark.parametrize("fail, raised", [
+    ({"u0n": 0.25, "w0n": 0.5}, "u0n"),
+    ({"w0n": 0.5}, "w0n"),
+    ({"u0n": 0.25}, "u0n"),
+], ids=["both", "w0n-only", "u0n-only"])
+def test_pair_raises_the_error_a_serial_run_raises(monkeypatch, fail, raised):
+    # u0n's error comes last in time, so only the serial order picks it
+    fam = _family(5)
+
+    def failing(u0, params, cfg):
+        for member, t in fail.items():
+            if np.array_equal(u0.values, getattr(fam, member).values):
+                if member == "u0n":
+                    time.sleep(0.05)
+                raise BlowUpError(f"{member} blew up", time=t)
+        return solve(u0, params, cfg)
+
+    monkeypatch.setattr(experiments, "solve", failing)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(BlowUpError, match=f"^{raised} blew up$") as info:
+        run_nonuniform_supercritical(2.0, 2.0, 2.0, range(4, 8), steps=4)
+    assert info.value.time == fail[raised]
+
+
+def test_concurrent_solves_on_one_grid_match_serial_solves():
+    fam = _family(6)
+    params = derive_coefficients(1.0)
+    cfg = SolverConfig.sampled(0.05, 8, 4)
+    data = [fam.u0n, fam.w0n] * 2  # more threads than the pair's two
+    serial = [solve(f, params, cfg).states for f in data]
+    # every thread starts on cold symbol caches, to race on their one entry,
+    # and switches often
+    spectral._dx_symbol.cache_clear()
+    spectral._flux_symbol.cache_clear()
+    start = threading.Barrier(len(data), timeout=60)
+    states = [None] * len(data)
+
+    def run(i, f):
+        start.wait()
+        states[i] = solve(f, params, cfg).states
+
+    threads = [threading.Thread(target=run, args=(i, f))
+               for i, f in enumerate(data)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got, want in zip(states, serial):
+        assert np.array_equal(got, want)
+
+
+def test_decomposition_rates_serve_a_large_finite_p():
+    # blocks holding only rounding error underflow under |x|^16, and are
+    # summed scaled by their peak rather than refused
+    report = run_decomposition_rates(2.5, 16.0, 2.0, range(4, 8), steps=8)
+    assert report.all_passed()
 
 
 def _kappa_by_time_matching(report):

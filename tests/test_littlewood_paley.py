@@ -174,16 +174,28 @@ def test_lp_norm_validation():
     assert lp_norm(f, math.inf) == 1.0
     assert lp_norm(f, 1.0) == pytest.approx(GRID.length, rel=1e-12)
     # at a p far past the values' range, |x|^p underflows below 1 and
-    # overflows above it; a zero row's norm is still 0, and a p the values
-    # allow keeps the formula
+    # overflows above it: such a row is summed scaled by its peak, which
+    # gives the peak itself at p = 1e308; a zero row's norm is still 0, and
+    # a row that neither under- nor overflows keeps the formula's bits
     small, big = 0.5 * f.values, 3.0 * f.values
-    for vals in (small, big, np.stack([0.0 * small, small])):
-        with pytest.raises(InvalidParameterError,
-                           match=r"at p=1e\+308 .*; use p=inf$"):
-            lp._lp_rows(vals, GRID.spacing, 1e308)
+    for vals, peak in ((small, 0.5), (big, 3.0)):
+        assert lp._lp_rows(vals, GRID.spacing, 1e308) == peak
+        assert lp_norm(Field(GRID, vals), 1e308) == lp_norm(Field(GRID, vals),
+                                                             math.inf)
+    assert lp._lp_rows(np.stack([0.0 * small, small]), GRID.spacing,
+                       1e308).tolist() == [0.0, 0.5]
     assert lp._lp_rows(np.zeros((2, 16)), 0.1, 1e308).tolist() == [0.0, 0.0]
     want = float(GRID.spacing * np.sum(small ** 3.0)) ** (1.0 / 3.0)
     assert lp_norm(Field(GRID, small), 3.0) == want
+    # beside a row whose sum underflows, a row whose sum does not keeps
+    # its bits
+    tiny = 1e-17 * np.cos(GRID.x)
+    rows = lp._lp_rows(np.stack([tiny, small]), GRID.spacing, 20.0)
+    want = float(GRID.spacing * np.sum(small ** 20.0)) ** (1.0 / 20.0)
+    assert rows[1] == want
+    scaled = (float(GRID.spacing * np.sum((np.abs(tiny) / 1e-17) ** 20.0))
+              ** (1.0 / 20.0)) * 1e-17
+    assert rows[0] == scaled > 0.0
 
 
 def test_besov_tail_diagnostic_only_at_debug(caplog, monkeypatch):
