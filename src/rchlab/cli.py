@@ -112,7 +112,9 @@ def _cmd_besov(args) -> int:
 
 
 def _write_csv(path, header, rows) -> None:
-    """Write ``header``, then each row's numbers as ``repr`` of a float."""
+    """Write ``header``, then each row's numbers as ``repr`` of a float, into
+    ``path``, making its directory if need be."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -139,13 +141,14 @@ def _cmd_solve(args) -> int:
     bank = build_filter_bank(u0.grid)
     traj = solve(u0, params, cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # norms.csv first, and its rows are measured before its directory is
+    # made: an index whose weights overflow writes nothing
+    _write_norm_table(out / "norms.csv", traj, bank,
+                      args.besov or [BesovIndex(2.0, 2.0, 2.0)])
     for i in range(len(traj.times)):
         f = traj.field_at(i)
         field_to_binary(f, out / f"snap_{i:04d}.bin")
         field_to_csv(f, out / f"snap_{i:04d}.csv")
-    indices = args.besov or [BesovIndex(2.0, 2.0, 2.0)]
-    _write_norm_table(out / "norms.csv", traj, bank, indices)
     final = traj.final()
     print(f"integrated to t={traj.times[-1]:g} in {len(traj.times)} snapshots"
           f" -> {out}")
@@ -165,7 +168,6 @@ def _cmd_lagrangian(args) -> int:
     # the grid solver runs before any output, so its refusal writes nothing
     eul = solve(u0, params, cfg) if args.cross_check else None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for i, state in enumerate(traj.states):
         _write_csv(out / f"flow_{i:04d}.csv", ["xi", "y", "y_xi", "U", "U_xi"],
                    zip(state.labels, state.y, state.y_xi, state.U, state.U_xi))

@@ -96,7 +96,6 @@ class Trajectory:
     """Snapshots of one solver run on a common grid."""
 
     grid: PeriodicGrid
-    params: ModelParams
     times: np.ndarray
     states: np.ndarray  # shape (n_snapshots, n_points)
 
@@ -293,8 +292,7 @@ def solve(u0: Field, params: ModelParams, cfg: SolverConfig) -> Trajectory:
     times, snaps = _rk4_march(
         rfft(u0.values), u0.values, cfg,
         lambda tau, s: _nonlinear_spec(s, grid, params)[0], to_lattice, cfl)
-    return Trajectory(grid=grid, params=params, times=times,
-                      states=np.asarray(snaps))
+    return Trajectory(grid=grid, times=times, states=np.asarray(snaps))
 
 
 def _interpolate_in_time(traj: Trajectory, taus) -> np.ndarray:
@@ -383,7 +381,7 @@ def picard_iterate(u0: Field, params: ModelParams, cfg: SolverConfig,
                           taus)
         times, snaps = _rk4_march(np.zeros_like(s0), u0.values, every_step,
                                   rhs, guard=to_lattice)
-        iterates.append(Trajectory(grid=grid, params=params, times=times,
+        iterates.append(Trajectory(grid=grid, times=times,
                                    states=np.asarray(snaps)))
         del snaps  # else the list lives through the next iterate's march
     return iterates

@@ -499,14 +499,20 @@ def run_continuous_dependence(s: float, p: float, r: float, eps_list,
     u0 = builtin_profile("smoke", grid)
     bump = build_psi(grid)
     pert = Field(grid, bump.field.values / bump.peak)
+    perturbed = {eps: u0.values + eps * pert.values for eps in eps_list}
+    for eps, vals in perturbed.items():
+        if np.array_equal(vals, u0.values):
+            raise InvalidParameterError(f"eps={eps!r} leaves the data "
+                                        f"unchanged: u0 + eps psi/peak "
+                                        f"rounds to u0")
     bank = build_filter_bank(grid)
     if t_end is None:
         t_end = 0.5 * kappa_horizon(besov_norm(bank, u0, idx))
     cfg = SolverConfig.sampled(t_end, steps, DEFAULT_SAMPLES, dt)
     base = solve(u0, params, cfg)
     table: list[dict] = []
-    for eps in eps_list:
-        traj = solve(Field(grid, u0.values + eps * pert.values), params, cfg)
+    for eps, vals in perturbed.items():
+        traj = solve(Field(grid, vals), params, cfg)
         table.append({"eps": eps, "sup_distance": max(
             _distances(bank, traj.states, base.states, (idx,))[0])})
     dists = [row["sup_distance"] for row in table]

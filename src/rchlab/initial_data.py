@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import FrequencyOverflowError, InvalidParameterError
 from .littlewood_paley import (BesovIndex, DyadicFilterBank, _besov_rows,
-                               block_profile, build_filter_bank, lp_norm,
-                               sequence_norm, smooth_plateau, weight_profile)
+                               _weighted, block_profile, build_filter_bank,
+                               lp_norm, smooth_plateau)
 from .spectral import (Field, PeriodicGrid, _dx_symbol, conv_spec, irfft, rfft,
                        synthesize)
 
@@ -66,18 +66,13 @@ def max_feasible_n(grid: PeriodicGrid) -> int:
     dealias cap, or -1 when none does.
 
     The snapped carrier never falls as n grows, so the indices that fit are
-    0 .. max_feasible_n.  A snap moves the carrier by at most half a lattice
-    step, so no index fits whose raw carrier passes the cap's room by more
-    than that; the search walks down from the first such index.
+    0 .. max_feasible_n, and the walk up from -1 stops at the last of them.
     """
-    room = grid.dealias_cap - SUPPORT_RADIUS + np.pi / grid.length
-    if room <= 0:
-        return -1
+    n = -1
     # 2.0**1024 overflows
-    n = min(max(0, math.floor(math.log2(room / CARRIER_RATIO)) + 2), 1023)
-    while n >= 0 and (_snapped_carrier(grid, n)[0] + SUPPORT_RADIUS
-                      > grid.dealias_cap):
-        n -= 1
+    while n < 1023 and (_snapped_carrier(grid, n + 1)[0] + SUPPORT_RADIUS
+                        <= grid.dealias_cap):
+        n += 1
     return n
 
 
@@ -229,11 +224,12 @@ def certification_tables(bump: BumpProfile, n_range, s: float, p: float,
     v_profile = (block_profile(bank, make_v0n(bump, n_min), p)
                  if p in (1.0, 2.0, math.inf) else None)
 
+    v_idx = BesovIndex(s, p, r)
+
     def v0n_besov(n: int, sv: np.ndarray) -> float:
         if v_profile is None:
-            return _besov_rows(bank, sv, (BesovIndex(s, p, r),))[0][0]
-        return sequence_norm(weight_profile(2.0 ** (n_min - n) * v_profile, s),
-                             r)
+            return _besov_rows(bank, sv, (v_idx,))[0][0]
+        return _weighted(2.0 ** (n_min - n) * v_profile, v_idx)[1]
 
     def row(n: int) -> list[float]:
         sw = rfft(make_w0n(bump, n, s).values)

@@ -39,7 +39,6 @@ class LagrangianState:
 class LagrangianTrajectory:
     times: np.ndarray
     states: list[LagrangianState]
-    params: ModelParams
 
 
 def initial_state(u0: Field) -> LagrangianState:
@@ -57,6 +56,13 @@ def _check_monotone(y: np.ndarray, period: float, time=None) -> None:
     if gaps.size and not (np.min(gaps) > 0.0 and seam > 0.0):
         raise DiffeomorphismError(
             "particle map lost strict monotonicity", time=time)
+
+
+def _check_particles(arr: np.ndarray, period: float, time=None) -> None:
+    """The packed state's map is a diffeomorphism: y_xi > 0, y increasing."""
+    if not (np.min(arr[1]) > 0.0):  # a NaN fails it too
+        raise DiffeomorphismError("y_xi must stay positive", time=time)
+    _check_monotone(arr[0], period, time=time)
 
 
 def _one_sided_scan(w: np.ndarray, y: np.ndarray,
@@ -166,10 +172,8 @@ def _unpack(grid, labels, arr) -> LagrangianState:
 def _rhs_packed(arr: np.ndarray, grid: PeriodicGrid,
                 params: ModelParams) -> np.ndarray:
     """Time derivative of the packed state ``(y, y_xi, U, U_xi)``."""
+    _check_particles(arr, grid.length)
     y, y_xi, U, U_xi = arr[0], arr[1], arr[2], arr[3]
-    if not (np.min(y_xi) > 0.0):  # a NaN fails it too
-        raise DiffeomorphismError("y_xi must stay positive")
-    _check_monotone(y, grid.length)
     # u_x and u_x^2 / 2 are formed in the rows the two fluxes fill later
     out = np.empty_like(arr)
     ux = np.divide(U_xi, y_xi, out=out[2])
@@ -212,9 +216,7 @@ def lagrangian_solve(state0: LagrangianState, params: ModelParams,
                           time=0.0)
 
     def guard(arr, t, t_next):
-        if not (np.min(arr[1]) > 0.0):
-            raise DiffeomorphismError("y_xi went nonpositive", time=t_next)
-        _check_monotone(arr[0], grid.length, time=t_next)
+        _check_particles(arr, grid.length, time=t_next)
         _check_state(arr[2], t_last_good=t)
         return arr
 
@@ -230,7 +232,7 @@ def lagrangian_solve(state0: LagrangianState, params: ModelParams,
         arr0, arr0, cfg, lambda tau, arr: _rhs_packed(arr, grid, params),
         guard=guard)
     states = [_unpack(grid, state0.labels, arr) for arr in snaps]
-    return LagrangianTrajectory(times=times, states=states, params=params)
+    return LagrangianTrajectory(times=times, states=states)
 
 
 def _pchip_end_slope(h0, h1, m0, m1) -> float:

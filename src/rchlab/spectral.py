@@ -110,9 +110,6 @@ class Field:
                 f"{self.grid.n_points}")
         self.values = vals
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
 
 def require_same_grid(f: Field, g: Field) -> PeriodicGrid:
     if f.grid != g.grid:

@@ -195,7 +195,7 @@ def test_norm_table_matches_per_row_besov_norms(tmp_path):
     grid = PeriodicGrid(64.0 * np.pi, 2**12)
     assert spectral._stack_rows(grid.n_points) == 8
     rng = np.random.default_rng(23)
-    traj = Trajectory(grid, derive_coefficients(1.0), 0.01 * np.arange(11.0),
+    traj = Trajectory(grid, 0.01 * np.arange(11.0),
                       rng.normal(size=(11, grid.n_points)))
     bank = build_filter_bank(grid)
     indices = [BesovIndex(1.5, 1.0, 1.0), BesovIndex(2.0, 2.0, 2.0),
@@ -387,6 +387,15 @@ def test_cli_import_leaves_scipy_out():
      "InvalidParameterError: n_points must be a power of two", "got 0"),
     (["continuity", "--N", "0", "--steps", "2", "--out", "x"],
      "InvalidParameterError: n_points must be a power of two", "got 0"),
+    # norms.csv is measured before any snapshot is written
+    (["solve", "--init", "smoke", "--tend", "0.05", "--dt", "0.01",
+      "--besov", "300,2,2", "--out", "x"],
+     "InvalidParameterError: the weights 2^(js) or their l^r sum overflow",
+     "s=300.0, r=2.0"),
+    # u0 + eps psi/peak equals u0 bit for bit: refused before any solve
+    (["continuity", "--N", "2048", "--steps", "4", "--eps", "1e-300",
+      "--eps", "1e-301", "--out", "x"],
+     "InvalidParameterError: eps=1e-300 leaves the data unchanged", ""),
 ], ids=["invalid-parameter", "grid-cap", "grid-cap-far", "frequency-overflow",
         "frequency-overflow-far", "cfl", "blow-up", "missing-file",
         "solve-dt-zero", "solve-tend-nan", "solve-tend-inf",
@@ -396,7 +405,8 @@ def test_cli_import_leaves_scipy_out():
         "lagrangian-cross-check-cfl", "besov-weights-overflow",
         "besov-sum-overflow", "w0n-s-nan", "w0n-amplitude-overflow",
         "solve-step-cap", "w0n-amplitude-underflow",
-        "solve-n-zero", "continuity-n-zero"])
+        "solve-n-zero", "continuity-n-zero", "solve-besov-weights-overflow",
+        "continuity-eps-unchanged"])
 def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
     proc = _run_script(argv, tmp_path)
     assert proc.returncode == 2

@@ -303,7 +303,7 @@ def test_block_interpolation_matches_the_scalar_loop(n_snaps):
     rng = np.random.default_rng(n_snaps)
     times = 0.01 * np.arange(float(n_snaps))
     times[-1] -= 0.004  # a short last step
-    traj = eulerian.Trajectory(GRID, P0, times,
+    traj = eulerian.Trajectory(GRID, times,
                                rng.normal(size=(n_snaps, GRID.n_points)))
     stages = np.ravel([(t, t + 0.5 * (tn - t), tn)
                        for t, tn in zip(times[:-1], times[1:])])
@@ -349,8 +349,7 @@ def _per_tau_picard(u0, params, cfg, m_iters):
                else lambda tau, w: np.zeros_like(w))
         times, snaps = eulerian._rk4_march(np.zeros_like(s0), u0.values,
                                            every_step, rhs, guard=to_lattice)
-        iterates.append(eulerian.Trajectory(grid, params, times,
-                                            np.asarray(snaps)))
+        iterates.append(eulerian.Trajectory(grid, times, np.asarray(snaps)))
     return iterates
 
 

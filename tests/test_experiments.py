@@ -46,8 +46,7 @@ def test_residual_rows_match_a_per_snapshot_loop(p):
     u0 = Field(grid, rng.normal(size=grid.n_points))
     h = Field(grid, rng.normal(size=grid.n_points))
     times = 0.01 * np.arange(11.0)
-    traj = Trajectory(grid, derive_coefficients(1.0), times,
-                      rng.normal(size=(11, grid.n_points)))
+    traj = Trajectory(grid, times, rng.normal(size=(11, grid.n_points)))
     table = [{"n": 4}]
     fit, verdict = _residual_check(table, 5, bank, u0, traj, h, idx, "resid",
                                    "at n=5")

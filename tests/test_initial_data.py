@@ -100,20 +100,33 @@ def test_overflow_reports_feasible_range():
         modulation_frequency(grid, -1)
 
 
+# (length, log2 N) -> max_feasible_n for the pinned examples below
+PINNED_TOPS = {(3.0484360638576447, 8): 7, (35.270227409190504, 5): -1,
+               (5e-307, 4): 1022}
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, math.log(5000.0)).map(math.exp), st.integers(4, 11))
 # the lattice snap rounds the carrier of n = 7 under the cap
 @example(3.0484360638576447, 8)
 # ... and that of n = 0 over it, so no index fits
 @example(35.270227409190504, 5)
-# a cap near the float limit: 1022 fits, and the walk starts below 2^1024
+# a cap near the float limit: 1022 fits, and 2^n stays below 2^1024
 @example(5e-307, 4)
 def test_max_feasible_n_is_the_largest_index_the_snap_accepts(length, log_n):
     grid = PeriodicGrid(length, 2**log_n)
     top = max_feasible_n(grid)
+    assert top == PINNED_TOPS.get((length, log_n), top)
     assert top >= -1
+
+    def fits(n):
+        return (initial_data._snapped_carrier(grid, n)[0]
+                + initial_data.SUPPORT_RADIUS <= grid.dealias_cap)
+
     if top >= 0:
+        assert fits(top)
         modulation_frequency(grid, top)
+    assert not fits(top + 1)
     with pytest.raises(FrequencyOverflowError) as info:
         modulation_frequency(grid, top + 1)
     assert info.value.max_feasible_n == top
