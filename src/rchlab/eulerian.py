@@ -46,8 +46,8 @@ import numpy as np
 from .coefficients import ModelParams
 from .errors import BlowUpError, CFLError, InvalidParameterError, RchlabError
 from .spectral import (Field, PeriodicGrid, _dx_symbol, _flux_symbol,
-                       _stack_rows, conv_spec, dealias_spec, ddx, irfft,
-                       mode_energies, pad_values, project_values, rfft)
+                       _k_squared, _stack_rows, conv_spec, dealias_spec, ddx,
+                       irfft, mode_energies, pad_values, project_values, rfft)
 
 CFL_FRACTION = 0.5
 BLOWUP_THRESHOLD = 1e8
@@ -182,8 +182,9 @@ def kappa_horizon(u0_norm: float, kappa: float = KAPPA_DEFAULT) -> float:
 
 def h1_integral(f: Field) -> float:
     """The conserved quadratic integral: sum of lattice L2 masses of u and u_x."""
-    # the weight of u_x is |i k|^2, zero at the unpaired Nyquist mode it loses
-    sym = 1.0 + np.abs(_dx_symbol(f.grid)) ** 2
+    # the weight of u_x is k^2, zero at the unpaired Nyquist mode it loses
+    sym = 1.0 + _k_squared(f.grid)
+    sym[-1] = 1.0
     return float(f.grid.length * np.sum(sym * mode_energies(f)))
 
 

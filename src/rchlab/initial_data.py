@@ -44,10 +44,9 @@ class BumpProfile:
 def build_psi(grid: PeriodicGrid) -> BumpProfile:
     """Synthesize the plateau bump; requires the lattice to resolve its
     transition band (frequency spacing at most 1/32)."""
-    dk = 2.0 * np.pi / grid.length
-    if dk > 1.0 / 32.0 + 1e-15:
+    if grid.dk > 1.0 / 32.0 + 1e-15:
         raise InvalidParameterError(
-            f"frequency spacing {dk:.4g} too coarse for the plateau profile; "
+            f"frequency spacing {grid.dk:.4g} too coarse for the plateau profile; "
             f"need length >= {64.0 * np.pi:.4g}")
     f = synthesize(grid, lambda k: smooth_plateau(k, PLATEAU_RADIUS, SUPPORT_RADIUS))
     return BumpProfile(grid=grid, field=f)
@@ -57,8 +56,7 @@ def _snapped_carrier(grid: PeriodicGrid, n: int) -> tuple[float, float]:
     """The carrier of index n rounded to the nearest lattice wavenumber, and
     the raw carrier."""
     k_raw = CARRIER_RATIO * 2.0**n
-    dk = 2.0 * np.pi / grid.length
-    return round(k_raw / dk) * dk, k_raw
+    return round(k_raw / grid.dk) * grid.dk, k_raw
 
 
 def max_feasible_n(grid: PeriodicGrid) -> int:
@@ -255,8 +253,7 @@ def builtin_profile(name: str, grid: PeriodicGrid) -> Field:
         return Field(grid, np.zeros(grid.n_points))
     if name == "smoke":
         bump = build_psi(grid)
-        dk = 2.0 * np.pi / grid.length
-        q = round(0.75 / dk) * dk
+        q = round(0.75 / grid.dk) * grid.dk
         vals = 0.25 / bump.peak * bump.field.values * np.cos(q * grid.x)
         return Field(grid, vals)
     if name == "psi":

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .spectral import (Field, PeriodicGrid, _spectrum_energies, _stack_rows,
-                       ddx, irfft, mode_energies, rfft)
+from .spectral import (Field, PeriodicGrid, _k_squared, _spectrum_energies,
+                       _stack_rows, ddx, irfft, mode_energies, rfft)
 
 log = logging.getLogger(__name__)
 
@@ -304,7 +304,7 @@ def besov_norm(bank: DyadicFilterBank, f: Field, idx: BesovIndex) -> float:
 
 def sobolev_h_norm(f: Field, s: float) -> float:
     """Fractional Sobolev norm via the lattice Plancherel identity."""
-    sym = (1.0 + f.grid.k**2) ** s
+    sym = (1.0 + _k_squared(f.grid)) ** s
     return float(math.sqrt(f.grid.length * np.sum(sym * mode_energies(f))))
 
 

@@ -51,34 +51,42 @@ def _stack_rows(m: int) -> int:
     return max(1, _STACK_POINTS // m)
 
 
-class PeriodicGrid:
-    """Uniform lattice on a torus of circumference ``length``.
+def _lattice_nyquist(length: float, n_points: int) -> float:
+    """k_Nyquist = pi/h of (L, N), refused when they make no lattice: the one
+    rule, which :class:`PeriodicGrid` and ``experiments.grid_for_block`` apply."""
+    if not (length > 0.0 and np.isfinite(length)):
+        raise InvalidParameterError(f"length must be positive, got {length!r}")
+    if n_points < 16 or (n_points & (n_points - 1)) != 0:
+        raise InvalidParameterError(
+            f"n_points must be a power of two >= 16, got {n_points!r}")
+    if n_points > MAX_POINTS:
+        raise InvalidParameterError(
+            f"n_points {n_points} exceeds the limit MAX_POINTS = 2^"
+            f"{MAX_POINTS.bit_length() - 1}")
+    spacing = float(length) / int(n_points)
+    k_nyquist = np.pi / spacing if spacing > 0.0 else math.inf
+    if not math.isfinite(k_nyquist):
+        raise InvalidParameterError(
+            f"length {length!r} puts k_Nyquist past the float range")
+    return k_nyquist
 
-    ``n_points`` must be a power of two, at least 16, so dyadic filter banks
-    and padded transforms stay exact, and at most ``MAX_POINTS``.
+
+class PeriodicGrid:
+    """Uniform lattice on a torus of circumference ``length``, wavenumbers
+    ``k`` spaced ``dk`` = 2 pi/L apart.  ``n_points`` is a power of two in [16,
+    ``MAX_POINTS``], so dyadic filter banks and padded transforms stay exact;
+    :func:`_lattice_nyquist` holds that rule and the length rule.
     """
 
     def __init__(self, length: float, n_points: int):
-        if not (length > 0.0 and np.isfinite(length)):
-            raise InvalidParameterError(f"length must be positive, got {length!r}")
-        if n_points < 16 or (n_points & (n_points - 1)) != 0:
-            raise InvalidParameterError(
-                f"n_points must be a power of two >= 16, got {n_points!r}")
-        if n_points > MAX_POINTS:
-            raise InvalidParameterError(
-                f"n_points {n_points} exceeds the limit MAX_POINTS = 2^"
-                f"{MAX_POINTS.bit_length() - 1}")
+        self.k_nyquist = _lattice_nyquist(length, n_points)
         self.length = float(length)
         self.n_points = int(n_points)
         self.spacing = self.length / self.n_points
-        self.k_nyquist = np.pi / self.spacing
-        # refused before k is formed, whose top entry would overflow too
-        if not math.isfinite(self.k_nyquist):
-            raise InvalidParameterError(
-                f"length {length!r} puts k_Nyquist past the float range")
         self.x = -0.5 * self.length + self.spacing * np.arange(self.n_points)
+        self.dk = 2.0 * np.pi / self.length
         # one-sided (rfft) wavenumbers, 0..pi/h
-        self.k = (2.0 * np.pi / self.length) * np.arange(self.n_points // 2 + 1)
+        self.k = self.dk * np.arange(self.n_points // 2 + 1)
         self.dealias_cap = TWO_THIRDS * self.k_nyquist
         # k increases with the index: the modes above the cap start here
         self._dealias_from = int(np.sum(self.k <= self.dealias_cap))
@@ -111,12 +119,6 @@ class Field:
         self.values = vals
 
 
-def require_same_grid(f: Field, g: Field) -> PeriodicGrid:
-    if f.grid != g.grid:
-        raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
-    return f.grid
-
-
 def mode_amplitudes(f: Field) -> np.ndarray:
     """One-sided complex mode amplitudes ``rfft(values)/N`` (phase included)."""
     return rfft(f.values) / f.grid.n_points
@@ -146,12 +148,23 @@ def _dx_symbol(grid: PeriodicGrid) -> np.ndarray:
     return sym
 
 
+def _k_squared(grid: PeriodicGrid) -> np.ndarray:
+    """k^2 on the one-sided spectrum, the symbol of -d_xx.  A lattice whose
+    k_Nyquist^2 leaves the float range is refused here, not by the grid: on
+    it neither (1 - d_xx)^{-1} nor an H^s weight can be formed."""
+    top = float(grid.k[-1])
+    if not math.isfinite(top * top):
+        raise InvalidParameterError(
+            f"length {grid.length!r} puts k_Nyquist^2 past the float range")
+    return grid.k**2
+
+
 @functools.lru_cache(maxsize=1)
 def _flux_symbol(grid: PeriodicGrid) -> np.ndarray:
     """The symbol -i k / (1 + k^2) of -d_x (1 - d_xx)^{-1}, which turns the
     nonlocal flux's integrand into G; read-only, cached like
     :func:`_dx_symbol`."""
-    sym = -_dx_symbol(grid) / (1.0 + grid.k**2)
+    sym = -_dx_symbol(grid) / (1.0 + _k_squared(grid))
     sym.flags.writeable = False
     return sym
 
@@ -169,7 +182,7 @@ def ddx(f: Field) -> Field:
 
 def helmholtz_inverse(f: Field) -> Field:
     """Apply (1 - d_xx)^{-1}, i.e. convolution with the kernel exp(-|x|)/2."""
-    return _fourier_multiplier(f, 1.0 / (1.0 + f.grid.k**2))
+    return _fourier_multiplier(f, 1.0 / (1.0 + _k_squared(f.grid)))
 
 
 def grad_p_conv(f: Field) -> Field:
@@ -257,7 +270,9 @@ def product(f: Field, g: Field, dealias: bool = False) -> Field:
     With ``dealias=True`` both inputs and the output are truncated by the
     2/3 rule.
     """
-    grid = require_same_grid(f, g)
+    if f.grid != g.grid:
+        raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
+    grid = f.grid
     sa, sb = rfft(f.values), rfft(g.values)
     if dealias:
         sa, sb = dealias_spec(sa, grid), dealias_spec(sb, grid)

@@ -396,6 +396,26 @@ def test_cli_import_leaves_scipy_out():
     (["continuity", "--N", "2048", "--steps", "4", "--eps", "1e-300",
       "--eps", "1e-301", "--out", "x"],
      "InvalidParameterError: eps=1e-300 leaves the data unchanged", ""),
+    # a length whose spacing or k_Nyquist leaves the float range, through
+    # the grid and through the sizing for a mode index alike
+    (["besov", "--input", "smoke", "--s", "2", "--L", "1e-320"],
+     "InvalidParameterError: length 1e-320 puts k_Nyquist past the float "
+     "range", ""),
+    (["data", "--family", "w0n", "--n", "5", "--L", "1e-320", "--out",
+      "x/w.csv"], "InvalidParameterError: length 1e-320 puts k_Nyquist past "
+     "the float range", ""),
+    (["data", "--certify", "--n-min", "5", "--n-max", "6", "--L", "1e-320",
+      "--out", "x/c.csv"], "InvalidParameterError: length 1e-320 puts "
+     "k_Nyquist past the float range", ""),
+    (["nonuniform-super", "--L", "1e-320", "--steps", "2", "--out", "x"],
+     "InvalidParameterError: length 1e-320 puts k_Nyquist past the float "
+     "range", ""),
+    # a lattice whose k_Nyquist^2 overflows has no (1 - d_xx)^{-1}: refused
+    # at the first RHS, with no numpy warning and no NaN in norms.csv
+    (["solve", "--init", "zero", "--L", "1e-300", "--tend", "0.02", "--dt",
+      "0.01", "--besov", "0,2,2", "--out", "x"],
+     "InvalidParameterError: length 1e-300 puts k_Nyquist^2 past the float "
+     "range", " t=0.0"),
 ], ids=["invalid-parameter", "grid-cap", "grid-cap-far", "frequency-overflow",
         "frequency-overflow-far", "cfl", "blow-up", "missing-file",
         "solve-dt-zero", "solve-tend-nan", "solve-tend-inf",
@@ -406,7 +426,9 @@ def test_cli_import_leaves_scipy_out():
         "besov-sum-overflow", "w0n-s-nan", "w0n-amplitude-overflow",
         "solve-step-cap", "w0n-amplitude-underflow",
         "solve-n-zero", "continuity-n-zero", "solve-besov-weights-overflow",
-        "continuity-eps-unchanged"])
+        "continuity-eps-unchanged", "besov-length-subnormal",
+        "w0n-length-subnormal", "certify-length-subnormal",
+        "nonuniform-length-subnormal", "solve-k-squared-overflow"])
 def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
     proc = _run_script(argv, tmp_path)
     assert proc.returncode == 2

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.fft import irfft, rfft
@@ -17,6 +17,8 @@ from scipy.fft import irfft, rfft
 from rchlab import spectral
 from rchlab.errors import GridMismatchError, InvalidParameterError
 from rchlab.eulerian import h1_integral
+from rchlab.experiments import grid_for_block
+from rchlab.littlewood_paley import sobolev_h_norm
 from rchlab.spectral import (Field, PeriodicGrid, _spectrum_energies,
                              _stack_rows, conv_spec, ddx, dealias,
                              dealias_spec, field_from_binary, field_from_csv,
@@ -484,6 +486,57 @@ def test_grid_refuses_a_length_that_overflows_k_nyquist():
     # wavenumbers are formed, with no overflow warning on the way
     with pytest.raises(InvalidParameterError, match="k_Nyquist"):
         PeriodicGrid(1e-307, 16)
+
+
+TINY = 2.2250738585072014e-308  # the least normal float
+# the whole float line but (1e3, 1e200), where grid_for_block(6) would take
+# up to 2^24 points before it refuses: every grid drawn stays under 2^17
+LENGTHS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     1e-320, TINY, 64.0 * math.pi, 1e3, 1e200,
+                     1.7976931348623157e308]),
+    st.floats(max_value=0.0),
+    st.floats(5e-324, TINY, exclude_max=True),
+    st.floats(TINY, 1e-100),
+    st.floats(64.0 * math.pi, 1e3),
+    st.floats(1e200, allow_infinity=False))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(LENGTHS, st.integers(4, 12), st.integers(0, 6))
+# the spacing L/N rounds to 0
+@example(5e-324, 4, 0)
+# the spacing is subnormal and pi/h overflows
+@example(1e-320, 4, 5)
+def test_every_length_makes_a_lattice_or_is_refused(length, log_n, n_block):
+    # PeriodicGrid and grid_for_block apply one length rule: each returns a
+    # grid with a finite k_Nyquist or raises InvalidParameterError, and
+    # neither warns nor raises anything else on the way
+    for build in (lambda: PeriodicGrid(length, 2**log_n),
+                  lambda: grid_for_block(n_block, length)):
+        try:
+            grid = build()
+        except InvalidParameterError:
+            continue
+        assert grid.spacing > 0.0 and math.isfinite(grid.k_nyquist)
+        assert grid.n_points <= 2**16
+
+
+@pytest.mark.filterwarnings("error")
+def test_k_squared_past_the_float_range_is_refused():
+    # at L = 1e-300 the lattice exists, but k_Nyquist^2 overflows: the
+    # Helmholtz symbol, the H^1 weight and an H^s weight are refused, not
+    # formed as inf with a NaN after them
+    zero = Field(PeriodicGrid(1e-300, 4096), np.zeros(4096))
+    for op in (h1_integral, helmholtz_inverse, grad_p_conv,
+               lambda f: sobolev_h_norm(f, 1.0)):
+        with pytest.raises(InvalidParameterError, match="k_Nyquist\\^2"):
+            op(zero)
+    # one length where k_Nyquist^2 stays finite keeps its values
+    zero = Field(PeriodicGrid(1e-140, 4096), np.zeros(4096))
+    assert h1_integral(zero) == 0.0
+    assert np.all(grad_p_conv(zero).values == 0.0)
 
 
 def test_grid_above_the_cap_is_refused_before_allocating():
