@@ -26,7 +26,9 @@ Both factors of a stage's u^m v_x and its result are masked, so the 2/3 rule
 makes the N-point lattice exact below the cap, and the product is one
 :func:`conv_spec`, two transforms at N.  One stacked kernel call makes u^m and
 G(u^m) for a block of upcoming stage times, so a step costs 19 transforms, 15
-at N and 4 at 2N.
+at N and 4 at 2N.  :func:`_picard_iterates` yields the iterates one at a time
+and keeps only the last, which the next march reads, so the Picard campaign
+holds two iterates whatever the iteration count.
 
 Time stepping is classical RK4 with a fixed step in one march,
 :func:`_rk4_march`, shared by :func:`solve`, the Picard iterator for the
@@ -364,6 +366,13 @@ def picard_iterate(u0: Field, params: ModelParams, cfg: SolverConfig,
     4 at 2N: per new tau one of the interpolated u^m at N, and two at N and
     two at 2N in the kernel; per stage two at N, and one at N for the guard.
     """
+    return list(_picard_iterates(u0, params, cfg, m_iters))
+
+
+def _picard_iterates(u0: Field, params: ModelParams, cfg: SolverConfig,
+                     m_iters: int):
+    """Yield the iterates of :func:`picard_iterate` one at a time; past a
+    yield it holds only the iterate it yielded, which the next march reads."""
     if m_iters < 1:
         raise InvalidParameterError("m_iters must be >= 1")
     grid = u0.grid
@@ -376,13 +385,11 @@ def picard_iterate(u0: Field, params: ModelParams, cfg: SolverConfig,
         _check_state(vals, t_last_good=t)
         return vals
 
-    iterates: list[Trajectory] = []
+    prev = None
     for _ in range(m_iters):
-        rhs = _frozen_rhs(iterates[-1] if iterates else None, s0, grid, params,
-                          taus)
+        rhs = _frozen_rhs(prev, s0, grid, params, taus)
         times, snaps = _rk4_march(np.zeros_like(s0), u0.values, every_step,
                                   rhs, guard=to_lattice)
-        iterates.append(Trajectory(grid=grid, times=times,
-                                   states=np.asarray(snaps)))
-        del snaps  # else the list lives through the next iterate's march
-    return iterates
+        prev = Trajectory(grid=grid, times=times, states=np.asarray(snaps))
+        del rhs, snaps  # the iterate before, and a copy of this one
+        yield prev

@@ -14,7 +14,9 @@ three mode-index sweeps share one skeleton: :func:`_sweep_setup`, one helper
 for the top-half slope, and :func:`_residual_check`, which tabulates the
 first-order residual rows, fits their late-t exponent and gives its verdict.
 The non-uniform sweeps run each mode index's two solves side by side, on
-min(2, CPUs) threads; the reports do not depend on the thread count.
+min(2, CPUs) threads; the reports do not depend on the thread count.  The
+Picard campaign measures each iterate's gap as the iterate arrives and holds
+two iterates, the previous one and the last one.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import numpy as np
 
 from .coefficients import derive_coefficients
 from .errors import InvalidParameterError
-from .eulerian import (KAPPA_DEFAULT, SolverConfig, full_rhs, kappa_horizon,
-                       picard_iterate, solve, transport_diagnostic)
+from .eulerian import (KAPPA_DEFAULT, SolverConfig, _picard_iterates,
+                       full_rhs, kappa_horizon, solve, transport_diagnostic)
 from .initial_data import _top_half, build_family, build_psi, builtin_profile
 from .littlewood_paley import (BesovIndex, DyadicFilterBank, _chunked_norms,
                                _distances, _top_block, besov_norm, besov_norms,
@@ -549,13 +551,15 @@ def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
         t_end = kappa_horizon(besov_norm(bank, u0, idx))
     # every step: the terminal gap pairs the iterate's states with the solver's
     cfg = replace(SolverConfig.sampled(t_end, steps, 1, dt), snapshot_every=1)
-    iters = picard_iterate(u0, params, cfg, m_max)
+    # each gap is measured as its iterate arrives, holding two iterates;
+    # the first gap is the sup-t norm of iterate one, as iterate zero is 0
+    gaps = []
+    prev = 0.0
+    for last in _picard_iterates(u0, params, cfg, m_max):
+        gaps.append(max(_distances(bank, last.states, prev, (idx_gap,))[0]))
+        prev = last.states
     reference = solve(u0, params, cfg)
 
-    # iters[j] is iterate j+1; iterate zero vanishes identically, so the
-    # first gap is just the sup-t norm of iterate one.
-    gaps = [max(_distances(bank, cur.states, prev, (idx_gap,))[0])
-            for cur, prev in zip(iters, [0.0] + [it.states for it in iters])]
     table: list[dict] = [{"m": m, "iterate_gap": gap}
                          for m, gap in enumerate(gaps, start=1)]
     d_rows = list(range(len(table)))
@@ -564,7 +568,7 @@ def run_picard_convergence(u0: Field, omega: float, m_max: int, *,
         table[i + 1]["ratio"] = rt  # row m holds d_m / d_{m-1}
 
     terminal = max(lp_norm(Field(u0.grid, a - b), 2.0)
-                   for a, b in zip(iters[-1].states, reference.states))
+                   for a, b in zip(last.states, reference.states))
     table.append({"m": m_max, "terminal_l2_gap": terminal})
 
     contraction = max(ratios[1:]) if len(ratios) > 1 else float("nan")

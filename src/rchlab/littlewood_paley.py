@@ -6,7 +6,8 @@ equal to 1 for |xi| <= 1 and 0 for |xi| >= 4/3, annular filters
 j >= 0 with the cutoff itself as block j = -1.  On a finite lattice the
 family stops at ``j_max`` (largest j with (8/3) 2^j <= k_Nyquist); the
 residual high-frequency tail is folded into block ``j_max`` so that the
-blocks still sum to the identity on every lattice mode.
+blocks still sum to the identity on every lattice mode.  The bank stores
+each filter on its support only, about N/2 floats in all.
 
 A Besov norm is computed in two steps.  :func:`block_profile` transforms the
 field once and measures every block in L^p: Plancherel for p = 2, one inverse
@@ -87,7 +88,8 @@ def _top_block(k_nyquist: float) -> int:
 
 
 class DyadicFilterBank:
-    """Precomputed dyadic filters on the one-sided lattice spectrum."""
+    """Dyadic filters on the one-sided lattice spectrum, each stored on its
+    support only."""
 
     def __init__(self, grid: PeriodicGrid):
         k = grid.k
@@ -97,27 +99,38 @@ class DyadicFilterBank:
                 f"grid too small to host a dyadic family: j_max={j_max} < 3")
         self.grid = grid
         self.j_max = j_max
-        chis = [chi_profile(k / 2.0 ** j) for j in range(j_max + 1)]
-        # filters[j + 1] is block j, j = -1 .. j_max; the top block absorbs
+        # filters[j + 1] is block j, j = -1 .. j_max, on the [lo, hi) that
+        # holds its nonzeros, supports[j + 1]; the top block absorbs
         # everything the family no longer resolves
-        self.filters = ([chis[0]] + [b - a for a, b in zip(chis, chis[1:])]
-                        + [1.0 - chis[-1]])
-        # [lo, hi) holding each filter's nonzeros
+        self.filters = []
         self.supports = []
-        for phi in self.filters:
-            nz = np.flatnonzero(phi)
-            self.supports.append((int(nz[0]), int(nz[-1]) + 1) if nz.size
-                                 else (0, 0))
+        chi = chi_profile(k)
+        self._keep(chi)
+        for j in range(1, j_max + 1):
+            prev, chi = chi, chi_profile(k / 2.0 ** j)
+            self._keep(chi - prev)
+        self._keep(1.0 - chi)
+
+    def _keep(self, phi: np.ndarray) -> None:
+        nz = np.flatnonzero(phi)
+        lo, hi = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+        self.filters.append(phi[lo:hi].copy())
+        self.supports.append((lo, hi))
 
     def filter_for(self, j: int) -> np.ndarray:
+        """Block j's filter on the whole one-sided spectrum, a fresh array."""
         if not -1 <= j <= self.j_max:
             raise InvalidParameterError(
                 f"block {j} not resolvable on this grid (j_max={self.j_max})")
-        return self.filters[j + 1]
+        out = np.zeros_like(self.grid.k)
+        lo, hi = self.supports[j + 1]
+        out[lo:hi] = self.filters[j + 1]
+        return out
 
     def partition_values(self) -> np.ndarray:
         """Lattice sum of all filters; identically 1 up to rounding."""
-        return self.filters[0] + np.sum(self.filters[1:], axis=0)
+        return self.filter_for(-1) + sum(self.filter_for(j)
+                                         for j in range(self.j_max + 1))
 
 
 def build_filter_bank(grid: PeriodicGrid) -> DyadicFilterBank:
@@ -152,11 +165,14 @@ def _lp_rows(vals: np.ndarray, h: float, p: float) -> np.ndarray:
     if p == 2.0:  # the workloads' hot path; |x|^2 is normal for 1e-154..1e154
         return root(h * np.sum(a ** p, axis=-1))
     with np.errstate(over="ignore"):
-        norms = root(h * np.sum(a ** p, axis=-1))
-    # |x|^p under- or overflows for p far past the values' range: only those
-    # rows are summed again, scaled by their peak (Blue 1978, LAPACK dnrm2)
+        sums = h * np.sum(a ** p, axis=-1)
+    norms = root(sums)
+    # |x|^p under- or overflows for p far past the values' range, and a sum
+    # below 2^-970 may hold subnormal terms, each off by up to 2^-1075, more
+    # than an ulp of the sum: only those rows are summed again, scaled by
+    # their peak (Blue 1978, LAPACK dnrm2)
     peak = np.max(a, axis=-1)
-    lost = (((norms == 0.0) | (norms == math.inf)) & (0.0 < peak)
+    lost = (((sums < 2.0 ** -970) | (sums == math.inf)) & (0.0 < peak)
             & (peak < math.inf))
     if np.any(lost):
         top = peak[lost]
@@ -186,9 +202,8 @@ def _profile_from_spec(bank: DyadicFilterBank, spec: np.ndarray,
     # up to the sign of zeros, which the norms' abs removes.
     block = np.zeros_like(spec)
     profile = []
-    for j, (lo, hi) in enumerate(bank.supports, start=-1):
-        np.multiply(spec[..., lo:hi], bank.filter_for(j)[lo:hi],
-                    out=block[..., lo:hi])
+    for (lo, hi), piece in zip(bank.supports, bank.filters):
+        np.multiply(spec[..., lo:hi], piece, out=block[..., lo:hi])
         profile.append(_block_lp_from_spec(block, bank.grid, p))
         block[..., lo:hi] = 0.0
     return np.stack(profile, axis=-1)

@@ -416,6 +416,17 @@ def test_cli_import_leaves_scipy_out():
       "0.01", "--besov", "0,2,2", "--out", "x"],
      "InvalidParameterError: length 1e-300 puts k_Nyquist^2 past the float "
      "range", " t=0.0"),
+    # iterate 1's gap is measured before iterate 2 exists, so a gap index
+    # whose weights overflow is refused before the chain runs on, and before
+    # the blow-up that the same data meets at --s 2
+    (["picard", "--init", "smoke", "--N", "2048", "--s", "1100", "--tend",
+      "0.05", "--dt", "0.01", "--m-max", "3", "--out", "x"],
+     "InvalidParameterError: the weights 2^(js) or their l^r sum overflow",
+     "s=1099.0, r=2.0"),
+    (["picard", "--init", "smoke", "--N", "2048", "--s", "1100", "--omega",
+      "2.5", "--tend", "0.1", "--dt", "0.03", "--m-max", "5", "--out", "x"],
+     "InvalidParameterError: the weights 2^(js) or their l^r sum overflow",
+     "s=1099.0, r=2.0"),
 ], ids=["invalid-parameter", "grid-cap", "grid-cap-far", "frequency-overflow",
         "frequency-overflow-far", "cfl", "blow-up", "missing-file",
         "solve-dt-zero", "solve-tend-nan", "solve-tend-inf",
@@ -428,7 +439,8 @@ def test_cli_import_leaves_scipy_out():
         "solve-n-zero", "continuity-n-zero", "solve-besov-weights-overflow",
         "continuity-eps-unchanged", "besov-length-subnormal",
         "w0n-length-subnormal", "certify-length-subnormal",
-        "nonuniform-length-subnormal", "solve-k-squared-overflow"])
+        "nonuniform-length-subnormal", "solve-k-squared-overflow",
+        "picard-gap-weights-overflow", "picard-gap-weights-before-blow-up"])
 def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
     proc = _run_script(argv, tmp_path)
     assert proc.returncode == 2

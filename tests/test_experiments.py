@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,3 +388,25 @@ def test_picard_small_run():
     assert report.verdicts["terminal_agreement"].value > 0.0
     with pytest.raises(InvalidParameterError):
         run_picard_convergence(u0, 1.0, 2, steps=10)
+
+
+def test_picard_campaign_peak_does_not_grow_with_m_max():
+    # each gap is measured as its iterate arrives, so the campaign holds two
+    # iterates and peaks at about 3.9 iterates' bytes; keeping all of them
+    # peaked at 4.9 MiB at m_max = 4 and 14.5 MiB at 16, and a generator
+    # that kept its snapshot list through a yield at 4.85 iterates
+    grid = PeriodicGrid(64.0 * np.pi, 2**11)
+    u0 = builtin_profile("smoke", grid)
+    iterate = 51 * grid.n_points * 8  # 50 steps, every one stored
+
+    def peak(m_max):
+        tracemalloc.start()
+        try:
+            run_picard_convergence(u0, 1.0, m_max, steps=50)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    low, high = peak(4), peak(16)
+    assert high - low <= 0.5 * 2**20
+    assert high < 4.5 * iterate

@@ -2,9 +2,12 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import rfft
 
 import rchlab.littlewood_paley as lp
@@ -198,6 +201,15 @@ def test_lp_norm_validation():
     assert rows[0] == scaled > 0.0
 
 
+@pytest.mark.parametrize("p", [1990.0, 2050.0, 2080.0])
+def test_lp_norm_rescues_a_sum_in_the_subnormal_range(p):
+    # 0.7^p is subnormal here: summed as it is, it keeps 20 bits or fewer
+    # (the norm came out 0.7000029 at p = 2080), so the row is summed scaled
+    # by its peak, and a constant field's norm on a unit length is its value
+    f = Field(PeriodicGrid(1.0, 16), np.full(16, 0.7))
+    assert lp_norm(f, p) == 0.7
+
+
 def test_besov_tail_diagnostic_only_at_debug(caplog, monkeypatch):
     calls = []
     tail_fraction = lp._tail_fraction
@@ -338,3 +350,93 @@ def test_zero_field_has_besov_norm_exactly_zero(p):
                            (idx,))[0]
     assert norms[1] == 0.0
     assert norms[0] > 0.0 and norms[2] > 0.0
+
+
+def _full_length_filters(grid):
+    """The bank's filters as j_max + 2 full-length arrays, formed from all
+    j_max + 1 cutoffs at once: the construction the bank's pieces replace."""
+    k = grid.k
+    j_max = lp._top_block(grid.k_nyquist)
+    chis = [chi_profile(k / 2.0 ** j) for j in range(j_max + 1)]
+    return [chis[0]] + [b - a for a, b in zip(chis, chis[1:])] + [1.0 - chis[-1]]
+
+
+def _check_bank(grid):
+    """Check the bank of ``grid``, or its refusal, against the full-length
+    construction bit for bit; returns the bank or None."""
+    if lp._top_block(grid.k_nyquist) < 3:
+        with pytest.raises(InvalidParameterError, match="grid too small"):
+            build_filter_bank(grid)
+        return None
+    bank = build_filter_bank(grid)
+    want = _full_length_filters(grid)
+    assert len(want) == len(bank.supports) == bank.j_max + 2
+    for j, phi in enumerate(want, start=-1):
+        assert bank.filter_for(j).tobytes() == phi.tobytes(), j
+    assert bank.partition_values().tobytes() == (
+        want[0] + np.sum(want[1:], axis=0)).tobytes()
+    return bank
+
+
+@pytest.mark.parametrize("length", [2.0 * np.pi, 64.0 * np.pi, 1000.0])
+def test_filters_match_the_full_length_construction(length):
+    for e in range(4, 20):
+        _check_bank(PeriodicGrid(length, 2**e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.floats(0.5, 5000.0), e=st.integers(4, 12))
+def test_bank_partitions_unity_on_random_grids(length, e):
+    grid = PeriodicGrid(length, 2**e)
+    bank = _check_bank(grid)
+    if bank is None:
+        return
+    assert np.max(np.abs(bank.partition_values() - 1.0)) <= 1e-15
+    # each support is tight (an annulus may hold no lattice mode: (0, 0)),
+    # and each mode lies in one support or two
+    cover = np.zeros(len(grid.k), dtype=int)
+    for (lo, hi), piece in zip(bank.supports, bank.filters):
+        assert len(piece) == hi - lo
+        assert hi == lo == 0 or piece[0] != 0.0 != piece[-1]
+        cover[lo:hi] += 1
+    assert 1 <= cover.min() and cover.max() <= 2
+
+
+# |N(c f) - c N(f)| over c N(f); at most 37 ulps over 7,500 draws like these
+HOMOGENEITY_ULPS = 128
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.floats(0.5, 5000.0), e=st.integers(4, 12),
+       scale=st.floats(1e-3, 1e3),
+       p=st.one_of(st.sampled_from([1.0, 2.0, math.inf]),
+                   st.floats(1.0, 1e308)),
+       s=st.floats(-2.0, 3.0), r=st.sampled_from([1.0, 2.0, math.inf]),
+       seed=st.integers(0, 2**32 - 1))
+def test_besov_norm_is_homogeneous_on_random_grids(length, e, scale, p, s, r,
+                                                   seed):
+    grid = PeriodicGrid(length, 2**e)
+    if lp._top_block(grid.k_nyquist) < 3:
+        return
+    bank = build_filter_bank(grid)
+    f = np.random.default_rng(seed).normal(size=grid.n_points)
+    idx = BesovIndex(s, p, r)
+    a = scale * besov_norm(bank, Field(grid, f), idx)
+    b = besov_norm(bank, Field(grid, scale * f), idx)
+    assert abs(b - a) <= HOMOGENEITY_ULPS * np.finfo(float).eps * a
+
+
+def test_bank_keeps_only_its_supports():
+    # at 2^20 points one full-length filter is N/2 + 1 floats, 4 MiB; the
+    # full-length bank kept 56 MiB and peaked at 108 MiB while it built
+    grid = PeriodicGrid(64.0 * np.pi, 2**20)
+    full = 8 * (grid.n_points // 2 + 1)
+    tracemalloc.start()
+    try:
+        bank = build_filter_bank(grid)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(piece.size for piece in bank.filters) * 8 <= 2 * full
+    assert kept <= 2 * full
+    assert peak < 8 * full
