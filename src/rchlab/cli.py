@@ -24,7 +24,7 @@ import numpy as np
 
 from . import experiments
 from .coefficients import derive_coefficients
-from .errors import RchlabError
+from .errors import InvalidParameterError, RchlabError
 from .eulerian import SolverConfig, h1_integral, solve
 from .experiments import DEFAULT_LENGTH, DEFAULT_POINTS
 from .initial_data import (build_family, build_psi, builtin_profile,
@@ -38,19 +38,13 @@ from .spectral import (Field, PeriodicGrid, field_from_binary, field_from_csv,
 BUILTIN_NAMES = ("zero", "smoke", "psi")
 
 
-def _bad_input(message: str) -> SystemExit:
-    """Report bad command-line input on one stderr line; exit status 2."""
-    print(f"error: {message}", file=sys.stderr)
-    return SystemExit(2)
-
-
 def _load_field(init: str, length: float, n_points: int | None) -> Field:
     if init in BUILTIN_NAMES:
         return builtin_profile(init, _auto_grid(length, n_points))
     path = Path(init)
     if not path.exists():
-        raise _bad_input(f"no field file {path} and not one of "
-                         f"{'/'.join(BUILTIN_NAMES)}")
+        raise InvalidParameterError(f"no field file {path} and not one of "
+                                    f"{'/'.join(BUILTIN_NAMES)}")
     if path.suffix == ".csv":
         return field_from_csv(path)
     return field_from_binary(path)
@@ -211,12 +205,10 @@ def _cmd_data(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    if args.family is None:
-        raise _bad_input("pass --family or --certify")
     if args.family != "psi" and args.n is None:
-        raise _bad_input("--n is required for the modulated families")
+        raise InvalidParameterError("--n is required for a modulated family")
     if args.out is None:
-        raise _bad_input("--out is required with --family")
+        raise InvalidParameterError("--out is required with --family")
     grid = _auto_grid(args.L, args.N, args.n)
     bump = build_psi(grid)
     if args.family == "psi":
@@ -348,12 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("data", help="build or certify the dyadic data "
                                     "families")
-    p.add_argument("--family", choices=["psi", "w0n", "v0n", "u0n", "z0n"])
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--family", choices=["psi", "w0n", "v0n", "u0n", "z0n"])
+    mode.add_argument("--certify", action="store_true",
+                      help="emit the full norm-scaling table as CSV")
     p.add_argument("--n", type=int, default=None)
     _add_index_flags(p)
     p.add_argument("--out", default=None)
-    p.add_argument("--certify", action="store_true",
-                   help="emit the full norm-scaling table as CSV")
     p.add_argument("--n-min", type=int, default=5)
     p.add_argument("--n-max", type=int, default=11)
     _add_grid_flags(p)

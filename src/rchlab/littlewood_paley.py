@@ -154,7 +154,8 @@ def lp_norm(f: Field, p: float) -> float:
 
 
 def _lp_rows(vals: np.ndarray, h: float, p: float) -> np.ndarray:
-    """:func:`lp_norm` of each row of ``vals``, along the last axis."""
+    """:func:`lp_norm` of each row of ``vals``, along the last axis; at
+    ``h = 1`` the l^p norm of each row, which :func:`sequence_norm` takes."""
     a = np.abs(vals)
     if p == math.inf:
         return np.max(a, axis=-1)
@@ -228,10 +229,9 @@ def weight_profile(profile: np.ndarray, s: float) -> np.ndarray:
 
 
 def sequence_norm(a: np.ndarray, r: float) -> float:
-    """l^r norm of a nonnegative sequence; r may be math.inf."""
-    if r == math.inf:
-        return float(np.max(a))
-    return float(np.sum(a ** r) ** (1.0 / r))
+    """l^r norm of a nonnegative sequence; r may be math.inf.  It is the
+    L^r norm at unit spacing, rescued where the sum under- or overflows."""
+    return float(_lp_rows(a, 1.0, r))
 
 
 def _weighted(profile: np.ndarray, idx: BesovIndex) -> tuple[np.ndarray, float]:

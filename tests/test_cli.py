@@ -1,20 +1,26 @@
 """End-to-end runs of the command line front end (in process)."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rchlab import experiments, spectral
 from rchlab.cli import _write_norm_table, build_parser, main
 from rchlab.coefficients import derive_coefficients
-from rchlab.errors import InvalidParameterError
+from rchlab.errors import InvalidParameterError, RchlabError
 from rchlab.eulerian import SolverConfig, Trajectory, solve
 from rchlab.experiments import DEFAULT_LENGTH
 from rchlab.initial_data import builtin_profile
@@ -82,6 +88,30 @@ def test_besov_serves_every_finite_p(capsys):
     assert norms["20"] == pytest.approx(norms["19"], rel=1e-3)
     assert norms["1e308"] == norms["inf"]
     assert norms["inf"] == pytest.approx(0.06165048956724885, rel=1e-12)
+
+
+def _besov_line(argv, capsys):
+    assert main(["besov", *argv]) == 0
+    return float(capsys.readouterr().out.splitlines()[0].split(",")[1])
+
+
+def test_besov_serves_every_finite_r(tmp_path, capsys):
+    # the l^r sum over smoke's weighted blocks lies below 2^-970 from
+    # r = 321 and is 0 from r = 356, and w0n's overflows at r = 1000; such
+    # sums are taken scaled by their peak, so every large r reads the
+    # r = inf norm
+    smoke = ["--input", "smoke", "--s", "2", "--r"]
+    want = _besov_line(smoke + ["inf"], capsys)
+    for r in ("345", "355", "400", "1e308"):
+        assert _besov_line(smoke + [r], capsys) == pytest.approx(want,
+                                                                 rel=1e-15)
+    path = str(tmp_path / "w0n.csv")
+    assert main(["data", "--family", "w0n", "--n", "6", "--s", "0", "--out",
+                 path]) == 0
+    capsys.readouterr()
+    w0n = ["--input", path, "--s", "1", "--r"]
+    assert _besov_line(w0n + ["inf"], capsys) == 15.135726443587734
+    assert _besov_line(w0n + ["1000"], capsys) == 15.135726443587734
 
 
 CAMPAIGN_STEPS = {"nonuniform-super": 48, "nonuniform-critical": 48,
@@ -265,13 +295,13 @@ def test_bad_campaign_input_is_a_typed_error(tmp_path, argv):
 
 
 def test_missing_input_file(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(InvalidParameterError, match="no field file"):
         main(["solve", "--init", str(tmp_path / "nope.csv"),
               "--tend", "0.1", "--dt", "0.05", "--out", str(tmp_path / "x")])
 
 
 def test_data_family_needs_mode_index(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(InvalidParameterError, match="--n is required"):
         main(["data", "--family", "w0n", "--out", str(tmp_path / "w.csv")])
 
 
@@ -323,7 +353,7 @@ def test_cli_import_leaves_scipy_out():
       "--tend", "0.1", "--dt", "0.03", "--m-max", "5", "--out", "x"],
      "BlowUpError: state norm", " t=0.06"),
     (["solve", "--init", "nope.csv", "--dt", "1", "--tend", "2", "--out", "x"],
-     "error: no field file nope.csv", ""),
+     "InvalidParameterError: no field file nope.csv", ""),
     (["solve", "--init", "smoke", "--tend", "1", "--dt", "0", "--out", "x"],
      "InvalidParameterError: dt must be positive, got 0.0", ""),
     (["solve", "--init", "smoke", "--tend", "nan", "--dt", "0.01", "--out",
@@ -427,6 +457,14 @@ def test_cli_import_leaves_scipy_out():
       "2.5", "--tend", "0.1", "--dt", "0.03", "--m-max", "5", "--out", "x"],
      "InvalidParameterError: the weights 2^(js) or their l^r sum overflow",
      "s=1099.0, r=2.0"),
+    # data takes exactly one of --family and --certify
+    (["data", "--certify", "--family", "w0n", "--n", "5", "--n-min", "5",
+      "--n-max", "6", "--out", "x/c.csv"],
+     "rchlab data: error: argument --family: not allowed with argument "
+     "--certify", ""),
+    (["data", "--n", "5", "--out", "x/w.csv"],
+     "rchlab data: error: one of the arguments --family --certify is "
+     "required", ""),
 ], ids=["invalid-parameter", "grid-cap", "grid-cap-far", "frequency-overflow",
         "frequency-overflow-far", "cfl", "blow-up", "missing-file",
         "solve-dt-zero", "solve-tend-nan", "solve-tend-inf",
@@ -440,7 +478,8 @@ def test_cli_import_leaves_scipy_out():
         "continuity-eps-unchanged", "besov-length-subnormal",
         "w0n-length-subnormal", "certify-length-subnormal",
         "nonuniform-length-subnormal", "solve-k-squared-overflow",
-        "picard-gap-weights-overflow", "picard-gap-weights-before-blow-up"])
+        "picard-gap-weights-overflow", "picard-gap-weights-before-blow-up",
+        "data-certify-and-family", "data-without-mode"])
 def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
     proc = _run_script(argv, tmp_path)
     assert proc.returncode == 2
@@ -449,3 +488,74 @@ def test_bad_input_is_one_stderr_line_and_exit_2(tmp_path, argv, head, tail):
     assert lines[0].startswith(head) and lines[0].endswith(tail), lines[0]
     assert "np.float64" not in lines[0]
     assert not (tmp_path / "x").exists()
+
+
+# every flag below draws half its values from these and half from a few
+# small valid ones of its own; the sizes stay cheap: N <= 2^10, at most 2
+# steps.  A bank needs L = 2 pi at such N, and the bump L >= 64 pi.
+HOSTILE = ("0", "-1", "nan", "inf", "-inf", "1e308", "5e-324", "abc")
+POINTS = ("512", "1024")
+LENGTHS = ("6.283185307179586", "201.06192982974676")
+
+
+def _flag(name, *valid, optional=True):
+    """Hypothesis strategy of ``[name, value]`` (or ``[]`` if optional)."""
+    flag = st.one_of(st.sampled_from(HOSTILE), st.sampled_from(valid)).map(
+        lambda v: [name, v])
+    return st.one_of(st.just([]), flag) if optional else flag
+
+
+def _argv(command, *flags):
+    return st.tuples(*flags).map(lambda fs: [command] + sum(fs, []))
+
+
+def _inputs(name):
+    """A builtin profile or a path that does not exist."""
+    return st.sampled_from(["zero", "smoke", "psi", "MISSING"]).map(
+        lambda v: [name, v])
+
+
+COMMANDS = st.one_of(
+    _argv("coeffs", _flag("--omega", "0.5", "2.5", optional=False),
+          st.sampled_from([[], ["--json"]])),
+    _argv("besov", _inputs("--input"), _flag("--s", "1", "2", optional=False),
+          _flag("--p", "1", "2", "3"), _flag("--r", "1", "2"),
+          _flag("--N", *POINTS, optional=False),
+          _flag("--L", *LENGTHS, optional=False)),
+    _argv("data",
+          st.sampled_from(["psi", "w0n", "v0n", "u0n", "z0n"]).map(
+              lambda v: ["--family", v]),
+          _flag("--n", "1", "4"), _flag("--s", "2"),
+          _flag("--N", *POINTS, optional=False), _flag("--L", *LENGTHS),
+          st.sampled_from([[], ["--out", "OUT/w.csv"]])),
+    _argv("solve", _inputs("--init"),
+          _flag("--tend", "0.01", "0.02", optional=False),
+          _flag("--dt", "0.01", optional=False), _flag("--omega", "0.5"),
+          _flag("--N", *POINTS, optional=False),
+          _flag("--L", *LENGTHS, optional=False),
+          st.just(["--out", "OUT/run"])))
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=COMMANDS)
+def test_cli_exits_0_or_1_or_refuses_on_one_line(argv):
+    # three outcomes only: a status of 0 or 1, a typed rchlab error (which
+    # run prints on one line), or a usage error on one line; a warning, a
+    # traceback or any other exception fails
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"MISSING": f"{tmp}/nope.csv", "OUT/w.csv": f"{tmp}/w.csv",
+                 "OUT/run": f"{tmp}/run"}
+        argv = [paths.get(a, a) for a in argv]
+        err = io.StringIO()
+        with (warnings.catch_warnings(),
+              contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            try:
+                assert main(argv) in (0, 1)
+            except RchlabError:
+                pass
+            except SystemExit as stop:
+                lines = err.getvalue().splitlines()
+                assert stop.code == 2 and len(lines) == 1, lines
+                assert lines[0].startswith(f"rchlab {argv[0]}: error:")

@@ -2,11 +2,12 @@
 
 import logging
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import rfft
 
@@ -402,17 +403,35 @@ def test_bank_partitions_unity_on_random_grids(length, e):
     assert 1 <= cover.min() and cover.max() <= 2
 
 
+# every exponent of L^p and l^r: the three the workloads use, and any other
+EXPONENTS = st.one_of(st.sampled_from([1.0, 2.0, math.inf]),
+                      st.floats(1.0, 1e308))
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=EXPONENTS, data=st.data())
+def test_sequence_norm_lies_between_max_and_its_bound(r, data):
+    # max(a) <= ||a||_r <= len(a)^(1/r) max(a); the round trip (x^r)^(1/r)
+    # costs about |ln x| eps, hence 1e-12.  At r = 1 and 2 the sum is taken
+    # unchecked, so the values stay where it cannot under- or overflow.
+    lo, hi = (1e-150, 1e150) if r in (1.0, 2.0) else (0.0, sys.float_info.max)
+    a = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=40))
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        norm = sequence_norm(np.array(a), r)
+    assert max(a) * (1.0 - 1e-12) <= norm
+    assert norm <= len(a) ** (1.0 / r) * max(a) * (1.0 + 1e-12)
+
+
 # |N(c f) - c N(f)| over c N(f); at most 37 ulps over 7,500 draws like these
 HOMOGENEITY_ULPS = 128
 
 
 @settings(max_examples=60, deadline=None)
 @given(length=st.floats(0.5, 5000.0), e=st.integers(4, 12),
-       scale=st.floats(1e-3, 1e3),
-       p=st.one_of(st.sampled_from([1.0, 2.0, math.inf]),
-                   st.floats(1.0, 1e308)),
-       s=st.floats(-2.0, 3.0), r=st.sampled_from([1.0, 2.0, math.inf]),
-       seed=st.integers(0, 2**32 - 1))
+       scale=st.floats(1e-3, 1e3), p=EXPONENTS, s=st.floats(-2.0, 3.0),
+       r=EXPONENTS, seed=st.integers(0, 2**32 - 1))
+# an l^r sum that overflows, once refused
+@example(length=10.0, e=8, scale=2.0, p=2.0, s=2.0, r=146.0, seed=0)
 def test_besov_norm_is_homogeneous_on_random_grids(length, e, scale, p, s, r,
                                                    seed):
     grid = PeriodicGrid(length, 2**e)
